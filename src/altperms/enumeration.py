@@ -2,9 +2,16 @@
 
 One pruned, lexicographic backtracker is the single oracle every formula in
 this package is checked against.  Placement of each entry is pruned on the
-zigzag inequality; pattern-constrained runs additionally prune as soon as a
-prefix accumulates more occurrences than the filter allows (occurrence counts
-only grow under prefix extension, so this never loses a solution).
+zigzag inequality and, under a pattern constraint, on the occurrence budget.
+For 321 (dually 123) each placed entry keeps the number of earlier larger
+(smaller) entries, so one sweep over the values scores a candidate: the
+occurrences it closes plus a lower bound on those still to come.  The bound
+never loses a solution, because every unused value must be placed later and
+then closes a distinct 321 with each prefix 21-pair lying above it (a 123
+with each 12-pair below it); this is the generating-tree pruning of West,
+"Generating trees and forbidden subsequences" (1996).  Other patterns are
+scored by walking the prefix and pruned on the occurrences so far, which
+only grow under prefix extension.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from .perm_core import (
     AlternationClass,
     Pattern,
     Perm,
+    PATTERN_123,
     PATTERN_321,
     is_permutation,
 )
@@ -65,22 +73,6 @@ def _occurrences_ending_with(prefix: list[int], value: int, pattern: Sequence[in
     m = len(prefix)
     if m < k - 1:
         return 0
-    if k == 3:
-        p0, p1, p2 = pattern
-        below0 = p0 < p2
-        below1 = p1 < p2
-        rise01 = p0 < p1
-        total = 0
-        for q0 in range(m - 1):
-            x0 = prefix[q0]
-            if (x0 < value) != below0:
-                continue
-            for q1 in range(q0 + 1, m):
-                x1 = prefix[q1]
-                if (x1 < value) == below1 and (x0 < x1) == rise01:
-                    total += 1
-        return total
-
     last = pattern[-1]
     chosen: list[int] = []
 
@@ -132,6 +124,15 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     for t in range(2, n + 1):
         rise[t] = filt.cls.rises_into(t)
 
+    # For 321 (123), pairs[u] of a placed u counts the earlier entries above
+    # (below) it, and candidates are scored by sweeping down (up) the values.
+    sweep: range | None = None
+    if pattern == PATTERN_321:
+        sweep = range(n, 0, -1)
+    elif pattern == PATTERN_123:
+        sweep = range(1, n + 1)
+    pairs = [0] * (n + 1)
+
     used = [False] * (n + 1)
     prefix: list[int] = []
     occ = [0]  # occ[d] = pattern occurrences inside prefix[:d]
@@ -166,7 +167,24 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
                     # the largest value must stay available for the last slot
                     v += 1
                     continue
-            if pattern is not None:
+            if sweep is not None:
+                # run: pairs of the placed values swept so far, v included
+                new = bound = run = passed = 0
+                for u in sweep:
+                    if u == v:
+                        new = run
+                        pairs[v] = passed
+                        run += passed
+                    elif used[u]:
+                        run += pairs[u]
+                        passed += 1
+                    else:
+                        bound += run
+                total = occ[-1] + new
+                if total + bound > budget:
+                    v += 1
+                    continue
+            elif pattern is not None:
                 total = occ[-1] + _occurrences_ending_with(prefix, v, pattern)
                 if total > budget:
                     v += 1

@@ -40,12 +40,18 @@ def catalan(index: int) -> int:
     >>> [catalan(i) for i in range(8)]
     [1, 1, 2, 5, 14, 42, 132, 429]
     """
+    global _CATALAN
     if index < 0:
         raise ValueError("index must be >= 0")
     cache = _CATALAN
-    while len(cache) <= index:
-        k = len(cache)
-        cache.append(sum(cache[i] * cache[k - 1 - i] for i in range(k)))
+    if len(cache) <= index:
+        # Extend a private copy and publish it with one assignment: a published
+        # list is never mutated, so concurrent callers only see complete ones.
+        cache = cache.copy()
+        while len(cache) <= index:
+            k = len(cache)
+            cache.append(sum(cache[i] * cache[k - 1 - i] for i in range(k)))
+        _CATALAN = cache
     return cache[index]
 
 

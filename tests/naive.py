@@ -3,9 +3,11 @@
 Everything here is deliberately brute force (itertools over the whole
 symmetric group, occurrence checks over all position combinations) so that
 the package's pruned/backtracking code paths are checked against something
-with no shared logic.
+with no shared logic.  Scans are memoised per length, class and pattern, so
+that many filters over the same symmetric group rescan it once.
 """
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 
@@ -41,16 +43,27 @@ def all_perms(n):
     return permutations(range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
+def _alternating(cls_code, n):
+    shape = is_up_down if cls_code == "UD" else is_down_up
+    return tuple(w for w in all_perms(n) if shape(w))
+
+
+@lru_cache(maxsize=None)
+def _occurrence_counts(cls_code, n, pattern):
+    return tuple(occurrence_count(w, pattern) for w in _alternating(cls_code, n))
+
+
 def matching_perms(cls_code, n, avoid=None, exactly=None, ends_in_largest=None, begins_with_smallest=None):
     """Filtered, sorted permutation list by direct scan of the symmetric group."""
-    shape = is_up_down if cls_code == "UD" else is_down_up
+    wanted = []  # (occurrence count of each alternating perm, required count)
+    if avoid is not None:
+        wanted.append((_occurrence_counts(cls_code, n, tuple(avoid)), 0))
+    if exactly is not None:
+        wanted.append((_occurrence_counts(cls_code, n, tuple(exactly[0])), exactly[1]))
     out = []
-    for w in all_perms(n):
-        if not shape(w):
-            continue
-        if avoid is not None and occurrence_count(w, avoid) != 0:
-            continue
-        if exactly is not None and occurrence_count(w, exactly[0]) != exactly[1]:
+    for i, w in enumerate(_alternating(cls_code, n)):
+        if any(counts[i] != target for counts, target in wanted):
             continue
         if ends_in_largest is not None and (n >= 1 and w[-1] == n) != ends_in_largest:
             continue

@@ -45,27 +45,48 @@ def test_count_spec_examples():
     assert count(GenerationFilter(UD, 2, avoid=PATTERN_321, ends_in_largest=False)) == 0
 
 
-@pytest.mark.parametrize("cls", [UD, DU])
-@pytest.mark.parametrize(
-    "constraints",
-    [
+NAIVE_SCAN_CASES = [
+    {},
+    {"avoid": PATTERN_321},
+    {"avoid": PATTERN_123},
+    {"avoid": (2, 1)},
+    {"exact_occurrences": (PATTERN_321, 1)},
+    {"exact_occurrences": (PATTERN_123, 2)},
+    {"ends_in_largest": True},
+    {"ends_in_largest": False},
+    {"begins_with_smallest": True},
+    {"begins_with_smallest": False},
+    {"avoid": PATTERN_321, "ends_in_largest": True},
+    {"avoid": PATTERN_321, "begins_with_smallest": False},
+    {"exact_occurrences": (PATTERN_321, 1), "ends_in_largest": False},
+    {"exact_occurrences": ((1, 3, 2), 1)},
+    {"exact_occurrences": ((3, 1, 2), 2)},
+]
+# every exact 321/123 count of 0..3, alone and under each boundary flag
+NAIVE_SCAN_CASES += [
+    case
+    for pattern in (PATTERN_321, PATTERN_123)
+    for target in (0, 1, 2, 3)
+    for flag in (
         {},
-        {"avoid": PATTERN_321},
-        {"avoid": PATTERN_123},
-        {"avoid": (2, 1)},
-        {"exact_occurrences": (PATTERN_321, 1)},
-        {"exact_occurrences": (PATTERN_123, 2)},
         {"ends_in_largest": True},
         {"ends_in_largest": False},
         {"begins_with_smallest": True},
         {"begins_with_smallest": False},
-        {"avoid": PATTERN_321, "ends_in_largest": True},
-        {"avoid": PATTERN_321, "begins_with_smallest": False},
-        {"exact_occurrences": (PATTERN_321, 1), "ends_in_largest": False},
-    ],
-)
+    )
+    if (case := {"exact_occurrences": (pattern, target), **flag}) not in NAIVE_SCAN_CASES
+]
+
+
+@pytest.mark.parametrize("cls", [UD, DU])
+@pytest.mark.parametrize("constraints", NAIVE_SCAN_CASES)
 def test_generate_matches_naive_scan(cls, constraints):
-    for n in range(0, 7):
+    pattern = constraints.get("avoid") or constraints.get("exact_occurrences", ((),))[0]
+    # 321 and 123 take the counter sweep, whose lookahead at n = 8 cuts
+    # prefixes with up to six entries still to place; other length-3
+    # patterns take the prefix walker
+    n_max = 8 if pattern in (PATTERN_321, PATTERN_123) else 7 if len(pattern) == 3 else 6
+    for n in range(0, n_max + 1):
         filt = GenerationFilter(cls, n, **constraints)
         got = list(generate(filt))
         expected = naive.matching_perms(

@@ -1,7 +1,10 @@
+import sys
+import threading
 from math import comb
 
 import pytest
 
+from altperms import formulas
 from altperms.enumeration import GenerationFilter, count, table1_oracle
 from altperms.formulas import (
     STATISTICS,
@@ -37,6 +40,29 @@ def test_catalan_matches_binomial_quotient():
         expected, remainder = divmod(comb(2 * ell, ell), ell + 1)
         assert remainder == 0
         assert catalan(ell) == expected
+
+
+def test_catalan_cold_cache_is_thread_safe():
+    # A lost or duplicated cache entry shifts every later index, so each
+    # thread's value and the final cache are checked against the binomial form.
+    index, workers = 300, 4
+    expected = [comb(2 * ell, ell) // (ell + 1) for ell in range(index + 1)]
+    results: list[int] = []
+    saved_cache, saved_interval = formulas._CATALAN, sys.getswitchinterval()
+    formulas._CATALAN = [1]
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(catalan(index))) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected[index]] * workers
+        assert [catalan(ell) for ell in range(index + 1)] == expected
+    finally:
+        sys.setswitchinterval(saved_interval)
+        formulas._CATALAN = saved_cache
 
 
 def test_table1_transcription():
