@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 import time
-from itertools import permutations
-from typing import Sequence
+from functools import partial
+from itertools import chain, permutations
+from typing import Iterator, Sequence
 
 from .decompose import (
     InternalInconsistency,
@@ -28,9 +29,8 @@ from .decompose import (
     reconstruct,
     split,
 )
-from .enumeration import GenerationFilter, count, euler_zigzag, generate, table1_oracle
+from .enumeration import STATISTICS, GenerationFilter, count, euler_zigzag, generate, table1_oracle
 from .formulas import (
-    STATISTICS,
     OutOfValidityRange,
     SequenceSpec,
     a_n,
@@ -39,6 +39,7 @@ from .formulas import (
     convolution_even_321,
     convolution_odd_321,
     decomposition_sum,
+    host_class,
     table1_formula,
 )
 from .perm_core import (
@@ -83,38 +84,18 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _print_line(command: str, inputs: dict, fields: dict, started: float, **extra) -> None:
+    elapsed_ms = int((time.perf_counter() - started) * 1000)
+    print(json.dumps({"command": command, "inputs": inputs, **fields, "elapsed_ms": elapsed_ms, **extra}))
+
+
 def _emit(command: str, inputs: dict, value: str, method: str, started: float, **extra) -> None:
-    line = {
-        "command": command,
-        "inputs": inputs,
-        "value": value,
-        "method": method,
-        "elapsed_ms": int((time.perf_counter() - started) * 1000),
-    }
-    line.update(extra)
-    print(json.dumps(line))
+    _print_line(command, inputs, {"value": value, "method": method}, started, **extra)
 
 
 def _emit_mismatch(command: str, inputs: dict, expected, actual, started: float) -> None:
-    line = {
-        "command": command,
-        "inputs": inputs,
-        "error": "mismatch",
-        "expected": str(expected),
-        "actual": str(actual),
-        "elapsed_ms": int((time.perf_counter() - started) * 1000),
-    }
-    print(json.dumps(line))
+    _print_line(command, inputs, {"error": "mismatch", "expected": str(expected), "actual": str(actual)}, started)
     print(f"{command}: mismatch at {inputs}: expected {expected}, got {actual}", file=sys.stderr)
-
-
-def _host_class(pattern: Pattern, cls: AlternationClass) -> AlternationClass:
-    """Class whose one-321 hosts are counted by a (pattern, class) query.
-
-    Complementation flips both the class and the monotone pattern, so
-    exactly-one-123 counts equal exactly-one-321 counts in the other class.
-    """
-    return cls.flipped if pattern == PATTERN_123 else cls
 
 
 def _count_exactly_one(pattern: Pattern, cls: AlternationClass, n: int, method: str) -> int:
@@ -122,7 +103,7 @@ def _count_exactly_one(pattern: Pattern, cls: AlternationClass, n: int, method: 
         return count(GenerationFilter(cls=cls, length=n, exact_occurrences=(pattern, 1)))
     if method == "closed_form":
         return a_n(SequenceSpec(pattern, cls), n)
-    host = _host_class(pattern, cls)
+    host = host_class(pattern, cls)
     if method == "decomposition_sum":
         return decomposition_sum(n, host) if n >= 3 else 0
     if method == "bijection":
@@ -151,20 +132,18 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if method != "oracle":
             raise UsageError(f"--method {method}: unrestricted counts only support oracle")
         value = count(GenerationFilter(cls=cls, length=args.n))
-        _emit("count", inputs, str(value), method, started)
-        return OK
-    if args.pattern is None:
+    elif args.pattern is None:
         raise UsageError("--exactly requires --pattern")
-    pattern = _PATTERNS[args.pattern]
-    inputs.update({"pattern": args.pattern, "exactly": args.exactly})
-    if args.exactly == 1:
-        method = args.method or "closed_form"
-        value = _count_exactly_one(pattern, cls, args.n, method)
     else:
-        method = args.method or "oracle"
-        if method != "oracle":
+        pattern = _PATTERNS[args.pattern]
+        inputs.update({"pattern": args.pattern, "exactly": args.exactly})
+        method = args.method or ("closed_form" if args.exactly == 1 else "oracle")
+        if args.exactly == 1:
+            value = _count_exactly_one(pattern, cls, args.n, method)
+        elif method != "oracle":
             raise UsageError(f"--method {method}: only --exactly 1 has formula backing")
-        value = count(GenerationFilter(cls=cls, length=args.n, exact_occurrences=(pattern, args.exactly)))
+        else:
+            value = count(GenerationFilter(cls=cls, length=args.n, exact_occurrences=(pattern, args.exactly)))
     _emit("count", inputs, str(value), method, started)
     return OK
 
@@ -177,68 +156,37 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         raise UsageError(f"--method {method}: sequence supports closed_form or oracle")
     for n in range(3, args.n_max + 1):
         started = time.perf_counter()
-        if method == "closed_form":
-            value = a_n(SequenceSpec(pattern, cls), n)
-        else:
-            value = count(GenerationFilter(cls=cls, length=n, exact_occurrences=(pattern, 1)))
+        value = _count_exactly_one(pattern, cls, n, method)
         inputs = {"pattern": args.pattern, "class": args.cls, "n": n}
         _emit("sequence", inputs, str(value), method, started)
     return OK
 
 
 def _cmd_verify_table(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+    started = t0 = time.perf_counter()
     checks = 0
-    for n in range(0, args.n_max + 1):
-        for cls in AlternationClass:
-            for statistic in STATISTICS:
-                t0 = time.perf_counter()
-                inputs = {"class": cls.value, "n": n, "statistic": statistic}
-                actual = table1_oracle(cls, n, statistic)
-                checks += 1
-                try:
-                    expected = table1_formula(cls, n, statistic)
-                except OutOfValidityRange:
-                    _emit("verify-table", inputs, str(actual), "oracle", t0, note="out_of_validity")
-                    continue
-                if expected != actual:
-                    _emit_mismatch("verify-table", inputs, expected, actual, t0)
-                    return VERIFICATION_FAILURE
-                _emit("verify-table", inputs, str(actual), "closed_form", t0)
+    for inputs, expected, actual in _table1_checks(args.n_max):
+        checks += 1
+        if expected is None:
+            _emit("verify-table", inputs, str(actual), "oracle", t0, note="out_of_validity")
+        elif expected != actual:
+            _emit_mismatch("verify-table", inputs, expected, actual, t0)
+            return VERIFICATION_FAILURE
+        else:
+            _emit("verify-table", inputs, str(actual), "closed_form", t0)
+        t0 = time.perf_counter()
     _emit("verify-table", {"n_max": args.n_max}, str(checks), "oracle", started)
     return OK
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
-    bound = args.n_max
-    started = time.perf_counter()
-    for m in range(2, bound + 1):
-        expected, actual = closed_form_even_321(m), convolution_even_321(m)
-        if expected != actual:
-            _emit_mismatch("verify-identity", {"family": "even_321", "m": m}, expected, actual, started)
-            return VERIFICATION_FAILURE
-    _emit("verify-identity", {"family": "even_321", "m_max": bound}, str(max(bound - 1, 0)), "convolution", started)
-
-    started = time.perf_counter()
-    for m in range(1, bound + 1):
-        expected, actual = closed_form_odd(m), convolution_odd_321(m)
-        if expected != actual:
-            _emit_mismatch("verify-identity", {"family": "odd", "m": m}, expected, actual, started)
-            return VERIFICATION_FAILURE
-    _emit("verify-identity", {"family": "odd", "m_max": bound}, str(bound), "convolution", started)
-
-    for cls, label, pattern in (
-        (AlternationClass.UP_DOWN, "decomposition_UD", PATTERN_321),
-        (AlternationClass.DOWN_UP, "decomposition_DU", PATTERN_123),
-    ):
+    for family, bound_key, method, checks in _identity_families(args.n_max):
         started = time.perf_counter()
-        for n in range(3, bound + 1):
-            expected = a_n(SequenceSpec(pattern, AlternationClass.UP_DOWN), n)
-            actual = decomposition_sum(n, cls)
-            if expected != actual:
-                _emit_mismatch("verify-identity", {"family": label, "n": n}, expected, actual, started)
-                return VERIFICATION_FAILURE
-        _emit("verify-identity", {"family": label, "n_max": bound}, str(max(bound - 2, 0)), "decomposition_sum", started)
+        done, failure = _first_failure(checks)
+        if failure is not None:
+            _emit_mismatch("verify-identity", *failure, started)
+            return VERIFICATION_FAILURE
+        _emit("verify-identity", {"family": family, bound_key: args.n_max}, str(done), method, started)
     return OK
 
 
@@ -268,119 +216,121 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     return OK
 
 
-def _suite_closed_form_vs_oracle(n_max: int):
-    checks = 0
+# A check is (inputs, expected, actual) and fails when expected != actual;
+# expected is None where there is nothing to compare against.
+Check = tuple[dict, object, object]
+
+
+def _verdict(holds: bool, expected: str, actual: str) -> tuple[str, str]:
+    """(expected, actual) of a yes/no check: `actual` only shows when it fails."""
+    return expected, expected if holds else actual
+
+
+def _first_failure(checks: Iterator[Check]) -> tuple[int, Check | None]:
+    """Run checks up to the first failure: (checks run, failing check or None)."""
+    done = 0
+    for check in checks:
+        done += 1
+        _, expected, actual = check
+        if expected is not None and expected != actual:
+            return done, check
+    return done, None
+
+
+def _closed_form_vs_oracle_checks(n_max: int) -> Iterator[Check]:
     for code, pattern in _PATTERNS.items():
         for cls in AlternationClass:
             for n in range(3, n_max + 1):
-                expected = a_n(SequenceSpec(pattern, cls), n)
-                actual = count(GenerationFilter(cls=cls, length=n, exact_occurrences=(pattern, 1)))
-                checks += 1
-                if expected != actual:
-                    inputs = {"pattern": code, "class": cls.value, "n": n}
-                    return checks, (inputs, expected, actual)
-    return checks, None
+                expected = _count_exactly_one(pattern, cls, n, "closed_form")
+                actual = _count_exactly_one(pattern, cls, n, "oracle")
+                yield {"pattern": code, "class": cls.value, "n": n}, expected, actual
 
 
-def _suite_table1(n_max: int):
-    checks = 0
+def _table1_checks(n_max: int) -> Iterator[Check]:
+    """Every Table 1 cell up to n_max; cells below their validity bound expect None."""
     for n in range(0, n_max + 1):
         for cls in AlternationClass:
             for statistic in STATISTICS:
                 actual = table1_oracle(cls, n, statistic)
-                checks += 1
                 try:
                     expected = table1_formula(cls, n, statistic)
                 except OutOfValidityRange:
-                    continue
-                if expected != actual:
-                    inputs = {"class": cls.value, "n": n, "statistic": statistic}
-                    return checks, (inputs, expected, actual)
-    return checks, None
+                    expected = None
+                yield {"class": cls.value, "n": n, "statistic": statistic}, expected, actual
 
 
-def _suite_identities(_n_max: int, bound: int = 200):
-    checks = 0
-    for m in range(2, bound + 1):
-        checks += 1
-        if convolution_even_321(m) != closed_form_even_321(m):
-            return checks, ({"family": "even_321", "m": m}, closed_form_even_321(m), convolution_even_321(m))
-    for m in range(1, bound + 1):
-        checks += 1
-        if convolution_odd_321(m) != closed_form_odd(m):
-            return checks, ({"family": "odd", "m": m}, closed_form_odd(m), convolution_odd_321(m))
-    for cls, pattern in ((AlternationClass.UP_DOWN, PATTERN_321), (AlternationClass.DOWN_UP, PATTERN_123)):
-        for n in range(3, bound + 1):
-            checks += 1
-            expected = a_n(SequenceSpec(pattern, AlternationClass.UP_DOWN), n)
-            if decomposition_sum(n, cls) != expected:
-                inputs = {"family": f"decomposition_{cls.value}", "n": n}
-                return checks, (inputs, expected, decomposition_sum(n, cls))
-    return checks, None
+def _identity_checks(family: str, var: str, indices: range, expected, actual) -> Iterator[Check]:
+    for i in indices:
+        yield {"family": family, var: i}, expected(i), actual(i)
 
 
-def _suite_bijection(n_max: int):
-    checks = 0
+def _identity_families(bound: int):
+    """Each identity as (family, bound key, method, its checks up to `bound`)."""
+    yield "even_321", "m_max", "convolution", _identity_checks(
+        "even_321", "m", range(2, bound + 1), closed_form_even_321, convolution_even_321
+    )
+    yield "odd", "m_max", "convolution", _identity_checks(
+        "odd", "m", range(1, bound + 1), closed_form_odd, convolution_odd_321
+    )
+    for cls in AlternationClass:
+        family = f"decomposition_{cls.value}"
+        yield family, "n_max", "decomposition_sum", _identity_checks(
+            family, "n", range(3, bound + 1),
+            partial(a_n, SequenceSpec(PATTERN_321, cls)), partial(decomposition_sum, cls=cls),
+        )
+
+
+def _identity_suite(_n_max: int, bound: int = 200) -> Iterator[Check]:
+    return chain.from_iterable(checks for *_, checks in _identity_families(bound))
+
+
+def _bijection_checks(n_max: int) -> Iterator[Check]:
     for n in range(3, n_max + 1):
         for cls in AlternationClass:
             oracle = set(generate(GenerationFilter(cls=cls, length=n, exact_occurrences=(PATTERN_321, 1))))
             built = list(enumerate_by_decomposition(n, cls))
-            checks += 1
-            if len(built) != len(set(built)) or set(built) != oracle:
-                inputs = {"class": cls.value, "n": n}
-                return checks, (inputs, f"{len(oracle)} distinct hosts", f"{len(built)} built")
+            same = len(built) == len(set(built)) and set(built) == oracle
+            yield {"class": cls.value, "n": n}, *_verdict(same, f"{len(oracle)} distinct hosts", f"{len(built)} built")
             for w in sorted(oracle):
                 record = split(w)
-                checks += 1
-                if reconstruct(record) != w or w[record.j - 1] != record.j:
-                    inputs = {"class": cls.value, "perm": format_perm(w)}
-                    return checks, (inputs, format_perm(w), format_record(record))
-    return checks, None
+                holds = reconstruct(record) == w and w[record.j - 1] == record.j
+                inputs = {"class": cls.value, "perm": format_perm(w)}
+                yield inputs, *_verdict(holds, format_perm(w), format_record(record))
 
 
-def _suite_zigzag(n_max: int):
-    checks = 0
+def _zigzag_checks(n_max: int) -> Iterator[Check]:
     for n in range(0, n_max + 1):
-        expected = euler_zigzag(n)
-        actual = count(GenerationFilter(cls=AlternationClass.UP_DOWN, length=n))
-        checks += 1
-        if expected != actual:
-            return checks, ({"n": n}, expected, actual)
-    return checks, None
+        yield {"n": n}, euler_zigzag(n), count(GenerationFilter(cls=AlternationClass.UP_DOWN, length=n))
 
 
-def _suite_symmetry(n_max: int):
-    checks = 0
+def _symmetry_checks(n_max: int) -> Iterator[Check]:
     for n in range(0, min(n_max, 8) + 1):
         for w in permutations(range(1, n + 1)):
-            checks += 1
-            if count_occurrences(w, PATTERN_123) != count_occurrences(reverse(w), PATTERN_321):
-                return checks, ({"perm": format_perm(w)}, "equal counts", "unequal")
+            same = count_occurrences(w, PATTERN_123) == count_occurrences(reverse(w), PATTERN_321)
+            yield {"perm": format_perm(w)}, *_verdict(same, "equal counts", "unequal")
         if n >= 4 and n % 2 == 0:
             ud_123 = set(generate(GenerationFilter(cls=AlternationClass.UP_DOWN, length=n,
                                                    exact_occurrences=(PATTERN_123, 1))))
             du_321 = set(generate(GenerationFilter(cls=AlternationClass.DOWN_UP, length=n,
                                                    exact_occurrences=(PATTERN_321, 1))))
-            checks += 1
-            if {reverse(w) for w in ud_123} != du_321:
-                return checks, ({"n": n}, "reversal maps UD one-123 onto DU one-321", "sets differ")
-    return checks, None
+            same = {reverse(w) for w in ud_123} == du_321
+            yield {"n": n}, *_verdict(same, "reversal maps UD one-123 onto DU one-321", "sets differ")
 
 
 _SUITES = (
-    ("closed_form_vs_oracle", "closed_form", _suite_closed_form_vs_oracle),
-    ("table1", "closed_form", _suite_table1),
-    ("identities", "convolution", _suite_identities),
-    ("bijection", "bijection", _suite_bijection),
-    ("zigzag", "oracle", _suite_zigzag),
-    ("symmetry", "oracle", _suite_symmetry),
+    ("closed_form_vs_oracle", "closed_form", _closed_form_vs_oracle_checks),
+    ("table1", "closed_form", _table1_checks),
+    ("identities", "convolution", _identity_suite),
+    ("bijection", "bijection", _bijection_checks),
+    ("zigzag", "oracle", _zigzag_checks),
+    ("symmetry", "oracle", _symmetry_checks),
 )
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     for name, method, suite in _SUITES:
         started = time.perf_counter()
-        checks, failure = suite(args.n_max)
+        checks, failure = _first_failure(suite(args.n_max))
         inputs = {"suite": name, "n_max": args.n_max}
         if failure is not None:
             where, expected, actual = failure

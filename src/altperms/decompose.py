@@ -21,11 +21,11 @@ from .perm_core import (
     PATTERN_321,
     Perm,
     classify,
-    count_occurrences,
     find_occurrences,
     format_perm,
     is_alternating,
     is_permutation,
+    iter_occurrences,
     parse_perm,
     standardize,
     suffix_class,
@@ -83,17 +83,21 @@ def format_record(record: DecompositionRecord) -> str:
 
 def parse_record(text: str) -> DecompositionRecord:
     """Inverse of format_record; raises ValueError on malformed text."""
-    parts = text.strip().split(";")
-    keys = ("n", "class", "j", "U", "V")
-    if len(parts) != 5 or [p.split("=", 1)[0] for p in parts] != list(keys):
-        raise ValueError(
-            f"malformed record text {text!r}: expected fields n;class;j;U;V in that order"
-        )
-    fields = dict(part.split("=", 1) for part in parts)
+    malformed = ValueError(
+        f"malformed record text {text!r}: expected fields n;class;j;U;V in that order"
+    )
+    parts = [part.split("=", 1) for part in text.strip().split(";")]
+    if any(len(part) != 2 for part in parts) or [key for key, _ in parts] != ["n", "class", "j", "U", "V"]:
+        raise malformed
+    fields = dict(parts)
+    try:
+        n, j = int(fields["n"]), int(fields["j"])
+    except ValueError:
+        raise malformed from None
     return DecompositionRecord(
-        n=int(fields["n"]),
+        n=n,
         cls=AlternationClass.from_code(fields["class"]),
-        j=int(fields["j"]),
+        j=j,
         u=parse_perm(fields["U"]),
         v=parse_perm(fields["V"]),
     )
@@ -105,10 +109,10 @@ def locate_unique_321(w: Perm) -> Occurrence:
     >>> locate_unique_321((1, 4, 3, 5, 2, 6))
     (2, 3, 5)
     """
-    found = count_occurrences(w, PATTERN_321)
-    if found != 1:
-        raise NotExactlyOne(found)
-    return find_occurrences(w, PATTERN_321, 1)[0]
+    found = list(iter_occurrences(w, PATTERN_321))
+    if len(found) != 1:
+        raise NotExactlyOne(len(found))
+    return found[0]
 
 
 def _record_problems(record: DecompositionRecord) -> list[str]:

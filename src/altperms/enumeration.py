@@ -10,14 +10,15 @@ never loses a solution, because every unused value must be placed later and
 then closes a distinct 321 with each prefix 21-pair lying above it (a 123
 with each 12-pair below it); this is the generating-tree pruning of West,
 "Generating trees and forbidden subsequences" (1996).  Other patterns are
-scored by walking the prefix and pruned on the occurrences so far, which
-only grow under prefix extension.
+scored by counting the occurrences in the extended prefix with
+perm_core.count_occurrences and pruned on that count, which only grows
+under prefix extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .perm_core import (
     AlternationClass,
@@ -25,10 +26,12 @@ from .perm_core import (
     Perm,
     PATTERN_123,
     PATTERN_321,
+    count_occurrences,
     is_permutation,
 )
 
-_STATISTICS = ("total", "ends_in_largest", "begins_with_smallest")
+#: Boundary statistics of a Table 1 cell: all permutations, or those with the property.
+STATISTICS = ("total", "ends_in_largest", "begins_with_smallest")
 
 
 @dataclass(frozen=True)
@@ -63,36 +66,6 @@ class GenerationFilter:
                 raise ValueError(f"exact_occurrences pattern {pattern!r} is not a nonempty permutation")
             if target < 0:
                 raise ValueError("exact_occurrences count must be >= 0")
-
-
-def _occurrences_ending_with(prefix: list[int], value: int, pattern: Sequence[int]) -> int:
-    """Occurrences of `pattern` in prefix+[value] whose last entry is `value`."""
-    k = len(pattern)
-    if k == 1:
-        return 1
-    m = len(prefix)
-    if m < k - 1:
-        return 0
-    last = pattern[-1]
-    chosen: list[int] = []
-
-    def walk(slot: int, start: int) -> int:
-        if slot == k - 1:
-            return 1
-        ps = pattern[slot]
-        below = ps < last
-        total = 0
-        for q in range(start, m - (k - 2 - slot)):
-            x = prefix[q]
-            if (x < value) != below:
-                continue
-            if all((c < x) == (pattern[a] < ps) for a, c in enumerate(chosen)):
-                chosen.append(x)
-                total += walk(slot + 1, q + 1)
-                chosen.pop()
-        return total
-
-    return walk(0, 0)
 
 
 def generate(filt: GenerationFilter) -> Iterator[Perm]:
@@ -185,7 +158,7 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
                     v += 1
                     continue
             elif pattern is not None:
-                total = occ[-1] + _occurrences_ending_with(prefix, v, pattern)
+                total = count_occurrences(prefix + [v], pattern)
                 if total > budget:
                     v += 1
                     continue
@@ -244,8 +217,8 @@ def table1_oracle(cls: AlternationClass, n: int, statistic: str) -> int:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if statistic not in _STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r} (expected one of {_STATISTICS})")
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r} (expected one of {STATISTICS})")
     filt = GenerationFilter(
         cls=cls,
         length=n,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .enumeration import table1_oracle
+from .enumeration import STATISTICS, table1_oracle
 from .perm_core import (
     AlternationClass,
     Pattern,
@@ -22,7 +22,6 @@ from .perm_core import (
     suffix_class,
 )
 
-STATISTICS = ("total", "ends_in_largest", "begins_with_smallest")
 ROLES = ("u_candidate", "v_candidate")
 
 
@@ -257,13 +256,22 @@ class SequenceSpec:
             raise ValueError(f"pattern must be {PATTERN_321} or {PATTERN_123}, got {self.pattern!r}")
 
 
+def host_class(pattern: Pattern, cls: AlternationClass) -> AlternationClass:
+    """Class whose one-321 hosts are counted by a (pattern, class) query.
+
+    Complementation flips both the class and the monotone pattern, so
+    exactly-one-123 counts equal exactly-one-321 counts in the other class.
+    """
+    return cls.flipped if pattern == PATTERN_123 else cls
+
+
 def a_n(spec: SequenceSpec, n: int) -> int:
     """Length-n permutations of spec.cls containing spec.pattern exactly once.
 
-    Dispatches on parity to the closed forms; down-up hosts reduce to up-down
-    ones with the pattern complemented (complementation flips both the class
-    and the monotone pattern, preserving counts).  Below the formulas' ranges
-    every count is 0.
+    Dispatches on parity to the closed forms; at even lengths the one-321
+    hosts of host_class(spec.pattern, spec.cls) are counted by
+    closed_form_even_321 if up-down and by its complement closed_form_even_123
+    if down-up.  Below the formulas' ranges every count is 0.
 
     >>> a_n(SequenceSpec(PATTERN_321, AlternationClass.UP_DOWN), 8)
     66
@@ -272,12 +280,11 @@ def a_n(spec: SequenceSpec, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    pattern = spec.pattern
-    if spec.cls is AlternationClass.DOWN_UP:
-        pattern = PATTERN_123 if pattern == PATTERN_321 else PATTERN_321
     m, rem = divmod(n, 2)
     if rem:
         return closed_form_odd(m) if m >= 1 else 0
     if m < 2:
         return 0
-    return closed_form_even_321(m) if pattern == PATTERN_321 else closed_form_even_123(m)
+    if host_class(spec.pattern, spec.cls) is AlternationClass.UP_DOWN:
+        return closed_form_even_321(m)
+    return closed_form_even_123(m)

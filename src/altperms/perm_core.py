@@ -9,6 +9,8 @@ Lengths 0 and 1 are legal and belong to both alternation classes.
 from __future__ import annotations
 
 import enum
+import math
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
@@ -127,66 +129,69 @@ def _check_pattern(pattern: Sequence[int]) -> None:
         raise ValueError(f"{tuple(pattern)} is not a valid pattern")
 
 
+def _gap_slots(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Per slot s, the earlier slots whose entries are nearest below and above pattern[s].
+
+    Slot k = len(pattern) stands for "none below" and slot k+1 for "none
+    above".  A value fits slot s iff it lies strictly between the values
+    matched at those two slots: the matched values already share the
+    pattern's relative order, so every other earlier slot is further away.
+    """
+    k = len(pattern)
+    below: list[int] = []
+    above: list[int] = []
+    for s, ps in enumerate(pattern):
+        below.append(max((a for a in range(s) if pattern[a] < ps), key=pattern.__getitem__, default=k))
+        above.append(min((a for a in range(s) if pattern[a] > ps), key=pattern.__getitem__, default=k + 1))
+    return below, above
+
+
+def iter_occurrences(w: Sequence[int], pattern: Sequence[int]) -> Iterator[Occurrence]:
+    """Yield occurrences as 1-based position tuples, lexicographically.
+
+    Depth-first subsequence matching with prefix pruning, on an explicit
+    stack: a value is only accepted for pattern slot s when it relates to
+    every previously matched value exactly as pattern[s] relates to the
+    earlier pattern entries, which one gap check decides (see _gap_slots).
+    """
+    _check_pattern(pattern)
+    k = len(pattern)
+    n = len(w)
+    if k > n:
+        return
+    below, above = _gap_slots(pattern)
+    pos = [0] * k  # pos[s]: host index matched at slot s
+    value = [0] * k + [-math.inf, math.inf]  # value[s] = w[pos[s]], then the two sentinels
+    s = q = 0
+    while True:
+        lo, hi = value[below[s]], value[above[s]]
+        last = n - k + s  # later slots need the positions after this one
+        while q <= last and not lo < w[q] < hi:
+            q += 1
+        if q > last:
+            if s == 0:
+                return
+            s -= 1
+            q = pos[s] + 1
+            continue
+        pos[s] = q
+        value[s] = w[q]
+        q += 1
+        if s == k - 1:
+            yield tuple(p + 1 for p in pos)
+        else:
+            s += 1
+
+
 def count_occurrences(w: Sequence[int], pattern: Sequence[int]) -> int:
     """Number of position tuples of w order-isomorphic to `pattern`.
-
-    Depth-first subsequence matching with prefix pruning: a value is only
-    accepted for pattern slot s when it relates to every previously matched
-    value exactly as pattern[s] relates to the earlier pattern entries.
 
     >>> count_occurrences((4, 3, 2, 1), (3, 2, 1))
     4
     >>> count_occurrences((1, 4, 2, 3), (1, 2, 3))
     1
     """
-    _check_pattern(pattern)
-    k = len(pattern)
-    n = len(w)
-    if k > n:
-        return 0
-    chosen: list[int] = []
-
-    def walk(slot: int, start: int) -> int:
-        if slot == k:
-            return 1
-        total = 0
-        ps = pattern[slot]
-        for q in range(start, n - (k - slot) + 1):
-            x = w[q]
-            if all((c < x) == (pattern[a] < ps) for a, c in enumerate(chosen)):
-                chosen.append(x)
-                total += walk(slot + 1, q + 1)
-                chosen.pop()
-        return total
-
-    return walk(0, 0)
-
-
-def iter_occurrences(w: Sequence[int], pattern: Sequence[int]) -> Iterator[Occurrence]:
-    """Yield occurrences as 1-based position tuples, lexicographically."""
-    _check_pattern(pattern)
-    k = len(pattern)
-    n = len(w)
-    if k > n:
-        return
-    positions: list[int] = []
-    chosen: list[int] = []
-
-    def walk(slot: int, start: int) -> Iterator[Occurrence]:
-        if slot == k:
-            yield tuple(q + 1 for q in positions)
-            return
-        ps = pattern[slot]
-        for q in range(start, n - (k - slot) + 1):
-            x = w[q]
-            if all((c < x) == (pattern[a] < ps) for a, c in enumerate(chosen)):
-                positions.append(q)
-                chosen.append(x)
-                yield from walk(slot + 1, q + 1)
-                positions.pop()
-                chosen.pop()
-
-    yield from walk(0, 0)
+    return sum(1 for _ in iter_occurrences(w, pattern))
 
 
 def find_occurrences(w: Sequence[int], pattern: Sequence[int], limit: int) -> list[Occurrence]:
@@ -197,12 +202,7 @@ def find_occurrences(w: Sequence[int], pattern: Sequence[int], limit: int) -> li
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    out: list[Occurrence] = []
-    for occ in iter_occurrences(w, pattern):
-        out.append(occ)
-        if len(out) == limit:
-            break
-    return out
+    return list(islice(iter_occurrences(w, pattern), limit))
 
 
 def reverse(w: Sequence[int]) -> Perm:

@@ -181,14 +181,43 @@ def test_selftest_small_bound(capsys):
     assert all(line["checks"] > 0 for line in lines)
 
 
+# (name in cli, wrong replacement, failing suite, mismatch inputs, expected, actual)
+SELFTEST_SABOTAGES = [
+    ("a_n", lambda spec, n: -1, "closed_form_vs_oracle", {"pattern": "321", "class": "UD", "n": 3}, "-1", "0"),
+    ("table1_formula", lambda cls, n, statistic: -1, "table1", {"class": "UD", "n": 0, "statistic": "total"}, "-1", "1"),
+    ("closed_form_even_321", lambda m: -1, "identities", {"family": "even_321", "m": 2}, "-1", "0"),
+    ("reconstruct", lambda record: (), "bijection", {"class": "DU", "perm": "3,2,4,1"},
+     "3,2,4,1", "n=4;class=DU;j=2;U=2,1;V=2,3,1"),
+    ("euler_zigzag", lambda n: 7, "zigzag", {"n": 0}, "7", "1"),
+    ("count_occurrences", lambda w, p: len(w) if p == (1, 2, 3) else 0, "symmetry", {"perm": "1"},
+     "equal counts", "unequal"),
+]
+
+
 def test_selftest_reports_first_counterexample(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "euler_zigzag", lambda n: 7)
-    code, lines, err = run_lines(capsys, ["selftest", "--n-max", "4"])
+    for name, fake, suite, where, expected, actual in SELFTEST_SABOTAGES:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, fake)
+            code, lines, err = run_lines(capsys, ["selftest", "--n-max", "4"])
+        assert code == 2, name
+        (mismatch,) = [line for line in lines if line.get("error") == "mismatch"]
+        assert mismatch["inputs"] == {"suite": suite, **where}
+        assert (mismatch["expected"], mismatch["actual"]) == (expected, actual)
+        assert lines[-1]["value"] == "fail"
+        assert lines[-1]["inputs"] == {"suite": suite, "n_max": 4}
+        assert [line["value"] for line in lines[:-2]] == ["pass"] * (len(lines) - 2)
+        assert err == f"selftest: mismatch at {mismatch['inputs']}: expected {expected}, got {actual}\n"
+
+
+def test_verify_table_detects_sabotage(capsys, monkeypatch):
+    formula = cli.table1_formula
+    monkeypatch.setattr(cli, "table1_formula", lambda cls, n, statistic: formula(cls, n, statistic) + (n == 6))
+    code, lines, err = run_lines(capsys, ["verify-table", "--n-max", "8"])
     assert code == 2
-    mismatch = next(line for line in lines if line.get("error") == "mismatch")
-    assert mismatch["expected"] == "7"
-    failed = next(line for line in lines if line.get("value") == "fail")
-    assert failed["inputs"]["suite"] == "zigzag"
+    assert len(lines) == 6 * 2 * 3 + 1  # every cell below n = 6, then the first n = 6 cell
+    assert lines[-1]["inputs"] == {"class": "UD", "n": 6, "statistic": "total"}
+    assert (lines[-1]["error"], lines[-1]["expected"], lines[-1]["actual"]) == ("mismatch", "15", "14")
+    assert "verify-table: mismatch" in err
 
 
 def test_all_output_lines_are_json_objects(capsys):

@@ -40,18 +40,26 @@ def test_record_text_roundtrip():
     assert parse_record(text) == record
 
 
+MALFORMED = "malformed record text"
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text,match",
     [
-        "n=6;j=3;class=UD;U=1,3,2;V=2,3,1,4",  # wrong field order
-        "n=6;class=UD;j=3;U=1,3,2",  # missing field
-        "n=6;class=XX;j=3;U=1,3,2;V=2,3,1,4",  # bad class
-        "n=6;class=UD;j=3;U=1,3,3;V=2,3,1,4",  # not a permutation
-        "",
+        pytest.param(text, match, id=text)
+        for text, match in [
+            ("n=6;j=3;class=UD;U=1,3,2;V=2,3,1,4", MALFORMED),  # wrong field order
+            ("n=6;class=UD;j=3;U=1,3,2", MALFORMED),  # missing field
+            ("n=6;class=XX;j=3;U=1,3,2;V=2,3,1,4", "unknown alternation class"),
+            ("n=6;class=UD;j=3;U=1,3,3;V=2,3,1,4", "not a permutation"),
+            ("", MALFORMED),
+            ("n=6;class=UD;j=3;U=1,3,2;V", MALFORMED),  # field without "="
+            ("n=x;class=UD;j=3;U=1,3,2;V=2,3,1,4", MALFORMED),  # n not an integer
+        ]
     ],
 )
-def test_parse_record_rejects(text):
-    with pytest.raises(ValueError):
+def test_parse_record_rejects(text, match):
+    with pytest.raises(ValueError, match=match):
         parse_record(text)
 
 
