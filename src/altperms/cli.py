@@ -19,9 +19,7 @@ from typing import Iterator, Sequence
 
 from .decompose import (
     InternalInconsistency,
-    InvalidRecord,
     InvariantViolation,
-    NotAlternating,
     NotExactlyOne,
     enumerate_by_decomposition,
     format_record,
@@ -70,18 +68,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
+def _integer_at_least(minimum: int, rule: str, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(rule) from None
+    if value < minimum:
+        raise argparse.ArgumentTypeError(rule)
     return value
 
 
-def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
-    return value
+_positive = partial(_integer_at_least, 1, "must be a positive integer")
+_nonnegative = partial(_integer_at_least, 0, "must be a nonnegative integer")
 
 
 def _print_line(command: str, inputs: dict, fields: dict, started: float, **extra) -> None:
@@ -390,7 +388,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
-    except (NotExactlyOne, NotAlternating, InvalidRecord, OutOfValidityRange, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (InvariantViolation, InternalInconsistency) as exc:

@@ -5,8 +5,9 @@ u = w_1..w_{j-1} w_k and v = w_i w_{j+1}..w_n.  Standardizing u and v gives a
 pair (U, V) of 321-avoiding blocks whose boundary and shape constraints
 characterize the host completely, so the host can be rebuilt from (n, j, U, V)
 alone.  The value-assignment rules of the rebuild (middle entry w_j = j, rank
-formulas for w_i and w_k) are derived, not quoted, so `reconstruct` re-splits
-its own output and aborts loudly on any disagreement.
+formulas for w_i and w_k) are derived, not quoted, so `split` rebuilds its
+record and `reconstruct` re-splits its output, each aborting loudly on any
+disagreement.
 """
 
 from __future__ import annotations
@@ -159,10 +160,9 @@ def validate_record(record: DecompositionRecord) -> None:
 def split(w: Perm) -> DecompositionRecord:
     """Decompose an alternating host with exactly one 321 into its record.
 
-    Re-checks every condition the characterization promises (the prefix/suffix
-    value bounds, both blocks 321-avoiding with the right shapes and
-    boundaries, middle entry w_j = j) and raises InvariantViolation if any
-    fails despite a unique occurrence.
+    Re-checks what the characterization promises (both blocks 321-avoiding
+    with the right shapes and boundaries, and the record rebuilding w) and
+    raises InvariantViolation if either fails despite a unique occurrence.
 
     >>> format_record(split((1, 4, 3, 5, 2, 6)))
     'n=6;class=UD;j=3;U=1,3,2;V=2,3,1,4'
@@ -173,21 +173,12 @@ def split(w: Perm) -> DecompositionRecord:
     i, j, k = locate_unique_321(w)
     n = len(w)
     cls = AlternationClass.UP_DOWN if AlternationClass.UP_DOWN in classes else AlternationClass.DOWN_UP
-
-    wj = w[j - 1]
-    for t in range(1, j):
-        if t != i and w[t - 1] >= wj:
-            raise InvariantViolation(f"entry w_{t}={w[t - 1]} before position j is not below w_j={wj}")
-    for t in range(j + 1, n + 1):
-        if t != k and w[t - 1] <= wj:
-            raise InvariantViolation(f"entry w_{t}={w[t - 1]} after position j is not above w_j={wj}")
-    if wj != j:
-        raise InvariantViolation(f"middle entry w_j={wj} differs from its position j={j}")
-
     u = standardize(w[: j - 1] + (w[k - 1],))
     v = standardize((w[i - 1],) + w[j:])
     record = DecompositionRecord(n=n, cls=cls, j=j, u=u, v=v)
     problems = _record_problems(record)
+    if not problems and (rebuilt := _rebuild(record)) != w:
+        problems = [f"{format_record(record)} rebuilds {format_perm(rebuilt)}"]
     if problems:
         raise InvariantViolation(
             f"unique-321 host {format_perm(w)} produced an invalid record: " + "; ".join(problems)

@@ -1,8 +1,9 @@
 """Exhaustive generation of restricted alternating permutations.
 
 One pruned, lexicographic backtracker is the single oracle every formula in
-this package is checked against.  Placement of each entry is pruned on the
-zigzag inequality and, under a pattern constraint, on the occurrence budget.
+this package is checked against.  Each entry is drawn from the zigzag range cut
+to the boundary flags' bounds and, under a pattern constraint, pruned on the
+occurrence target.
 For 321 (dually 123) each placed entry keeps the number of earlier larger
 (smaller) entries, so one sweep over the values scores a candidate: the
 occurrences it closes plus a lower bound on those still to come.  The bound
@@ -39,7 +40,7 @@ class GenerationFilter:
     """Constraints for one generation run.
 
     `avoid` and `exact_occurrences` express the same kind of constraint
-    (avoiding p is "exactly 0 of p"), so at most one may be set.
+    (avoiding p is "exactly 0 of p", see `occurrence_target`), so at most one may be set.
     A filter with `ends_in_largest`/`begins_with_smallest` set to a boolean
     keeps only permutations whose boundary statistic equals it; the empty
     permutation counts as neither ending in its largest nor beginning with
@@ -58,14 +59,18 @@ class GenerationFilter:
             raise ValueError("length must be >= 0")
         if self.avoid is not None and self.exact_occurrences is not None:
             raise ValueError("avoid and exact_occurrences are mutually exclusive")
-        if self.avoid is not None and not (len(self.avoid) >= 1 and is_permutation(self.avoid)):
-            raise ValueError(f"avoid pattern {self.avoid!r} is not a nonempty permutation")
+        pattern, target = self.occurrence_target
+        if pattern is not None and not (len(pattern) >= 1 and is_permutation(pattern)):
+            raise ValueError(f"pattern {pattern!r} is not a nonempty permutation")
+        if target < 0:
+            raise ValueError("exact_occurrences count must be >= 0")
+
+    @property
+    def occurrence_target(self) -> tuple[Pattern | None, int]:
+        """The constraint as (pattern, target): `avoid=p` is (p, 0), none is (None, 0)."""
         if self.exact_occurrences is not None:
-            pattern, target = self.exact_occurrences
-            if not (len(pattern) >= 1 and is_permutation(pattern)):
-                raise ValueError(f"exact_occurrences pattern {pattern!r} is not a nonempty permutation")
-            if target < 0:
-                raise ValueError("exact_occurrences count must be >= 0")
+            return self.exact_occurrences
+        return self.avoid, 0
 
 
 def generate(filt: GenerationFilter) -> Iterator[Perm]:
@@ -76,19 +81,12 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     generators.
     """
     n = filt.length
-    pattern: Pattern | None = None
-    budget = 0
-    exact: int | None = None
-    if filt.avoid is not None:
-        pattern = filt.avoid
-    elif filt.exact_occurrences is not None:
-        pattern, exact = filt.exact_occurrences
-        budget = exact
+    pattern, target = filt.occurrence_target
     ends = filt.ends_in_largest
     begins = filt.begins_with_smallest
 
     if n == 0:
-        if ends is not True and begins is not True and (exact is None or exact == 0):
+        if ends is not True and begins is not True and target == 0:
             yield ()
         return
 
@@ -96,6 +94,20 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     rise = [False] * (n + 1)
     for t in range(2, n + 1):
         rise[t] = filt.cls.rises_into(t)
+
+    # floor[t]..ceil[t]: the values the boundary flags leave at position t.
+    # `begins` only tightens them, because position 1 is position n when n = 1.
+    floor = [1] * (n + 1)
+    ceil = [n] * (n + 1)
+    if ends is True:
+        ceil = [n - 1] * n + [n]  # n must stay available for the last slot
+        floor[n] = n
+    elif ends is False:
+        ceil[n] = n - 1
+    if begins is True:
+        ceil[1] = min(ceil[1], 1)
+    elif begins is False:
+        floor[1] = max(floor[1], 2)
 
     # For 321 (123), pairs[u] of a placed u counts the earlier entries above
     # (below) it, and candidates are scored by sweeping down (up) the values.
@@ -114,32 +126,20 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     d = 0
     while d >= 0:
         t = d + 1  # position being filled
-        if d == 0:
-            lo, hi = 1, n
-        elif rise[t]:
-            lo, hi = prefix[-1] + 1, n
-        else:
-            lo, hi = 1, prefix[-1] - 1
+        lo, hi = floor[t], ceil[t]
+        if d > 0:
+            if rise[t]:
+                if lo <= prefix[-1]:
+                    lo = prefix[-1] + 1
+            elif hi >= prefix[-1]:
+                hi = prefix[-1] - 1
         v = resume[d]
         if v < lo:
             v = lo
-        placed = False
         while v <= hi:
             if used[v]:
                 v += 1
                 continue
-            if t == 1 and begins is not None and (v == 1) != begins:
-                v += 1
-                continue
-            if ends is not None:
-                if t == n:
-                    if (v == n) != ends:
-                        v += 1
-                        continue
-                elif ends and v == n:
-                    # the largest value must stay available for the last slot
-                    v += 1
-                    continue
             if sweep is not None:
                 # run: pairs of the placed values swept so far, v included
                 new = bound = run = passed = 0
@@ -154,18 +154,18 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
                     else:
                         bound += run
                 total = occ[-1] + new
-                if total + bound > budget:
+                if total + bound > target:
                     v += 1
                     continue
             elif pattern is not None:
                 total = count_occurrences(prefix + [v], pattern)
-                if total > budget:
+                if total > target:
                     v += 1
                     continue
             else:
                 total = 0
             if t == n:
-                if exact is None or total == exact:
+                if total == target:
                     yield tuple(prefix) + (v,)
                 v += 1
                 continue
@@ -175,9 +175,8 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
             occ.append(total)
             d += 1
             resume[d] = 1
-            placed = True
             break
-        if not placed:
+        else:  # no candidate left at this depth: backtrack
             d -= 1
             if d >= 0:
                 used[prefix.pop()] = False

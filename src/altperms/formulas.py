@@ -34,7 +34,7 @@ class OutOfValidityRange(ValueError):
 
 
 def catalan(index: int) -> int:
-    """The Catalan number C_index, exactly, via Segner's recurrence.
+    """The Catalan number C_index, exactly, via C_k = C_{k-1} * 2(2k-1) / (k+1).
 
     >>> [catalan(i) for i in range(8)]
     [1, 1, 2, 5, 14, 42, 132, 429]
@@ -49,7 +49,7 @@ def catalan(index: int) -> int:
         cache = cache.copy()
         while len(cache) <= index:
             k = len(cache)
-            cache.append(sum(cache[i] * cache[k - 1 - i] for i in range(k)))
+            cache.append(cache[-1] * 2 * (2 * k - 1) // (k + 1))  # exact: multiply first
         _CATALAN = cache
     return cache[index]
 

@@ -65,6 +65,12 @@ OTHERS = [
     ["verify-identity", "--n-max", "40"],
     ["verify-identity", "--n-max", "1"],
     ["selftest", "--n-max", "6"],
+    ["count", "--n", "x"],  # integer flags report their rule, not their parser
+    ["count", "--n", "1.5"],
+    ["count", "--pattern", "321", "--n", "5", "--exactly", "y"],
+    ["count", "--pattern", "321", "--n", "5", "--exactly", "-1"],
+    ["sequence", "--n-max", "z"],
+    ["verify-table", "--n-max", "ten"],
 ]
 
 #: (name in altperms.cli, wrong replacement, argv): every suite fails at least once.

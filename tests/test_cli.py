@@ -3,6 +3,7 @@ import json
 import pytest
 
 import altperms.cli as cli
+import altperms.decompose as decompose_module
 from altperms.enumeration import GenerationFilter, count
 from altperms.perm_core import AlternationClass, PATTERN_321
 
@@ -157,6 +158,21 @@ def test_domain_errors_exit_1(capsys, argv):
     code, _, err = run_lines(capsys, argv)
     assert code == 1
     assert err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--perm", "1,4,3,5,2,6"],
+        ["reconstruct", "--record", "n=6;class=UD;j=3;U=1,3,2;V=2,3,1,4"],
+    ],
+)
+def test_broken_rebuild_exits_2(capsys, monkeypatch, argv):
+    monkeypatch.setattr(decompose_module, "_rebuild", lambda record: (2, 4, 3, 5, 1, 6))
+    code, lines, err = run_lines(capsys, argv)
+    assert code == 2
+    assert lines == []
+    assert err.startswith("verification failure:")
 
 
 def test_decompose_hints_at_reversal_for_unique_123(capsys):

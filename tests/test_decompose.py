@@ -137,6 +137,26 @@ def test_validate_record_reports_all_problems():
         validate_record(record)
 
 
+@pytest.mark.parametrize(
+    "record,match",
+    [
+        pytest.param(record, match, id=match)
+        for record, match in [
+            # parse_perm rejects the first two, so they are built directly
+            (DecompositionRecord(6, UD, 3, (1, 3, 3), (2, 3, 1, 4)), "U is not a permutation"),
+            (DecompositionRecord(6, UD, 3, (1, 3, 2), (2, 3, 1, 1)), "V is not a permutation"),
+            (parse_record("n=7;class=DU;j=4;U=4,2,3,1;V=2,1,4,3"), "U contains 321"),
+            (parse_record("n=7;class=UD;j=3;U=1,3,2;V=2,5,4,3,1"), "V contains 321"),
+            (parse_record("n=6;class=UD;j=3;U=2,1,3;V=2,3,1,4"), "U is not UD-alternating"),
+            (parse_record("n=6;class=UD;j=3;U=1,3,2;V=1,3,2,4"), "V begins with its smallest entry"),
+        ]
+    ],
+)
+def test_validate_record_names_each_problem(record, match):
+    with pytest.raises(InvalidRecord, match=match):
+        validate_record(record)
+
+
 def test_roundtrip_split_then_reconstruct():
     for w in ALL_SMALL_HOSTS:
         assert reconstruct(split(w)) == w
@@ -202,6 +222,13 @@ def test_internal_inconsistency_guard_fires(monkeypatch):
     monkeypatch.setattr(decompose_module, "_rebuild", lambda record: (2, 4, 3, 5, 1, 6))
     with pytest.raises(InternalInconsistency):
         reconstruct(good)
+
+
+def test_split_refuses_a_record_that_does_not_rebuild_its_host(monkeypatch):
+    # sabotage the rebuild step: split must check rebuild(split(w)) == w
+    monkeypatch.setattr(decompose_module, "_rebuild", lambda record: (2, 4, 3, 5, 1, 6))
+    with pytest.raises(InvariantViolation, match="rebuilds 2,4,3,5,1,6"):
+        split((1, 4, 3, 5, 2, 6))
 
 
 def test_error_hierarchy():

@@ -22,6 +22,10 @@ def test_filter_validation():
         GenerationFilter(UD, 4, avoid=(1, 1))
     with pytest.raises(ValueError):
         GenerationFilter(UD, 4, exact_occurrences=(PATTERN_321, -1))
+    with pytest.raises(ValueError):
+        GenerationFilter(UD, 4, exact_occurrences=((1, 1), 1))
+    with pytest.raises(ValueError):
+        GenerationFilter(UD, 4, exact_occurrences=((), 0))
 
 
 def test_generate_spec_examples():
@@ -75,6 +79,14 @@ NAIVE_SCAN_CASES += [
         {"begins_with_smallest": False},
     )
     if (case := {"exact_occurrences": (pattern, target), **flag}) not in NAIVE_SCAN_CASES
+]
+# both boundary flags set, in every combination, alone and with 321 avoided:
+# at n = 1 position 1 is position n, so each flag must only tighten the other
+NAIVE_SCAN_CASES += [
+    {**constraint, "ends_in_largest": ends, "begins_with_smallest": begins}
+    for constraint in ({}, {"avoid": PATTERN_321})
+    for ends in (True, False)
+    for begins in (True, False)
 ]
 
 

@@ -35,11 +35,19 @@ def test_catalan_values():
 
 
 def test_catalan_matches_binomial_quotient():
-    # Segner recurrence vs the independent binomial form, both exact
+    # ratio recurrence vs the independent binomial form, both exact
     for ell in range(101):
         expected, remainder = divmod(comb(2 * ell, ell), ell + 1)
         assert remainder == 0
         assert catalan(ell) == expected
+
+
+def test_catalan_matches_segner_sum():
+    # ratio recurrence vs Segner's convolution C_k = sum C_i C_{k-1-i}, both exact
+    segner = [1]
+    for k in range(1, 301):
+        segner.append(sum(segner[i] * segner[k - 1 - i] for i in range(k)))
+    assert [catalan(ell) for ell in range(301)] == segner
 
 
 def test_catalan_cold_cache_is_thread_safe():
