@@ -12,6 +12,7 @@ from .perm_core import (
     PATTERN_321,
     Perm,
     boundary_statistics,
+    check_pattern,
     classify,
     complement,
     count_occurrences,
@@ -44,7 +45,6 @@ from .formulas import (
 )
 from .decompose import (
     DecompositionRecord,
-    InternalInconsistency,
     InvalidRecord,
     InvariantViolation,
     NotAlternating,

@@ -18,11 +18,11 @@ from itertools import chain, permutations
 from typing import Iterator, Sequence
 
 from .decompose import (
-    InternalInconsistency,
     InvariantViolation,
     NotExactlyOne,
     enumerate_by_decomposition,
     format_record,
+    locate_unique_321,
     parse_record,
     reconstruct,
     split,
@@ -45,6 +45,7 @@ from .perm_core import (
     PATTERN_123,
     PATTERN_321,
     Pattern,
+    Perm,
     count_occurrences,
     format_perm,
     parse_perm,
@@ -66,6 +67,9 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit 2; usage errors must exit 1
         raise UsageError(f"{self.prog}: error: {message}")
+
+    def print_help(self, file=None):  # stdout carries JSON lines only
+        super().print_help(file or sys.stderr)
 
 
 def _integer_at_least(minimum: int, rule: str, text: str) -> int:
@@ -188,13 +192,21 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
     return OK
 
 
+def _has_unique_321(w: Perm) -> bool:
+    try:
+        locate_unique_321(w)
+    except NotExactlyOne:
+        return False
+    return True
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     w = parse_perm(args.perm)
     try:
         record = split(w)
     except NotExactlyOne:
-        if count_occurrences(w, PATTERN_123) == 1:
+        if _has_unique_321(reverse(w)):
             # 123-hosts are out of the engine's domain; reversal maps them to 321-hosts
             print(
                 f"hint: {args.perm} contains 123 exactly once; decompose its reversal "
@@ -385,13 +397,15 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except SystemExit:  # argparse exits after printing help; error() raises UsageError instead
+        return OK
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (InvariantViolation, InternalInconsistency) as exc:
+    except InvariantViolation as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return VERIFICATION_FAILURE
 

@@ -5,9 +5,10 @@ u = w_1..w_{j-1} w_k and v = w_i w_{j+1}..w_n.  Standardizing u and v gives a
 pair (U, V) of 321-avoiding blocks whose boundary and shape constraints
 characterize the host completely, so the host can be rebuilt from (n, j, U, V)
 alone.  The value-assignment rules of the rebuild (middle entry w_j = j, rank
-formulas for w_i and w_k) are derived, not quoted, so `split` rebuilds its
-record and `reconstruct` re-splits its output, each aborting loudly on any
-disagreement.
+formulas for w_i and w_k) are derived, not quoted, so each direction checks
+itself against the other once: `split` rebuilds its record, `reconstruct`
+reads the record back off its output, and either aborts loudly with
+InvariantViolation on any disagreement.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .perm_core import (
     format_perm,
     is_alternating,
     is_permutation,
-    iter_occurrences,
     parse_perm,
     standardize,
     suffix_class,
@@ -50,15 +50,11 @@ class InvalidRecord(ValueError):
 
 
 class InvariantViolation(RuntimeError):
-    """A host with a unique 321 failed a condition the characterization guarantees.
+    """The two directions of the bijection disagree on a host or a valid record.
 
     Never recoverable: it would falsify the decomposition characterization (or expose a
     transcription bug), so callers must not catch and continue.
     """
-
-
-class InternalInconsistency(RuntimeError):
-    """A rebuilt host failed its split round trip; derivation and split disagree."""
 
 
 @dataclass(frozen=True)
@@ -107,13 +103,26 @@ def parse_record(text: str) -> DecompositionRecord:
 def locate_unique_321(w: Perm) -> Occurrence:
     """The (i, j, k) of the single 321 occurrence; NotExactlyOne otherwise.
 
+    Counts without listing: each middle entry closes (larger entries before
+    it) x (smaller entries after it) occurrences, so this is O(n^2) time and
+    O(n) memory however many occurrences there are.
+
     >>> locate_unique_321((1, 4, 3, 5, 2, 6))
     (2, 3, 5)
     """
-    found = list(iter_occurrences(w, PATTERN_321))
-    if len(found) != 1:
-        raise NotExactlyOne(len(found))
-    return found[0]
+    total = 0
+    middle = -1
+    for t, b in enumerate(w):
+        closed = sum(a > b for a in w[:t]) * sum(c < b for c in w[t + 1 :])
+        if closed:
+            total += closed
+            middle = t
+    if total != 1:
+        raise NotExactlyOne(total)
+    b = w[middle]
+    i = next(t for t in range(middle) if w[t] > b)
+    k = next(t for t in range(middle + 1, len(w)) if w[t] < b)
+    return i + 1, middle + 1, k + 1
 
 
 def _record_problems(record: DecompositionRecord) -> list[str]:
@@ -157,6 +166,19 @@ def validate_record(record: DecompositionRecord) -> None:
         raise InvalidRecord(f"{format_record(record)}: " + "; ".join(problems))
 
 
+def _read(w: Perm) -> DecompositionRecord:
+    """The record read off a host, unchecked; ValueError (NotAlternating,
+    NotExactlyOne) when w is not an alternating host with a unique 321."""
+    classes = classify(w)
+    if not classes:
+        raise NotAlternating(f"{format_perm(w)} fits neither alternation class")
+    i, j, k = locate_unique_321(w)
+    cls = AlternationClass.UP_DOWN if AlternationClass.UP_DOWN in classes else AlternationClass.DOWN_UP
+    u = standardize(w[: j - 1] + (w[k - 1],))
+    v = standardize((w[i - 1],) + w[j:])
+    return DecompositionRecord(n=len(w), cls=cls, j=j, u=u, v=v)
+
+
 def split(w: Perm) -> DecompositionRecord:
     """Decompose an alternating host with exactly one 321 into its record.
 
@@ -167,15 +189,7 @@ def split(w: Perm) -> DecompositionRecord:
     >>> format_record(split((1, 4, 3, 5, 2, 6)))
     'n=6;class=UD;j=3;U=1,3,2;V=2,3,1,4'
     """
-    classes = classify(w)
-    if not classes:
-        raise NotAlternating(f"{format_perm(w)} fits neither alternation class")
-    i, j, k = locate_unique_321(w)
-    n = len(w)
-    cls = AlternationClass.UP_DOWN if AlternationClass.UP_DOWN in classes else AlternationClass.DOWN_UP
-    u = standardize(w[: j - 1] + (w[k - 1],))
-    v = standardize((w[i - 1],) + w[j:])
-    record = DecompositionRecord(n=n, cls=cls, j=j, u=u, v=v)
+    record = _read(w)
     problems = _record_problems(record)
     if not problems and (rebuilt := _rebuild(record)) != w:
         problems = [f"{format_record(record)} rebuilds {format_perm(rebuilt)}"]
@@ -201,9 +215,11 @@ def _rebuild(record: DecompositionRecord) -> Perm:
 def reconstruct(record: DecompositionRecord) -> Perm:
     """The unique host whose split is `record`.
 
-    Validates the record (InvalidRecord), rebuilds the host, then re-splits it
-    and compares; any disagreement means the derived value-assignment rules
-    contradict split, and raises InternalInconsistency.
+    Validates the record (InvalidRecord), rebuilds the host, then reads the
+    record back off it and compares; any disagreement means the derived
+    value-assignment rules contradict the reading, and raises
+    InvariantViolation.  The record is valid and the host is its rebuild, so
+    reading it back covers every check a full `split` would repeat.
 
     >>> rec = parse_record("n=6;class=UD;j=3;U=1,3,2;V=2,3,1,4")
     >>> reconstruct(rec)
@@ -212,14 +228,14 @@ def reconstruct(record: DecompositionRecord) -> Perm:
     validate_record(record)
     w = _rebuild(record)
     try:
-        roundtrip = split(w)
-    except (NotAlternating, NotExactlyOne, InvariantViolation) as exc:
-        raise InternalInconsistency(
+        read = _read(w)
+    except ValueError as exc:
+        raise InvariantViolation(
             f"rebuilt host {format_perm(w)} of {format_record(record)} does not split: {exc}"
         ) from exc
-    if roundtrip != record:
-        raise InternalInconsistency(
-            f"rebuilt host {format_perm(w)} splits to {format_record(roundtrip)}, "
+    if read != record:
+        raise InvariantViolation(
+            f"rebuilt host {format_perm(w)} splits to {format_record(read)}, "
             f"not to {format_record(record)}"
         )
     return w
@@ -229,8 +245,8 @@ def enumerate_by_decomposition(n: int, cls: AlternationClass) -> Iterator[Perm]:
     """All length-n `cls` hosts with exactly one 321, built from records.
 
     Iterates j ascending and the valid (U, V) block pairs lexicographically,
-    reconstructing each; every emitted host has already survived its split
-    round trip.
+    reconstructing each; every emitted host has already been read back to
+    its record.
     """
     for j in range(2, n):
         right_blocks = list(

@@ -27,8 +27,8 @@ from .perm_core import (
     Perm,
     PATTERN_123,
     PATTERN_321,
+    check_pattern,
     count_occurrences,
-    is_permutation,
 )
 
 #: Boundary statistics of a Table 1 cell: all permutations, or those with the property.
@@ -60,8 +60,8 @@ class GenerationFilter:
         if self.avoid is not None and self.exact_occurrences is not None:
             raise ValueError("avoid and exact_occurrences are mutually exclusive")
         pattern, target = self.occurrence_target
-        if pattern is not None and not (len(pattern) >= 1 and is_permutation(pattern)):
-            raise ValueError(f"pattern {pattern!r} is not a nonempty permutation")
+        if pattern is not None:
+            check_pattern(pattern)
         if target < 0:
             raise ValueError("exact_occurrences count must be >= 0")
 

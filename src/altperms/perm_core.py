@@ -122,7 +122,8 @@ def classify(w: Sequence[int]) -> set[AlternationClass]:
     return {cls for cls in AlternationClass if is_alternating(w, cls)}
 
 
-def _check_pattern(pattern: Sequence[int]) -> None:
+def check_pattern(pattern: Sequence[int]) -> None:
+    """Raise ValueError unless `pattern` is a permutation of length >= 1."""
     if len(pattern) < 1:
         raise ValueError("pattern must have length >= 1")
     if not is_permutation(pattern):
@@ -154,7 +155,7 @@ def iter_occurrences(w: Sequence[int], pattern: Sequence[int]) -> Iterator[Occur
     every previously matched value exactly as pattern[s] relates to the
     earlier pattern entries, which one gap check decides (see _gap_slots).
     """
-    _check_pattern(pattern)
+    check_pattern(pattern)
     k = len(pattern)
     n = len(w)
     if k > n:

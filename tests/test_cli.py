@@ -182,6 +182,23 @@ def test_decompose_hints_at_reversal_for_unique_123(capsys):
     assert "reversal" in err or "3,2,4,1" in err
 
 
+def test_decompose_long_host_without_321_exits_1_without_hint(capsys):
+    # 1,3,2,5,4,...,999,998,1000 has no 321 and ~10^8 123s; neither is listed
+    w = [1] + [v for top in range(3, 1000, 2) for v in (top, top - 1)] + [1000]
+    code, lines, err = run_lines(capsys, ["decompose", "--perm", ",".join(map(str, w))])
+    assert code == 1
+    assert lines == []
+    assert err == "error: expected exactly one 321 occurrence, found 0\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["count", "-h"]])
+def test_help_returns_0(capsys, argv):
+    code, lines, err = run_lines(capsys, argv)
+    assert code == 0
+    assert lines == []  # help goes to stderr: stdout carries JSON lines only
+    assert err.startswith("usage: altperms")
+
+
 def test_selftest_small_bound(capsys):
     code, lines, _ = run_lines(capsys, ["selftest", "--n-max", "5"])
     assert code == 0

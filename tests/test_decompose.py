@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 import altperms.decompose as decompose_module
 from altperms.decompose import (
     DecompositionRecord,
-    InternalInconsistency,
     InvalidRecord,
     InvariantViolation,
     NotAlternating,
@@ -71,6 +70,27 @@ def test_locate_unique_321_examples():
     with pytest.raises(NotExactlyOne) as info:
         locate_unique_321((4, 3, 2, 1))
     assert info.value.count == 4
+
+
+def test_locate_unique_321_counts_without_listing():
+    # up-down host n-1,n,n-3,n-2,...,1,2: every three of its n/2 pairs give 8
+    # occurrences, C(500, 3) * 8 of them at n = 1000, far too many to list
+    n = 1000
+    w = tuple(v for top in range(n, 0, -2) for v in (top - 1, top))
+    with pytest.raises(NotExactlyOne, match="found 165668000$") as info:
+        locate_unique_321(w)
+    assert info.value.count == 165_668_000
+
+
+@given(st.permutations(range(1, 9)))
+def test_locate_unique_321_matches_naive(w):
+    occurrences = naive.occurrence_positions(w, PATTERN_321)
+    if len(occurrences) == 1:
+        assert locate_unique_321(w) == occurrences[0]
+    else:
+        with pytest.raises(NotExactlyOne) as info:
+            locate_unique_321(w)
+        assert info.value.count == len(occurrences)
 
 
 def test_split_worked_example():
@@ -216,11 +236,19 @@ def test_enumerate_by_decomposition_deterministic_grouped_by_j():
     assert js == sorted(js)
 
 
-def test_internal_inconsistency_guard_fires(monkeypatch):
+def test_reconstruct_refuses_a_host_that_reads_back_differently(monkeypatch):
     # sabotage the rebuild step: the self-check must refuse to return its output
     good = parse_record("n=6;class=UD;j=3;U=1,3,2;V=2,3,1,4")
     monkeypatch.setattr(decompose_module, "_rebuild", lambda record: (2, 4, 3, 5, 1, 6))
-    with pytest.raises(InternalInconsistency):
+    with pytest.raises(InvariantViolation, match="splits to n=6;class=UD;j=3;U=2,3,1;V=2,3,1,4, not to"):
+        reconstruct(good)
+
+
+def test_reconstruct_refuses_a_host_that_does_not_split(monkeypatch):
+    # the sabotaged rebuild is up-down with no 321, so no record can be read off it
+    good = parse_record("n=6;class=UD;j=3;U=1,3,2;V=2,3,1,4")
+    monkeypatch.setattr(decompose_module, "_rebuild", lambda record: (1, 3, 2, 5, 4, 6))
+    with pytest.raises(InvariantViolation, match="does not split: expected exactly one 321 occurrence, found 0"):
         reconstruct(good)
 
 
@@ -236,4 +264,3 @@ def test_error_hierarchy():
     assert issubclass(NotAlternating, ValueError)
     assert issubclass(InvalidRecord, ValueError)
     assert issubclass(InvariantViolation, RuntimeError)
-    assert issubclass(InternalInconsistency, RuntimeError)
