@@ -14,7 +14,7 @@ InvariantViolation on any disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .enumeration import GenerationFilter, generate
 from .perm_core import (
@@ -179,8 +179,10 @@ def _read(w: Perm) -> DecompositionRecord:
     return DecompositionRecord(n=len(w), cls=cls, j=j, u=u, v=v)
 
 
-def split(w: Perm) -> DecompositionRecord:
+def split(w: Sequence[int]) -> DecompositionRecord:
     """Decompose an alternating host with exactly one 321 into its record.
+
+    Any sequence of ints is accepted; it is read as a tuple.
 
     Re-checks what the characterization promises (both blocks 321-avoiding
     with the right shapes and boundaries, and the record rebuilding w) and
@@ -189,6 +191,7 @@ def split(w: Perm) -> DecompositionRecord:
     >>> format_record(split((1, 4, 3, 5, 2, 6)))
     'n=6;class=UD;j=3;U=1,3,2;V=2,3,1,4'
     """
+    w = tuple(w)
     record = _read(w)
     problems = _record_problems(record)
     if not problems and (rebuilt := _rebuild(record)) != w:

@@ -1,19 +1,18 @@
 """Exhaustive generation of restricted alternating permutations.
 
 One pruned, lexicographic backtracker is the single oracle every formula in
-this package is checked against.  Each entry is drawn from the zigzag range cut
-to the boundary flags' bounds and, under a pattern constraint, pruned on the
-occurrence target.
-For 321 (dually 123) each placed entry keeps the number of earlier larger
-(smaller) entries, so one sweep over the values scores a candidate: the
-occurrences it closes plus a lower bound on those still to come.  The bound
-never loses a solution, because every unused value must be placed later and
-then closes a distinct 321 with each prefix 21-pair lying above it (a 123
-with each 12-pair below it); this is the generating-tree pruning of West,
-"Generating trees and forbidden subsequences" (1996).  Other patterns are
-scored by counting the occurrences in the extended prefix with
-perm_core.count_occurrences and pruned on that count, which only grows
-under prefix extension.
+this package is checked against: each entry is drawn from the zigzag range cut
+to the boundary flags' bounds, and the last slot takes the one value left,
+checked in place without a node of its own.
+For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
+each unused value, the prefix 21-pairs above it (12-pairs below it); placing v
+above b placed entries adds (d - b)(v - 1 - b) (for 123, b(n - v - d + b)), and
+pruning on F > target never loses a solution, because every unused value closes
+a distinct occurrence with each such pair once placed, so F only grows and is
+the exact count at a leaf (the generating-tree lookahead of West, "Generating
+trees and forbidden subsequences", 1996).
+Other patterns are pruned on perm_core.count_occurrences of the extended
+prefix, which only grows under prefix extension.
 """
 
 from __future__ import annotations
@@ -109,18 +108,16 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     elif begins is False:
         floor[1] = max(floor[1], 2)
 
-    # For 321 (123), pairs[u] of a placed u counts the earlier entries above
-    # (below) it, and candidates are scored by sweeping down (up) the values.
-    sweep: range | None = None
-    if pattern == PATTERN_321:
-        sweep = range(n, 0, -1)
-    elif pattern == PATTERN_123:
-        sweep = range(1, n + 1)
-    pairs = [0] * (n + 1)
+    is321, is123 = pattern == PATTERN_321, pattern == PATTERN_123
+    scored = is321 or is123
+    walk = pattern is not None and not scored
 
+    # position n is filled in place from position n - 1, by these rules
+    penult, last_rise, last_lo, last_hi = n - 1, rise[n], floor[n], ceil[n]
     used = [False] * (n + 1)
     prefix: list[int] = []
-    occ = [0]  # occ[d] = pattern occurrences inside prefix[:d]
+    rest = n * (n + 1) // 2  # sum of the unused values
+    forced = [0]  # forced[d]: F of prefix[:d]; read for 321/123 only
     resume = [0] * (n + 1)  # next candidate value to try at each depth
     resume[0] = 1
     d = 0
@@ -136,51 +133,51 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
         v = resume[d]
         if v < lo:
             v = lo
+        below = sum(used[:v]) if scored else 0  # placed values below v
         while v <= hi:
             if used[v]:
+                below += 1
                 v += 1
                 continue
-            if sweep is not None:
-                # run: pairs of the placed values swept so far, v included
-                new = bound = run = passed = 0
-                for u in sweep:
-                    if u == v:
-                        new = run
-                        pairs[v] = passed
-                        run += passed
-                    elif used[u]:
-                        run += pairs[u]
-                        passed += 1
-                    else:
-                        bound += run
-                total = occ[-1] + new
-                if total + bound > target:
-                    v += 1
-                    continue
-            elif pattern is not None:
+            if is321:
+                total = forced[d] + (d - below) * (v - 1 - below)
+            elif is123:
+                total = forced[d] + below * (n - v - d + below)
+            elif walk:
                 total = count_occurrences(prefix + [v], pattern)
-                if total > target:
-                    v += 1
-                    continue
             else:
                 total = 0
-            if t == n:
+            if total > target:
+                v += 1
+                continue
+            if t == penult:  # the one value left fills position n in place
+                y = rest - v
+                if (y > v) == last_rise and last_lo <= y <= last_hi:
+                    w = (*prefix, v, y)
+                    if (count_occurrences(w, pattern) if walk else total) == target:
+                        yield w
+                v += 1
+                continue
+            if t == n:  # n == 1
                 if total == target:
-                    yield tuple(prefix) + (v,)
+                    yield (v,)
                 v += 1
                 continue
             resume[d] = v + 1
             used[v] = True
             prefix.append(v)
-            occ.append(total)
+            rest -= v
+            forced.append(total)
             d += 1
             resume[d] = 1
             break
         else:  # no candidate left at this depth: backtrack
             d -= 1
             if d >= 0:
-                used[prefix.pop()] = False
-                occ.pop()
+                v = prefix.pop()
+                used[v] = False
+                rest += v
+                forced.pop()
 
 
 def count(filt: GenerationFilter) -> int:

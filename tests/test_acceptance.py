@@ -45,9 +45,9 @@ def _report(criterion: int, label: str, started: float) -> None:
     print(f"criterion {criterion} ({label}): PASS [{time.perf_counter() - started:.1f}s]")
 
 
-def test_criterion_1_closed_forms_match_oracle_n_up_to_16():
+def test_criterion_1_closed_forms_match_oracle_n_up_to_17():
     started = time.perf_counter()
-    for n in range(3, 17):
+    for n in range(3, 18):
         for pattern, frozen in ((PATTERN_321, A321_UP_TO_10), (PATTERN_123, A123_UP_TO_10)):
             for cls in (UD, DU):
                 expected = a_n(SequenceSpec(pattern, cls), n)
@@ -55,13 +55,13 @@ def test_criterion_1_closed_forms_match_oracle_n_up_to_16():
                 assert oracle == expected, (pattern, cls, n, oracle, expected)
                 if cls is UD and n <= 10:
                     assert expected == frozen[n], (pattern, n)
-    # the n = 11..16 closed-form values the oracle was just held to
-    for m in range(5, 8):
+    # the n = 11..17 closed-form values the oracle was just held to
+    for m in range(5, 9):
         assert a_n(SequenceSpec(PATTERN_321, UD), 2 * m + 1) == closed_form_odd(m)
     for m in range(6, 9):
         assert a_n(SequenceSpec(PATTERN_321, UD), 2 * m) == closed_form_even_321(m)
         assert a_n(SequenceSpec(PATTERN_123, UD), 2 * m) == closed_form_even_123(m)
-    _report(1, "oracle vs closed form, four families, n<=16", started)
+    _report(1, "oracle vs closed form, four families, n<=17", started)
 
 
 def test_criterion_2_table1_verified_n_up_to_12():

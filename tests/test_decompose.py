@@ -98,6 +98,10 @@ def test_split_worked_example():
     assert record == DecompositionRecord(n=6, cls=UD, j=3, u=(1, 3, 2), v=(2, 3, 1, 4))
 
 
+def test_split_accepts_any_sequence():
+    assert split([1, 4, 3, 5, 2, 6]) == split((1, 4, 3, 5, 2, 6))
+
+
 @pytest.mark.parametrize("w", [(1, 4, 2, 3), (2, 1, 4, 3, 5)])
 def test_split_rejects_avoiders(w):
     with pytest.raises(NotExactlyOne) as info:

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import pytest
 
 from altperms.enumeration import GenerationFilter, count, euler_zigzag, generate, table1_oracle
-from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321
+from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321, count_occurrences
 
 import naive
 
@@ -94,9 +96,9 @@ NAIVE_SCAN_CASES += [
 @pytest.mark.parametrize("constraints", NAIVE_SCAN_CASES)
 def test_generate_matches_naive_scan(cls, constraints):
     pattern = constraints.get("avoid") or constraints.get("exact_occurrences", ((),))[0]
-    # 321 and 123 take the counter sweep, whose lookahead at n = 8 cuts
-    # prefixes with up to six entries still to place; other length-3
-    # patterns take the prefix walker
+    # 321 and 123 are scored by the forced-occurrence count F, whose lookahead
+    # at n = 8 cuts prefixes with up to six entries still to place; other
+    # length-3 patterns are scored by count_occurrences of the prefix
     n_max = 8 if pattern in (PATTERN_321, PATTERN_123) else 7 if len(pattern) == 3 else 6
     for n in range(0, n_max + 1):
         filt = GenerationFilter(cls, n, **constraints)
@@ -111,6 +113,16 @@ def test_generate_matches_naive_scan(cls, constraints):
         )
         assert got == expected, (cls, n, constraints)
         assert count(filt) == len(expected)
+
+
+@pytest.mark.parametrize("cls", [UD, DU])
+@pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
+def test_every_occurrence_target_matches_histogram(cls, pattern):
+    # every target from 0 to one past the largest count, not only 0..3
+    for n in range(0, 9):
+        histogram = Counter(count_occurrences(w, pattern) for w in generate(GenerationFilter(cls, n)))
+        for k in range(0, max(histogram) + 2):
+            assert count(GenerationFilter(cls, n, exact_occurrences=(pattern, k))) == histogram[k], (n, k)
 
 
 def test_streams_sorted_and_duplicate_free():
