@@ -27,7 +27,7 @@ from .decompose import (
     reconstruct,
     split,
 )
-from .enumeration import STATISTICS, GenerationFilter, count, euler_zigzag, generate, table1_oracle
+from .enumeration import GenerationFilter, count, euler_zigzag, generate, table1_oracle
 from .formulas import (
     OutOfValidityRange,
     SequenceSpec,
@@ -41,6 +41,7 @@ from .formulas import (
     table1_formula,
 )
 from .perm_core import (
+    STATISTICS,
     AlternationClass,
     PATTERN_123,
     PATTERN_321,
@@ -58,6 +59,8 @@ VERIFICATION_FAILURE = 2
 
 _PATTERNS = {"321": PATTERN_321, "123": PATTERN_123}
 _METHODS = ("closed_form", "convolution", "decomposition_sum", "oracle", "bijection")
+#: The index up to which selftest checks every identity; verify-identity's default --n-max
+_IDENTITY_BOUND = 200
 
 
 class UsageError(Exception):
@@ -100,52 +103,47 @@ def _emit_mismatch(command: str, inputs: dict, expected, actual, started: float)
     print(f"{command}: mismatch at {inputs}: expected {expected}, got {actual}", file=sys.stderr)
 
 
-def _count_exactly_one(pattern: Pattern, cls: AlternationClass, n: int, method: str) -> int:
+def _count(pattern: Pattern | None, cls: AlternationClass, n: int, exactly: int | None, method: str) -> int:
+    """Length-n `cls` permutations with `exactly` occurrences of `pattern` (all
+    of them if `pattern` is None), by `method`: the one place that decides
+    which method may answer which request."""
     if method == "oracle":
-        return count(GenerationFilter(cls=cls, length=n, exact_occurrences=(pattern, 1)))
+        target = None if pattern is None else (pattern, exactly)
+        return count(GenerationFilter(cls=cls, length=n, exact_occurrences=target))
+    if pattern is None:
+        raise UsageError(f"--method {method}: unrestricted counts only support oracle")
+    if exactly != 1:
+        raise UsageError(f"--method {method}: only --exactly 1 has formula backing")
+    m, odd = divmod(n, 2)
+    if method == "convolution" and not odd and host_class(pattern, cls) is not AlternationClass.UP_DOWN:
+        raise UsageError(
+            "--method convolution: no displayed sum covers even-length 123 counts; "
+            "use decomposition_sum or closed_form"
+        )
+    if n < 3:  # shorter than the pattern
+        return 0
     if method == "closed_form":
         return a_n(SequenceSpec(pattern, cls), n)
-    host = host_class(pattern, cls)
     if method == "decomposition_sum":
-        return decomposition_sum(n, host) if n >= 3 else 0
+        return decomposition_sum(n, host_class(pattern, cls))
     if method == "bijection":
-        return sum(1 for _ in enumerate_by_decomposition(n, host))
-    if method == "convolution":
-        m, odd = divmod(n, 2)
-        if odd:
-            return convolution_odd_321(m) if m >= 1 else 0
-        if host is not AlternationClass.UP_DOWN:
-            raise UsageError(
-                "--method convolution: no displayed sum covers even-length 123 counts; "
-                "use decomposition_sum or closed_form"
-            )
-        return convolution_even_321(m) if m >= 2 else 0
-    raise UsageError(f"--method: unknown method {method!r}")
+        return sum(1 for _ in enumerate_by_decomposition(n, host_class(pattern, cls)))
+    # argparse's choices leave only convolution
+    return convolution_odd_321(m) if odd else convolution_even_321(m)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    cls = AlternationClass.from_code(args.cls)
     inputs: dict = {"class": args.cls, "n": args.n}
-    if args.exactly is None:
-        if args.pattern is not None:
-            raise UsageError("--pattern requires --exactly (occurrence target)")
-        method = args.method or "oracle"
-        if method != "oracle":
-            raise UsageError(f"--method {method}: unrestricted counts only support oracle")
-        value = count(GenerationFilter(cls=cls, length=args.n))
-    elif args.pattern is None:
+    if args.pattern is not None and args.exactly is None:
+        raise UsageError("--pattern requires --exactly (occurrence target)")
+    if args.exactly is not None and args.pattern is None:
         raise UsageError("--exactly requires --pattern")
-    else:
-        pattern = _PATTERNS[args.pattern]
+    pattern = _PATTERNS.get(args.pattern)
+    if pattern is not None:
         inputs.update({"pattern": args.pattern, "exactly": args.exactly})
-        method = args.method or ("closed_form" if args.exactly == 1 else "oracle")
-        if args.exactly == 1:
-            value = _count_exactly_one(pattern, cls, args.n, method)
-        elif method != "oracle":
-            raise UsageError(f"--method {method}: only --exactly 1 has formula backing")
-        else:
-            value = count(GenerationFilter(cls=cls, length=args.n, exact_occurrences=(pattern, args.exactly)))
+    method = args.method or ("closed_form" if args.exactly == 1 else "oracle")
+    value = _count(pattern, AlternationClass.from_code(args.cls), args.n, args.exactly, method)
     _emit("count", inputs, str(value), method, started)
     return OK
 
@@ -158,7 +156,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         raise UsageError(f"--method {method}: sequence supports closed_form or oracle")
     for n in range(3, args.n_max + 1):
         started = time.perf_counter()
-        value = _count_exactly_one(pattern, cls, n, method)
+        value = _count(pattern, cls, n, 1, method)
         inputs = {"pattern": args.pattern, "class": args.cls, "n": n}
         _emit("sequence", inputs, str(value), method, started)
     return OK
@@ -251,8 +249,8 @@ def _closed_form_vs_oracle_checks(n_max: int) -> Iterator[Check]:
     for code, pattern in _PATTERNS.items():
         for cls in AlternationClass:
             for n in range(3, n_max + 1):
-                expected = _count_exactly_one(pattern, cls, n, "closed_form")
-                actual = _count_exactly_one(pattern, cls, n, "oracle")
+                expected = _count(pattern, cls, n, 1, "closed_form")
+                actual = _count(pattern, cls, n, 1, "oracle")
                 yield {"pattern": code, "class": cls.value, "n": n}, expected, actual
 
 
@@ -290,8 +288,8 @@ def _identity_families(bound: int):
         )
 
 
-def _identity_suite(_n_max: int, bound: int = 200) -> Iterator[Check]:
-    return chain.from_iterable(checks for *_, checks in _identity_families(bound))
+def _identity_suite(_n_max: int) -> Iterator[Check]:
+    return chain.from_iterable(checks for *_, checks in _identity_families(_IDENTITY_BOUND))
 
 
 def _bijection_checks(n_max: int) -> Iterator[Check]:
@@ -377,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_positive, default=10)
 
     p = add("verify-identity", _cmd_verify_identity, help="convolutions and decomposition sums vs closed forms")
-    p.add_argument("--n-max", type=_positive, default=200)
+    p.add_argument("--n-max", type=_positive, default=_IDENTITY_BOUND)
 
     p = add("decompose", _cmd_decompose, help="split a one-321 alternating permutation into its record")
     p.add_argument("--perm", required=True)

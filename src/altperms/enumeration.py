@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .perm_core import (
+    STATISTICS,
     AlternationClass,
     Pattern,
     Perm,
@@ -30,9 +31,6 @@ from .perm_core import (
     count_occurrences,
 )
 
-#: Boundary statistics of a Table 1 cell: all permutations, or those with the property.
-STATISTICS = ("total", "ends_in_largest", "begins_with_smallest")
-
 
 @dataclass(frozen=True)
 class GenerationFilter:
@@ -40,6 +38,8 @@ class GenerationFilter:
 
     `avoid` and `exact_occurrences` express the same kind of constraint
     (avoiding p is "exactly 0 of p", see `occurrence_target`), so at most one may be set.
+    A pattern may be any sequence (it is stored as a tuple); 321 and 123 are
+    pruned in O(1) per candidate, any other pattern by recounting the prefix.
     A filter with `ends_in_largest`/`begins_with_smallest` set to a boolean
     keeps only permutations whose boundary statistic equals it; the empty
     permutation counts as neither ending in its largest nor beginning with
@@ -58,6 +58,11 @@ class GenerationFilter:
             raise ValueError("length must be >= 0")
         if self.avoid is not None and self.exact_occurrences is not None:
             raise ValueError("avoid and exact_occurrences are mutually exclusive")
+        if self.avoid is not None:
+            object.__setattr__(self, "avoid", tuple(self.avoid))
+        if self.exact_occurrences is not None:
+            pattern, target = self.exact_occurrences
+            object.__setattr__(self, "exact_occurrences", (tuple(pattern), target))
         pattern, target = self.occurrence_target
         if pattern is not None:
             check_pattern(pattern)
@@ -84,9 +89,11 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     ends = filt.ends_in_largest
     begins = filt.begins_with_smallest
 
-    if n == 0:
-        if ends is not True and begins is not True and target == 0:
-            yield ()
+    if n <= 1:  # () ends in and begins with nothing; (1,) does both
+        w = tuple(range(1, n + 1))
+        occurrences = 0 if pattern is None else count_occurrences(w, pattern)
+        if ends in (None, n == 1) and begins in (None, n == 1) and occurrences == target:
+            yield w
         return
 
     # rise[t] (1-based position t >= 2): entry at t must exceed entry at t-1
@@ -94,8 +101,7 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     for t in range(2, n + 1):
         rise[t] = filt.cls.rises_into(t)
 
-    # floor[t]..ceil[t]: the values the boundary flags leave at position t.
-    # `begins` only tightens them, because position 1 is position n when n = 1.
+    # floor[t]..ceil[t]: the values the boundary flags leave at position t
     floor = [1] * (n + 1)
     ceil = [n] * (n + 1)
     if ends is True:
@@ -104,9 +110,9 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     elif ends is False:
         ceil[n] = n - 1
     if begins is True:
-        ceil[1] = min(ceil[1], 1)
+        ceil[1] = 1
     elif begins is False:
-        floor[1] = max(floor[1], 2)
+        floor[1] = 2
 
     is321, is123 = pattern == PATTERN_321, pattern == PATTERN_123
     scored = is321 or is123
@@ -158,11 +164,6 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
                         yield w
                 v += 1
                 continue
-            if t == n:  # n == 1
-                if total == target:
-                    yield (v,)
-                v += 1
-                continue
             resume[d] = v + 1
             used[v] = True
             prefix.append(v)
@@ -211,15 +212,7 @@ def table1_oracle(cls: AlternationClass, n: int, statistic: str) -> int:
     `statistic` is one of "total", "ends_in_largest", "begins_with_smallest";
     the latter two restrict to permutations with that boundary property.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r} (expected one of {STATISTICS})")
-    filt = GenerationFilter(
-        cls=cls,
-        length=n,
-        avoid=PATTERN_321,
-        ends_in_largest=True if statistic == "ends_in_largest" else None,
-        begins_with_smallest=True if statistic == "begins_with_smallest" else None,
-    )
-    return count(filt)
+    flags = {} if statistic == "total" else {statistic: True}
+    return count(GenerationFilter(cls=cls, length=n, avoid=PATTERN_321, **flags))

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .enumeration import STATISTICS, table1_oracle
 from .perm_core import (
+    STATISTICS,
     AlternationClass,
     Pattern,
     PATTERN_123,
@@ -28,8 +28,8 @@ ROLES = ("u_candidate", "v_candidate")
 class OutOfValidityRange(ValueError):
     """A tabulated formula was asked outside its validity bound.
 
-    Part of the contract, not a defect: callers fall back to the exhaustive
-    oracle for the handful of small lengths the table does not cover.
+    Part of the contract, not a defect: the bounds only exclude lengths <= 2,
+    whose cells enumeration.table1_oracle counts by listing them.
     """
 
 
@@ -106,8 +106,8 @@ _TABLE1_INDEX = {(row.cls, row.parity, row.statistic): row for row in TABLE1}
 def table1_formula(cls: AlternationClass, n: int, statistic: str) -> int:
     """Tabulated count of 321-avoiding length-n `cls` permutations.
 
-    Raises OutOfValidityRange below the row's bound (n = 2l or 2l+1); the
-    exhaustive count is then available from enumeration.table1_oracle.
+    Raises OutOfValidityRange below the row's bound (n = 2l or 2l+1), which
+    only happens at lengths <= 2.
 
     >>> table1_formula(AlternationClass.UP_DOWN, 4, "total")
     5
@@ -125,8 +125,8 @@ def boundary_count(cls: AlternationClass, n: int, role: str) -> int:
     """321-avoiding `cls` permutations of length n missing a boundary property.
 
     u_candidate: not ending in the largest entry; v_candidate: not beginning
-    with the smallest.  Uses the tabulated formulas where valid and falls back
-    to the exhaustive oracle for the small lengths they exclude.
+    with the smallest.  Uses the tabulated formulas where valid; the lengths
+    they exclude have no such permutation.
 
     >>> boundary_count(AlternationClass.UP_DOWN, 3, "u_candidate")
     2
@@ -142,7 +142,9 @@ def boundary_count(cls: AlternationClass, n: int, role: str) -> int:
     try:
         return table1_formula(cls, n, "total") - table1_formula(cls, n, statistic)
     except OutOfValidityRange:
-        return table1_oracle(cls, n, "total") - table1_oracle(cls, n, statistic)
+        # Only lengths <= 2 are excluded; there the 321-avoiding alternating
+        # permutations are 1 and 12, which end in n and begin with 1.
+        return 0
 
 
 def _exact_div(numerator: int, denominator: int) -> int:
@@ -223,8 +225,8 @@ def decomposition_sum(n: int, cls: AlternationClass) -> int:
     valid left blocks share the host class, have length j and do not end in
     their largest entry; valid right blocks have length n-j+1, the class a
     block starting at position j inherits, and do not begin with their
-    smallest entry.  boundary_count self-corrects at the small lengths the
-    table's validity bounds exclude.
+    smallest entry.  Every term is a difference of two Table 1 cells, so the
+    sum is independent of the exhaustive oracle.
 
     >>> decomposition_sum(6, AlternationClass.UP_DOWN)
     12
@@ -271,7 +273,7 @@ def a_n(spec: SequenceSpec, n: int) -> int:
     Dispatches on parity to the closed forms; at even lengths the one-321
     hosts of host_class(spec.pattern, spec.cls) are counted by
     closed_form_even_321 if up-down and by its complement closed_form_even_123
-    if down-up.  Below the formulas' ranges every count is 0.
+    if down-up.  Lengths shorter than the pattern have count 0.
 
     >>> a_n(SequenceSpec(PATTERN_321, AlternationClass.UP_DOWN), 8)
     66
@@ -280,11 +282,11 @@ def a_n(spec: SequenceSpec, n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n < 3:
+        return 0
     m, rem = divmod(n, 2)
     if rem:
-        return closed_form_odd(m) if m >= 1 else 0
-    if m < 2:
-        return 0
+        return closed_form_odd(m)
     if host_class(spec.pattern, spec.cls) is AlternationClass.UP_DOWN:
         return closed_form_even_321(m)
     return closed_form_even_123(m)

@@ -236,6 +236,10 @@ class BoundaryStatistics(NamedTuple):
     begins_with_smallest: bool
 
 
+#: Boundary statistics of a Table 1 cell: all permutations, or those with the property.
+STATISTICS = ("total", *BoundaryStatistics._fields)
+
+
 def boundary_statistics(w: Sequence[int]) -> BoundaryStatistics:
     """Whether w_n = n and whether w_1 = 1; rejects the empty permutation."""
     if len(w) == 0:

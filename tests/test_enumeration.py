@@ -30,6 +30,20 @@ def test_filter_validation():
         GenerationFilter(UD, 4, exact_occurrences=((), 0))
 
 
+def test_filter_stores_patterns_as_tuples():
+    # a list pattern is the same filter as its tuple, so it takes the same path
+    for as_list, as_tuple in (
+        (GenerationFilter(UD, 7, exact_occurrences=([3, 2, 1], 1)),
+         GenerationFilter(UD, 7, exact_occurrences=(PATTERN_321, 1))),
+        (GenerationFilter(DU, 7, avoid=[1, 2, 3]), GenerationFilter(DU, 7, avoid=PATTERN_123)),
+        (GenerationFilter(UD, 6, exact_occurrences=([1, 3, 2], 1)),
+         GenerationFilter(UD, 6, exact_occurrences=((1, 3, 2), 1))),
+    ):
+        assert as_list == as_tuple
+        assert hash(as_list) == hash(as_tuple)
+        assert list(generate(as_list)) == list(generate(as_tuple))
+
+
 def test_generate_spec_examples():
     assert list(generate(GenerationFilter(UD, 4))) == [
         (1, 3, 2, 4),

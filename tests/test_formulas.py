@@ -1,10 +1,12 @@
+import ast
 import sys
 import threading
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from altperms import formulas
+from altperms import enumeration, formulas, perm_core
 from altperms.enumeration import GenerationFilter, count, table1_oracle
 from altperms.formulas import (
     STATISTICS,
@@ -115,6 +117,30 @@ def test_table1_formula_matches_oracle_where_valid():
                 except OutOfValidityRange:
                     continue
                 assert expected == table1_oracle(cls, n, statistic), (cls, n, statistic)
+
+
+def _imported_modules(module) -> set[str]:
+    """Every dotted name the module's source imports, relative ones included."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_formulas_and_enumeration_are_independent():
+    # the closed forms and the oracle are two sides of every check: neither may use the other
+    for module, other in ((formulas, "enumeration"), (enumeration, "formulas")):
+        for name in _imported_modules(module):
+            assert other not in name.split("."), (module.__name__, name)
+
+
+def test_statistics_has_one_home():
+    assert enumeration.STATISTICS is formulas.STATISTICS is perm_core.STATISTICS
+    assert perm_core.STATISTICS == ("total", "ends_in_largest", "begins_with_smallest")
 
 
 def test_boundary_count_examples():
