@@ -61,6 +61,9 @@ _PATTERNS = {"321": PATTERN_321, "123": PATTERN_123}
 _METHODS = ("closed_form", "convolution", "decomposition_sum", "oracle", "bijection")
 #: The index up to which selftest checks every identity; verify-identity's default --n-max
 _IDENTITY_BOUND = 200
+#: The longest unrestricted count: the oracle lists all E_n permutations at
+#: ~0.5M/s (2-CPU x86, Python 3.11), so n = 13 takes ~45 s and n = 14 ~7 min
+_UNRESTRICTED_MAX_N = 13
 
 
 class UsageError(Exception):
@@ -108,6 +111,10 @@ def _count(pattern: Pattern | None, cls: AlternationClass, n: int, exactly: int 
     of them if `pattern` is None), by `method`: the one place that decides
     which method may answer which request."""
     if method == "oracle":
+        if pattern is None and n > _UNRESTRICTED_MAX_N:
+            raise UsageError(
+                f"--n {n}: unrestricted counts list every permutation and stop at n = {_UNRESTRICTED_MAX_N}"
+            )
         target = None if pattern is None else (pattern, exactly)
         return count(GenerationFilter(cls=cls, length=n, exact_occurrences=target))
     if pattern is None:

@@ -1,9 +1,12 @@
 """Exhaustive generation of restricted alternating permutations.
 
 One pruned, lexicographic backtracker is the single oracle every formula in
-this package is checked against: each entry is drawn from the zigzag range cut
-to the boundary flags' bounds, and the last slot takes the one value left,
-checked in place without a node of its own.
+this package is checked against. It keeps the unused values in a sorted list
+and draws each entry from the part of that list inside the zigzag range cut to
+the boundary flags' bounds, so it never steps over a placed value; a candidate
+v at index i of the list lies above b = v - 1 - i placed values. The last two
+slots take the two values left, in the order the class fixes, and are checked
+in place without nodes of their own.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
 each unused value, the prefix 21-pairs above it (12-pairs below it); placing v
 above b placed entries adds (d - b)(v - 1 - b) (for 123, b(n - v - d + b)), and
@@ -17,6 +20,7 @@ prefix, which only grows under prefix extension.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -89,10 +93,10 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     ends = filt.ends_in_largest
     begins = filt.begins_with_smallest
 
-    if n <= 1:  # () ends in and begins with nothing; (1,) does both
-        w = tuple(range(1, n + 1))
+    if n <= 2:  # the class holds one permutation of this length
+        w = (2, 1) if n == 2 and not filt.cls.rises_into(2) else tuple(range(1, n + 1))
         occurrences = 0 if pattern is None else count_occurrences(w, pattern)
-        if ends in (None, n == 1) and begins in (None, n == 1) and occurrences == target:
+        if ends in (None, w[-1:] == (n,)) and begins in (None, w[:1] == (1,)) and occurrences == target:
             yield w
         return
 
@@ -115,17 +119,20 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
         floor[1] = 2
 
     is321, is123 = pattern == PATTERN_321, pattern == PATTERN_123
-    scored = is321 or is123
-    walk = pattern is not None and not scored
+    walk = pattern is not None and not (is321 or is123)
 
-    # position n is filled in place from position n - 1, by these rules
-    penult, last_rise, last_lo, last_hi = n - 1, rise[n], floor[n], ceil[n]
-    used = [False] * (n + 1)
+    # positions n - 1 and n are filled in place from position n - 2: of the two
+    # values left, rise[n] puts the smaller (index j = 0) or larger (j = 1) first
+    last = n - 2
+    j = 0 if rise[n] else 1
+    # position n - 1 >= 2 needs no flag check of its own: begins_with_smallest
+    # bounds position 1 only, and ends_in_largest's ceil n - 1 holds once y = n
+    rise1, lo2, hi2 = rise[n - 1], floor[n], ceil[n]
+    # the unused values, increasing; the sentinel n + 1 ends every candidate scan
+    free = [*range(1, n + 1), n + 1]
     prefix: list[int] = []
-    rest = n * (n + 1) // 2  # sum of the unused values
     forced = [0]  # forced[d]: F of prefix[:d]; read for 321/123 only
-    resume = [0] * (n + 1)  # next candidate value to try at each depth
-    resume[0] = 1
+    resume = [0] * last  # resume[d]: 1 + index in free of the value placed at depth d, 0 on entry
     d = 0
     while d >= 0:
         t = d + 1  # position being filled
@@ -136,48 +143,46 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
                     lo = prefix[-1] + 1
             elif hi >= prefix[-1]:
                 hi = prefix[-1] - 1
-        v = resume[d]
-        if v < lo:
-            v = lo
-        below = sum(used[:v]) if scored else 0  # placed values below v
+        i = resume[d] or bisect_left(free, lo)
+        v = free[i]
         while v <= hi:
-            if used[v]:
-                below += 1
-                v += 1
-                continue
+            # i unused values lie below v, so v - 1 - i placed ones do
             if is321:
-                total = forced[d] + (d - below) * (v - 1 - below)
+                total = forced[d] + (d - v + 1 + i) * i
             elif is123:
-                total = forced[d] + below * (n - v - d + below)
+                total = forced[d] + (v - 1 - i) * (n - d - 1 - i)
             elif walk:
                 total = count_occurrences(prefix + [v], pattern)
             else:
                 total = 0
-            if total > target:
-                v += 1
-                continue
-            if t == penult:  # the one value left fills position n in place
-                y = rest - v
-                if (y > v) == last_rise and last_lo <= y <= last_hi:
-                    w = (*prefix, v, y)
-                    if (count_occurrences(w, pattern) if walk else total) == target:
-                        yield w
-                v += 1
-                continue
-            resume[d] = v + 1
-            used[v] = True
-            prefix.append(v)
-            rest -= v
-            forced.append(total)
-            d += 1
-            resume[d] = 1
-            break
+            if total <= target:
+                if t < last:
+                    resume[d] = i + 1
+                    del free[i]
+                    prefix.append(v)
+                    forced.append(total)
+                    d += 1
+                    resume[d] = 0
+                    break
+                a, b = free[i == 0], free[2 if i < 2 else 1]  # the two values left beside v
+                x, y = (b, a) if j else (a, b)
+                if (x > v) == rise1 and lo2 <= y <= hi2:
+                    # the node scores at depth last and index j; F through x
+                    # is the exact count, as y is the one value left
+                    if is321:
+                        total += (last - x + 1 + j) * j
+                    elif is123:
+                        total += (x - 1 - j) * (n - last - 1 - j)
+                    elif walk:
+                        total = count_occurrences((*prefix, v, x, y), pattern)
+                    if total == target:
+                        yield (*prefix, v, x, y)
+            i += 1
+            v = free[i]
         else:  # no candidate left at this depth: backtrack
             d -= 1
             if d >= 0:
-                v = prefix.pop()
-                used[v] = False
-                rest += v
+                free.insert(resume[d] - 1, prefix.pop())
                 forced.pop()
 
 

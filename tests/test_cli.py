@@ -62,6 +62,26 @@ def test_count_unrestricted_matches_zigzag(capsys):
     assert lines[0]["method"] == "oracle"
 
 
+@pytest.mark.parametrize("n", [cli._UNRESTRICTED_MAX_N + 1, 40])
+def test_count_unrestricted_refused_above_limit(capsys, monkeypatch, n):
+    def never(filt):
+        raise AssertionError(f"the oracle ran at n = {filt.length}")
+
+    monkeypatch.setattr(cli, "count", never)
+    code, lines, err = run_lines(capsys, ["count", "--class", "UD", "--n", str(n)])
+    assert code == 1
+    assert lines == []
+    limit = cli._UNRESTRICTED_MAX_N
+    assert err == f"--n {n}: unrestricted counts list every permutation and stop at n = {limit}\n"
+
+
+def test_count_unrestricted_at_limit_reaches_the_oracle(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count", lambda filt: filt.length)  # stands in for E_13's ~45 s
+    code, lines, _ = run_lines(capsys, ["count", "--class", "UD", "--n", str(cli._UNRESTRICTED_MAX_N)])
+    assert code == 0
+    assert lines[0]["value"] == str(cli._UNRESTRICTED_MAX_N)
+
+
 def test_count_exactly_two_uses_oracle(capsys):
     expected = count(GenerationFilter(AlternationClass.UP_DOWN, 6, exact_occurrences=(PATTERN_321, 2)))
     code, lines, _ = run_lines(capsys, ["count", "--pattern", "321", "--n", "6", "--exactly", "2"])

@@ -1,4 +1,6 @@
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+from itertools import zip_longest
 
 import pytest
 
@@ -112,8 +114,10 @@ def test_generate_matches_naive_scan(cls, constraints):
     pattern = constraints.get("avoid") or constraints.get("exact_occurrences", ((),))[0]
     # 321 and 123 are scored by the forced-occurrence count F, whose lookahead
     # at n = 8 cuts prefixes with up to six entries still to place; other
-    # length-3 patterns are scored by count_occurrences of the prefix
-    n_max = 8 if pattern in (PATTERN_321, PATTERN_123) else 7 if len(pattern) == 3 else 6
+    # length-3 patterns are scored by count_occurrences of the prefix; the
+    # pattern-free cases reach n = 8 too, as ends_in_largest bounds exactly
+    # the two last positions, which are filled in place
+    n_max = 8 if pattern in (PATTERN_321, PATTERN_123, ()) else 7 if len(pattern) == 3 else 6
     for n in range(0, n_max + 1):
         filt = GenerationFilter(cls, n, **constraints)
         got = list(generate(filt))
@@ -137,6 +141,26 @@ def test_every_occurrence_target_matches_histogram(cls, pattern):
         histogram = Counter(count_occurrences(w, pattern) for w in generate(GenerationFilter(cls, n)))
         for k in range(0, max(histogram) + 2):
             assert count(GenerationFilter(cls, n, exact_occurrences=(pattern, k))) == histogram[k], (n, k)
+
+
+CONCURRENT_FILTERS = [
+    GenerationFilter(UD, 9),
+    GenerationFilter(DU, 10, exact_occurrences=(PATTERN_321, 2)),
+    GenerationFilter(UD, 11, avoid=PATTERN_123, ends_in_largest=False),
+    GenerationFilter(DU, 8, exact_occurrences=((1, 3, 2), 1)),
+]
+
+
+@pytest.mark.parametrize("filt", CONCURRENT_FILTERS)
+def test_interleaved_streams_are_independent(filt):
+    # zip_longest advances the two streams alternately and pads a short one
+    assert list(zip_longest(generate(filt), generate(filt))) == [(w, w) for w in generate(filt)]
+
+
+def test_count_from_threads_matches_serial():
+    serial = [count(filt) for filt in CONCURRENT_FILTERS]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(count, CONCURRENT_FILTERS * 2)) == serial * 2
 
 
 def test_streams_sorted_and_duplicate_free():
