@@ -28,6 +28,7 @@ from .perm_core import (
     is_alternating,
     is_permutation,
     parse_perm,
+    perm,
     standardize,
     suffix_class,
 )
@@ -61,13 +62,17 @@ class InvariantViolation(RuntimeError):
 class DecompositionRecord:
     """Right-hand side of the bijection: host length and class, the 1-based
     position j of the occurrence's middle entry, and the standardized blocks
-    U (length j) and V (length n-j+1)."""
+    U (length j) and V (length n-j+1), stored as tuples whatever sequences are given."""
 
     n: int
     cls: AlternationClass
     j: int
     u: Perm
     v: Perm
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "u", tuple(self.u))
+        object.__setattr__(self, "v", tuple(self.v))
 
 
 def format_record(record: DecompositionRecord) -> str:
@@ -182,7 +187,7 @@ def _read(w: Perm) -> DecompositionRecord:
 def split(w: Sequence[int]) -> DecompositionRecord:
     """Decompose an alternating host with exactly one 321 into its record.
 
-    Any sequence of ints is accepted; it is read as a tuple.
+    Any sequence is accepted; one that is not a permutation raises ValueError.
 
     Re-checks what the characterization promises (both blocks 321-avoiding
     with the right shapes and boundaries, and the record rebuilding w) and
@@ -191,7 +196,7 @@ def split(w: Sequence[int]) -> DecompositionRecord:
     >>> format_record(split((1, 4, 3, 5, 2, 6)))
     'n=6;class=UD;j=3;U=1,3,2;V=2,3,1,4'
     """
-    w = tuple(w)
+    w = perm(w)
     record = _read(w)
     problems = _record_problems(record)
     if not problems and (rebuilt := _rebuild(record)) != w:

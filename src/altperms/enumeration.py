@@ -21,7 +21,7 @@ prefix, which only grows under prefix extension.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterator
 
 from .perm_core import (
@@ -40,8 +40,8 @@ from .perm_core import (
 class GenerationFilter:
     """Constraints for one generation run.
 
-    `avoid` and `exact_occurrences` express the same kind of constraint
-    (avoiding p is "exactly 0 of p", see `occurrence_target`), so at most one may be set.
+    The one occurrence constraint is `exact_occurrences`, a (pattern, target) pair;
+    `avoid=p` is init-only and stored as (p, 0), so at most one may be given.
     A pattern may be any sequence (it is stored as a tuple); 321 and 123 are
     pruned in O(1) per candidate, any other pattern by recounting the prefix.
     A filter with `ends_in_largest`/`begins_with_smallest` set to a boolean
@@ -52,33 +52,27 @@ class GenerationFilter:
 
     cls: AlternationClass
     length: int
-    avoid: Pattern | None = None
+    avoid: InitVar[Pattern | None] = None
     exact_occurrences: tuple[Pattern, int] | None = None
     ends_in_largest: bool | None = None
     begins_with_smallest: bool | None = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, avoid: Pattern | None) -> None:
         if self.length < 0:
             raise ValueError("length must be >= 0")
-        if self.avoid is not None and self.exact_occurrences is not None:
+        if avoid is not None and self.exact_occurrences is not None:
             raise ValueError("avoid and exact_occurrences are mutually exclusive")
-        if self.avoid is not None:
-            object.__setattr__(self, "avoid", tuple(self.avoid))
+        if avoid is not None:
+            object.__setattr__(self, "exact_occurrences", (avoid, 0))
         if self.exact_occurrences is not None:
             pattern, target = self.exact_occurrences
-            object.__setattr__(self, "exact_occurrences", (tuple(pattern), target))
-        pattern, target = self.occurrence_target
-        if pattern is not None:
             check_pattern(pattern)
-        if target < 0:
-            raise ValueError("exact_occurrences count must be >= 0")
+            if target < 0:
+                raise ValueError("exact_occurrences count must be >= 0")
+            object.__setattr__(self, "exact_occurrences", (tuple(pattern), target))
 
-    @property
-    def occurrence_target(self) -> tuple[Pattern | None, int]:
-        """The constraint as (pattern, target): `avoid=p` is (p, 0), none is (None, 0)."""
-        if self.exact_occurrences is not None:
-            return self.exact_occurrences
-        return self.avoid, 0
+
+del GenerationFilter.avoid  # the InitVar's default, left on the class, would read None
 
 
 def generate(filt: GenerationFilter) -> Iterator[Perm]:
@@ -89,7 +83,7 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     generators.
     """
     n = filt.length
-    pattern, target = filt.occurrence_target
+    pattern, target = filt.exact_occurrences or (None, 0)
     ends = filt.ends_in_largest
     begins = filt.begins_with_smallest
 

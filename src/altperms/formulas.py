@@ -238,8 +238,6 @@ def decomposition_sum(n: int, cls: AlternationClass) -> int:
     total = 0
     for j in range(2, n):
         left = boundary_count(cls, j, "u_candidate")
-        if left == 0:
-            continue
         right = boundary_count(suffix_class(cls, j), n - j + 1, "v_candidate")
         total += left * right
     return total
@@ -247,13 +245,14 @@ def decomposition_sum(n: int, cls: AlternationClass) -> int:
 
 @dataclass(frozen=True)
 class SequenceSpec:
-    """Which exactly-once counting sequence: a length-3 monotone pattern plus
-    the alternation class of the host."""
+    """Which exactly-once counting sequence: a length-3 monotone pattern (any
+    sequence, stored as a tuple) plus the alternation class of the host."""
 
     pattern: Pattern
     cls: AlternationClass
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pattern", tuple(self.pattern))
         if self.pattern not in (PATTERN_321, PATTERN_123):
             raise ValueError(f"pattern must be {PATTERN_321} or {PATTERN_123}, got {self.pattern!r}")
 
@@ -264,7 +263,7 @@ def host_class(pattern: Pattern, cls: AlternationClass) -> AlternationClass:
     Complementation flips both the class and the monotone pattern, so
     exactly-one-123 counts equal exactly-one-321 counts in the other class.
     """
-    return cls.flipped if pattern == PATTERN_123 else cls
+    return cls.flipped if tuple(pattern) == PATTERN_123 else cls
 
 
 def a_n(spec: SequenceSpec, n: int) -> int:

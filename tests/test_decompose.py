@@ -102,6 +102,21 @@ def test_split_accepts_any_sequence():
     assert split([1, 4, 3, 5, 2, 6]) == split((1, 4, 3, 5, 2, 6))
 
 
+@pytest.mark.parametrize("w", [(1, 4, 3, 5, 2, 7), (2, 5, 4, 6, 3, 7)])
+def test_split_rejects_non_permutations(w):
+    # alternating with one 321, but not a permutation of 1..n: an input error,
+    # not a broken bijection
+    with pytest.raises(ValueError, match="not a permutation"):
+        split(w)
+
+
+def test_record_blocks_given_as_lists():
+    listed = DecompositionRecord(6, UD, 3, [1, 3, 2], [2, 3, 1, 4])
+    twin = DecompositionRecord(6, UD, 3, (1, 3, 2), (2, 3, 1, 4))
+    assert listed == twin and hash(listed) == hash(twin)
+    assert reconstruct(listed) == (1, 4, 3, 5, 2, 6)
+
+
 @pytest.mark.parametrize("w", [(1, 4, 2, 3), (2, 1, 4, 3, 5)])
 def test_split_rejects_avoiders(w):
     with pytest.raises(NotExactlyOne) as info:

@@ -173,9 +173,12 @@ def test_streams_sorted_and_duplicate_free():
 def test_avoid_equals_exact_zero():
     for n in range(0, 11):
         for pattern in (PATTERN_321, PATTERN_123):
-            a = list(generate(GenerationFilter(UD, n, avoid=pattern)))
-            b = list(generate(GenerationFilter(UD, n, exact_occurrences=(pattern, 0))))
-            assert a == b
+            avoid = GenerationFilter(UD, n, avoid=pattern)
+            exact = GenerationFilter(UD, n, exact_occurrences=(pattern, 0))
+            assert avoid == exact and hash(avoid) == hash(exact)
+            with pytest.raises(AttributeError):
+                avoid.avoid
+            assert list(generate(avoid)) == list(generate(exact))
 
 
 def test_empty_permutation_conventions():

@@ -22,6 +22,7 @@ from altperms.formulas import (
     convolution_even_321,
     convolution_odd_321,
     decomposition_sum,
+    host_class,
     table1_formula,
 )
 from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321
@@ -249,6 +250,11 @@ def test_a_n_examples():
     assert a_n(SequenceSpec(PATTERN_123, DU), 12) == 1144
     with pytest.raises(ValueError):
         a_n(SequenceSpec(PATTERN_321, UD), 0)
+
+
+def test_list_patterns_read_as_tuples():
+    assert a_n(SequenceSpec([1, 2, 3], UD), 8) == 40
+    assert host_class([1, 2, 3], UD) is DU
 
 
 def test_a_n_small_lengths_are_zero():
