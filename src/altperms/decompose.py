@@ -23,7 +23,6 @@ from .perm_core import (
     PATTERN_321,
     Perm,
     classify,
-    find_occurrences,
     format_perm,
     is_alternating,
     is_permutation,
@@ -105,25 +104,25 @@ def parse_record(text: str) -> DecompositionRecord:
     )
 
 
+def _middles(w: Perm) -> list[int]:
+    """Per entry, the 321s it is the middle of: (larger entries before) x (smaller after)."""
+    return [sum(a > b for a in w[:t]) * sum(c < b for c in w[t + 1 :]) for t, b in enumerate(w)]
+
+
 def locate_unique_321(w: Perm) -> Occurrence:
     """The (i, j, k) of the single 321 occurrence; NotExactlyOne otherwise.
 
-    Counts without listing: each middle entry closes (larger entries before
-    it) x (smaller entries after it) occurrences, so this is O(n^2) time and
-    O(n) memory however many occurrences there are.
+    Counts without listing, by the middle entries (`_middles`), so this is
+    O(n^2) time and O(n) memory however many occurrences there are.
 
     >>> locate_unique_321((1, 4, 3, 5, 2, 6))
     (2, 3, 5)
     """
-    total = 0
-    middle = -1
-    for t, b in enumerate(w):
-        closed = sum(a > b for a in w[:t]) * sum(c < b for c in w[t + 1 :])
-        if closed:
-            total += closed
-            middle = t
+    middles = _middles(w)
+    total = sum(middles)
     if total != 1:
         raise NotExactlyOne(total)
+    middle = middles.index(1)
     b = w[middle]
     i = next(t for t in range(middle) if w[t] > b)
     k = next(t for t in range(middle + 1, len(w)) if w[t] < b)
@@ -148,9 +147,9 @@ def _record_problems(record: DecompositionRecord) -> list[str]:
         problems.append(f"V has length {len(v)}, expected n-j+1={n - j + 1}")
     if problems:
         return problems
-    if find_occurrences(u, PATTERN_321, 1):
+    if any(_middles(u)):
         problems.append("U contains 321")
-    if find_occurrences(v, PATTERN_321, 1):
+    if any(_middles(v)):
         problems.append("V contains 321")
     if not is_alternating(u, record.cls):
         problems.append(f"U is not {record.cls.value}-alternating")

@@ -21,7 +21,7 @@ prefix, which only grows under prefix extension.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 from .perm_core import (
@@ -36,43 +36,46 @@ from .perm_core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GenerationFilter:
     """Constraints for one generation run.
 
-    The one occurrence constraint is `exact_occurrences`, a (pattern, target) pair;
-    `avoid=p` is init-only and stored as (p, 0), so at most one may be given.
-    A pattern may be any sequence (it is stored as a tuple); 321 and 123 are
+    The one occurrence constraint is `exact_occurrences`, a (pattern, target)
+    pair, target an int >= 0; `avoid=p` is stored as (p, 0), so at most one may
+    be given. A pattern may be any sequence (stored as a tuple); 321 and 123 are
     pruned in O(1) per candidate, any other pattern by recounting the prefix.
-    A filter with `ends_in_largest`/`begins_with_smallest` set to a boolean
-    keeps only permutations whose boundary statistic equals it; the empty
-    permutation counts as neither ending in its largest nor beginning with
-    its smallest entry.
+    The boundary flags `ends_in_largest`/`begins_with_smallest` are None, True or
+    False; a boolean keeps only permutations whose statistic equals it, and the
+    empty permutation neither ends in its largest nor begins with its smallest
+    entry. Every field is a constructor argument, so `dataclasses.replace` works.
     """
 
     cls: AlternationClass
     length: int
-    avoid: InitVar[Pattern | None] = None
     exact_occurrences: tuple[Pattern, int] | None = None
     ends_in_largest: bool | None = None
     begins_with_smallest: bool | None = None
 
-    def __post_init__(self, avoid: Pattern | None) -> None:
-        if self.length < 0:
+    def __init__(self, cls: AlternationClass, length: int, avoid: Pattern | None = None,
+                 exact_occurrences: tuple[Pattern, int] | None = None,
+                 ends_in_largest: bool | None = None, begins_with_smallest: bool | None = None) -> None:
+        if length < 0:
             raise ValueError("length must be >= 0")
-        if avoid is not None and self.exact_occurrences is not None:
+        if avoid is not None and exact_occurrences is not None:
             raise ValueError("avoid and exact_occurrences are mutually exclusive")
         if avoid is not None:
-            object.__setattr__(self, "exact_occurrences", (avoid, 0))
-        if self.exact_occurrences is not None:
-            pattern, target = self.exact_occurrences
+            exact_occurrences = (avoid, 0)
+        if exact_occurrences is not None:
+            pattern, target = exact_occurrences
             check_pattern(pattern)
-            if target < 0:
-                raise ValueError("exact_occurrences count must be >= 0")
-            object.__setattr__(self, "exact_occurrences", (tuple(pattern), target))
-
-
-del GenerationFilter.avoid  # the InitVar's default, left on the class, would read None
+            if not isinstance(target, int) or target < 0:
+                raise ValueError("exact_occurrences count must be an int >= 0")
+            exact_occurrences = (tuple(pattern), target)
+        if not all(flag is None or isinstance(flag, bool) for flag in (ends_in_largest, begins_with_smallest)):
+            raise ValueError("ends_in_largest and begins_with_smallest must be None, True or False")
+        values = (cls, length, exact_occurrences, ends_in_largest, begins_with_smallest)
+        for f, value in zip(fields(self), values):  # frozen: bypass the generated __setattr__
+            object.__setattr__(self, f.name, value)
 
 
 def generate(filt: GenerationFilter) -> Iterator[Perm]:

@@ -196,6 +196,17 @@ def test_validate_record_names_each_problem(record, match):
         validate_record(record)
 
 
+BLOCKS = st.integers(2, 8).flatmap(lambda k: st.permutations(range(1, k + 1)))
+
+
+@given(BLOCKS, BLOCKS)
+def test_record_check_finds_321_in_each_block(u, v):
+    record = DecompositionRecord(len(u) + len(v) - 1, UD, len(u), u, v)
+    problems = decompose_module._record_problems(record)
+    assert ("U contains 321" in problems) == (naive.occurrence_count(u, PATTERN_321) > 0)
+    assert ("V contains 321" in problems) == (naive.occurrence_count(v, PATTERN_321) > 0)
+
+
 def test_roundtrip_split_then_reconstruct():
     for w in ALL_SMALL_HOSTS:
         assert reconstruct(split(w)) == w

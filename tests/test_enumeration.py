@@ -1,5 +1,6 @@
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from itertools import zip_longest
 
 import pytest
@@ -30,6 +31,13 @@ def test_filter_validation():
         GenerationFilter(UD, 4, exact_occurrences=((1, 1), 1))
     with pytest.raises(ValueError):
         GenerationFilter(UD, 4, exact_occurrences=((), 0))
+    # a flag is a bool or None, a target an int: 1 would act as True at n <= 2 only
+    with pytest.raises(ValueError):
+        GenerationFilter(UD, 5, ends_in_largest=1)
+    with pytest.raises(ValueError):
+        GenerationFilter(UD, 5, begins_with_smallest=0)
+    with pytest.raises(ValueError):
+        GenerationFilter(UD, 5, exact_occurrences=(PATTERN_321, 1.5))
 
 
 def test_filter_stores_patterns_as_tuples():
@@ -179,6 +187,7 @@ def test_avoid_equals_exact_zero():
             with pytest.raises(AttributeError):
                 avoid.avoid
             assert list(generate(avoid)) == list(generate(exact))
+            assert replace(avoid, length=n + 1) == GenerationFilter(UD, n + 1, avoid=pattern)
 
 
 def test_empty_permutation_conventions():
