@@ -16,10 +16,10 @@ from .perm_core import (
     classify,
     complement,
     count_occurrences,
-    find_occurrences,
     format_perm,
     is_alternating,
     is_permutation,
+    middle_counts,
     parse_perm,
     perm,
     reverse,

@@ -4,7 +4,7 @@ decompose/reconstruct pair, one JSON object per stdout line.
 Exit codes: 0 success, 1 usage error (bad flags or inputs outside a command's
 domain), 2 verification failure (two methods for the same quantity disagreed,
 which would falsify a formula or the bijection).  Counts are serialized as
-decimal strings because they outgrow 64-bit integers quickly.
+decimal strings, of any length, because they outgrow 64-bit integers quickly.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from decimal import Decimal
 from functools import partial
 from itertools import chain, permutations
 from typing import Iterator, Sequence
@@ -22,7 +23,6 @@ from .decompose import (
     NotExactlyOne,
     enumerate_by_decomposition,
     format_record,
-    locate_unique_321,
     parse_record,
     reconstruct,
     split,
@@ -46,7 +46,6 @@ from .perm_core import (
     PATTERN_123,
     PATTERN_321,
     Pattern,
-    Perm,
     count_occurrences,
     format_perm,
     parse_perm,
@@ -64,6 +63,10 @@ _IDENTITY_BOUND = 200
 #: The longest unrestricted count: the oracle lists all E_n permutations at
 #: ~0.5M/s (2-CPU x86, Python 3.11), so n = 13 takes ~45 s and n = 14 ~7 min
 _UNRESTRICTED_MAX_N = 13
+#: The longest count by each formula method, timed at its limit on the same host:
+#: convolution 31 s and decomposition_sum 25 s (both grow about as n^2.5),
+#: closed_form 56 s (about n^1.9)
+_FORMULA_MAX_N = {"closed_form": 1_000_000, "convolution": 60_000, "decomposition_sum": 60_000}
 
 
 class UsageError(Exception):
@@ -97,12 +100,18 @@ def _print_line(command: str, inputs: dict, fields: dict, started: float, **extr
     print(json.dumps({"command": command, "inputs": inputs, **fields, "elapsed_ms": elapsed_ms, **extra}))
 
 
-def _emit(command: str, inputs: dict, value: str, method: str, started: float, **extra) -> None:
-    _print_line(command, inputs, {"value": value, "method": method}, started, **extra)
+def _text(value: object) -> str:
+    """The JSON string of a value; an int goes through Decimal, as str() refuses ints over 4300 digits."""
+    return str(Decimal(value)) if isinstance(value, int) else str(value)
+
+
+def _emit(command: str, inputs: dict, value: int | str, method: str, started: float, **extra) -> None:
+    _print_line(command, inputs, {"value": _text(value), "method": method}, started, **extra)
 
 
 def _emit_mismatch(command: str, inputs: dict, expected, actual, started: float) -> None:
-    _print_line(command, inputs, {"error": "mismatch", "expected": str(expected), "actual": str(actual)}, started)
+    expected, actual = _text(expected), _text(actual)
+    _print_line(command, inputs, {"error": "mismatch", "expected": expected, "actual": actual}, started)
     print(f"{command}: mismatch at {inputs}: expected {expected}, got {actual}", file=sys.stderr)
 
 
@@ -121,6 +130,12 @@ def _count(pattern: Pattern | None, cls: AlternationClass, n: int, exactly: int 
         raise UsageError(f"--method {method}: unrestricted counts only support oracle")
     if exactly != 1:
         raise UsageError(f"--method {method}: only --exactly 1 has formula backing")
+    limit = _FORMULA_MAX_N.get(method)
+    if limit is not None and n > limit:
+        fallback = f"--method closed_form reaches n = {_FORMULA_MAX_N['closed_form']}"
+        if method == "closed_form":
+            fallback = "no method reaches further"
+        raise UsageError(f"--n {n}: --method {method} stops at n = {limit}; {fallback}")
     m, odd = divmod(n, 2)
     if method == "convolution" and not odd and host_class(pattern, cls) is not AlternationClass.UP_DOWN:
         raise UsageError(
@@ -151,7 +166,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         inputs.update({"pattern": args.pattern, "exactly": args.exactly})
     method = args.method or ("closed_form" if args.exactly == 1 else "oracle")
     value = _count(pattern, AlternationClass.from_code(args.cls), args.n, args.exactly, method)
-    _emit("count", inputs, str(value), method, started)
+    _emit("count", inputs, value, method, started)
     return OK
 
 
@@ -162,7 +177,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         value = _count(pattern, cls, n, 1, args.method)
         inputs = {"pattern": args.pattern, "class": args.cls, "n": n}
-        _emit("sequence", inputs, str(value), args.method, started)
+        _emit("sequence", inputs, value, args.method, started)
     return OK
 
 
@@ -172,14 +187,14 @@ def _cmd_verify_table(args: argparse.Namespace) -> int:
     for inputs, expected, actual in _table1_checks(args.n_max):
         checks += 1
         if expected is None:
-            _emit("verify-table", inputs, str(actual), "oracle", t0, note="out_of_validity")
+            _emit("verify-table", inputs, actual, "oracle", t0, note="out_of_validity")
         elif expected != actual:
             _emit_mismatch("verify-table", inputs, expected, actual, t0)
             return VERIFICATION_FAILURE
         else:
-            _emit("verify-table", inputs, str(actual), "closed_form", t0)
+            _emit("verify-table", inputs, actual, "closed_form", t0)
         t0 = time.perf_counter()
-    _emit("verify-table", {"n_max": args.n_max}, str(checks), "oracle", started)
+    _emit("verify-table", {"n_max": args.n_max}, checks, "oracle", started)
     return OK
 
 
@@ -190,16 +205,8 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
         if failure is not None:
             _emit_mismatch("verify-identity", *failure, started)
             return VERIFICATION_FAILURE
-        _emit("verify-identity", {"family": family, bound_key: args.n_max}, str(done), method, started)
+        _emit("verify-identity", {"family": family, bound_key: args.n_max}, done, method, started)
     return OK
-
-
-def _has_unique_321(w: Perm) -> bool:
-    try:
-        locate_unique_321(w)
-    except NotExactlyOne:
-        return False
-    return True
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -208,7 +215,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     try:
         record = split(w)
     except NotExactlyOne:
-        if _has_unique_321(reverse(w)):
+        if count_occurrences(w, PATTERN_123) == 1:
             # 123-hosts are out of the engine's domain; reversal maps them to 321-hosts
             print(
                 f"hint: {args.perm} contains 123 exactly once; decompose its reversal "

@@ -26,6 +26,7 @@ from .perm_core import (
     format_perm,
     is_alternating,
     is_permutation,
+    middle_counts,
     parse_perm,
     perm,
     standardize,
@@ -104,21 +105,16 @@ def parse_record(text: str) -> DecompositionRecord:
     )
 
 
-def _middles(w: Perm) -> list[int]:
-    """Per entry, the 321s it is the middle of: (larger entries before) x (smaller after)."""
-    return [sum(a > b for a in w[:t]) * sum(c < b for c in w[t + 1 :]) for t, b in enumerate(w)]
-
-
 def locate_unique_321(w: Perm) -> Occurrence:
     """The (i, j, k) of the single 321 occurrence; NotExactlyOne otherwise.
 
-    Counts without listing, by the middle entries (`_middles`), so this is
-    O(n^2) time and O(n) memory however many occurrences there are.
+    Counts without listing, by the middle entries (perm_core.middle_counts),
+    so this is O(n^2) time and O(n) memory however many occurrences there are.
 
     >>> locate_unique_321((1, 4, 3, 5, 2, 6))
     (2, 3, 5)
     """
-    middles = _middles(w)
+    middles = middle_counts(w, PATTERN_321)
     total = sum(middles)
     if total != 1:
         raise NotExactlyOne(total)
@@ -147,9 +143,9 @@ def _record_problems(record: DecompositionRecord) -> list[str]:
         problems.append(f"V has length {len(v)}, expected n-j+1={n - j + 1}")
     if problems:
         return problems
-    if any(_middles(u)):
+    if any(middle_counts(u, PATTERN_321)):
         problems.append("U contains 321")
-    if any(_middles(v)):
+    if any(middle_counts(v, PATTERN_321)):
         problems.append("V contains 321")
     if not is_alternating(u, record.cls):
         problems.append(f"U is not {record.cls.value}-alternating")

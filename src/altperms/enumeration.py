@@ -14,8 +14,7 @@ pruning on F > target never loses a solution, because every unused value closes
 a distinct occurrence with each such pair once placed, so F only grows and is
 the exact count at a leaf (the generating-tree lookahead of West, "Generating
 trees and forbidden subsequences", 1996).
-Other patterns are pruned on perm_core.count_occurrences of the extended
-prefix, which only grows under prefix extension.
+These are the only patterns a filter accepts (perm_core.check_pattern).
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .perm_core import (
     PATTERN_123,
     PATTERN_321,
     check_pattern,
-    count_occurrences,
 )
 
 
@@ -42,8 +40,8 @@ class GenerationFilter:
 
     The one occurrence constraint is `exact_occurrences`, a (pattern, target)
     pair, target an int >= 0; `avoid=p` is stored as (p, 0), so at most one may
-    be given. A pattern may be any sequence (stored as a tuple); 321 and 123 are
-    pruned in O(1) per candidate, any other pattern by recounting the prefix.
+    be given. The pattern is 321 or 123 as any sequence (stored as a tuple),
+    and each candidate is scored against it in O(1).
     The boundary flags `ends_in_largest`/`begins_with_smallest` are None, True or
     False; a boolean keeps only permutations whose statistic equals it, and the
     empty permutation neither ends in its largest nor begins with its smallest
@@ -67,10 +65,9 @@ class GenerationFilter:
             exact_occurrences = (avoid, 0)
         if exact_occurrences is not None:
             pattern, target = exact_occurrences
-            check_pattern(pattern)
+            exact_occurrences = (check_pattern(pattern), target)
             if not isinstance(target, int) or target < 0:
                 raise ValueError("exact_occurrences count must be an int >= 0")
-            exact_occurrences = (tuple(pattern), target)
         if not all(flag is None or isinstance(flag, bool) for flag in (ends_in_largest, begins_with_smallest)):
             raise ValueError("ends_in_largest and begins_with_smallest must be None, True or False")
         values = (cls, length, exact_occurrences, ends_in_largest, begins_with_smallest)
@@ -90,10 +87,9 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
     ends = filt.ends_in_largest
     begins = filt.begins_with_smallest
 
-    if n <= 2:  # the class holds one permutation of this length
+    if n <= 2:  # the class holds one permutation of this length, too short for a 321 or 123
         w = (2, 1) if n == 2 and not filt.cls.rises_into(2) else tuple(range(1, n + 1))
-        occurrences = 0 if pattern is None else count_occurrences(w, pattern)
-        if ends in (None, w[-1:] == (n,)) and begins in (None, w[:1] == (1,)) and occurrences == target:
+        if ends in (None, w[-1:] == (n,)) and begins in (None, w[:1] == (1,)) and target == 0:
             yield w
         return
 
@@ -116,7 +112,6 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
         floor[1] = 2
 
     is321, is123 = pattern == PATTERN_321, pattern == PATTERN_123
-    walk = pattern is not None and not (is321 or is123)
 
     # positions n - 1 and n are filled in place from position n - 2: of the two
     # values left, rise[n] puts the smaller (index j = 0) or larger (j = 1) first
@@ -148,8 +143,6 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
                 total = forced[d] + (d - v + 1 + i) * i
             elif is123:
                 total = forced[d] + (v - 1 - i) * (n - d - 1 - i)
-            elif walk:
-                total = count_occurrences(prefix + [v], pattern)
             else:
                 total = 0
             if total <= target:
@@ -170,8 +163,6 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
                         total += (last - x + 1 + j) * j
                     elif is123:
                         total += (x - 1 - j) * (n - last - 1 - j)
-                    elif walk:
-                        total = count_occurrences((*prefix, v, x, y), pattern)
                     if total == target:
                         yield (*prefix, v, x, y)
             i += 1

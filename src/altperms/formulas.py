@@ -19,6 +19,7 @@ from .perm_core import (
     Pattern,
     PATTERN_123,
     PATTERN_321,
+    check_pattern,
     suffix_class,
 )
 
@@ -252,9 +253,7 @@ class SequenceSpec:
     cls: AlternationClass
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pattern", tuple(self.pattern))
-        if self.pattern not in (PATTERN_321, PATTERN_123):
-            raise ValueError(f"pattern must be {PATTERN_321} or {PATTERN_123}, got {self.pattern!r}")
+        object.__setattr__(self, "pattern", check_pattern(self.pattern))
 
 
 def host_class(pattern: Pattern, cls: AlternationClass) -> AlternationClass:

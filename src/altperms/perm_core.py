@@ -1,4 +1,7 @@
-"""Core permutation values: alternation shape, pattern occurrences, symmetries.
+"""Core permutation values: alternation shape, 321/123 occurrences, symmetries.
+
+The two patterns, 321 and 123, are counted one way, by middle entries
+(`middle_counts`); `check_pattern` rejects every other pattern.
 
 Permutations are plain tuples of ints in one-line notation over {1..n}.
 Positions and values are 1-based in every public contract and in the text
@@ -9,12 +12,10 @@ Lengths 0 and 1 are legal and belong to both alternation classes.
 from __future__ import annotations
 
 import enum
-import math
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Perm = tuple[int, ...]
-#: A classical pattern is itself a permutation (of any length >= 1).
+#: A pattern is itself a permutation; only PATTERN_321 and PATTERN_123 are accepted.
 Pattern = Perm
 #: Strictly increasing tuple of 1-based positions into a host permutation.
 Occurrence = tuple[int, ...]
@@ -122,88 +123,38 @@ def classify(w: Sequence[int]) -> set[AlternationClass]:
     return {cls for cls in AlternationClass if is_alternating(w, cls)}
 
 
-def check_pattern(pattern: Sequence[int]) -> None:
-    """Raise ValueError unless `pattern` is a permutation of length >= 1."""
-    if len(pattern) < 1:
-        raise ValueError("pattern must have length >= 1")
-    if not is_permutation(pattern):
-        raise ValueError(f"{tuple(pattern)} is not a valid pattern")
+def check_pattern(pattern: Sequence[int]) -> Pattern:
+    """`pattern` as a tuple; ValueError unless it is 321 or 123, the two patterns counted here."""
+    pattern = tuple(pattern)
+    if pattern != PATTERN_321 and pattern != PATTERN_123:
+        raise ValueError(f"pattern must be {PATTERN_321} or {PATTERN_123}, got {pattern!r}")
+    return pattern
 
 
-def _gap_slots(pattern: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Per slot s, the earlier slots whose entries are nearest below and above pattern[s].
+def middle_counts(w: Sequence[int], pattern: Sequence[int]) -> list[int]:
+    """Per position of w, the occurrences of `pattern` (321 or 123) whose middle entry sits there.
 
-    Slot k = len(pattern) stands for "none below" and slot k+1 for "none
-    above".  A value fits slot s iff it lies strictly between the values
-    matched at those two slots: the matched values already share the
-    pattern's relative order, so every other earlier slot is further away.
+    For 321 that is (larger entries before) x (smaller entries after); the 123s
+    of w are the 321s of complement(w), at the same positions.  O(n^2) time and
+    O(n) memory however many occurrences there are.
+
+    >>> middle_counts((4, 3, 2, 1), (3, 2, 1))
+    [0, 2, 2, 0]
     """
-    k = len(pattern)
-    below: list[int] = []
-    above: list[int] = []
-    for s, ps in enumerate(pattern):
-        below.append(max((a for a in range(s) if pattern[a] < ps), key=pattern.__getitem__, default=k))
-        above.append(min((a for a in range(s) if pattern[a] > ps), key=pattern.__getitem__, default=k + 1))
-    return below, above
-
-
-def iter_occurrences(w: Sequence[int], pattern: Sequence[int]) -> Iterator[Occurrence]:
-    """Yield occurrences as 1-based position tuples, lexicographically.
-
-    Depth-first subsequence matching with prefix pruning, on an explicit
-    stack: a value is only accepted for pattern slot s when it relates to
-    every previously matched value exactly as pattern[s] relates to the
-    earlier pattern entries, which one gap check decides (see _gap_slots).
-    """
-    check_pattern(pattern)
-    k = len(pattern)
-    n = len(w)
-    if k > n:
-        return
-    below, above = _gap_slots(pattern)
-    pos = [0] * k  # pos[s]: host index matched at slot s
-    value = [0] * k + [-math.inf, math.inf]  # value[s] = w[pos[s]], then the two sentinels
-    s = q = 0
-    while True:
-        lo, hi = value[below[s]], value[above[s]]
-        last = n - k + s  # later slots need the positions after this one
-        while q <= last and not lo < w[q] < hi:
-            q += 1
-        if q > last:
-            if s == 0:
-                return
-            s -= 1
-            q = pos[s] + 1
-            continue
-        pos[s] = q
-        value[s] = w[q]
-        q += 1
-        if s == k - 1:
-            yield tuple(p + 1 for p in pos)
-        else:
-            s += 1
+    if check_pattern(pattern) == PATTERN_123:
+        w = complement(w)
+    return [sum(a > b for a in w[:t]) * sum(c < b for c in w[t + 1 :]) for t, b in enumerate(w)]
 
 
 def count_occurrences(w: Sequence[int], pattern: Sequence[int]) -> int:
-    """Number of position tuples of w order-isomorphic to `pattern`.
+    """Number of position triples of w order-isomorphic to `pattern` (321 or 123).
 
     >>> count_occurrences((4, 3, 2, 1), (3, 2, 1))
     4
     >>> count_occurrences((1, 4, 2, 3), (1, 2, 3))
     1
     """
-    return sum(1 for _ in iter_occurrences(w, pattern))
-
-
-def find_occurrences(w: Sequence[int], pattern: Sequence[int], limit: int) -> list[Occurrence]:
-    """At most `limit` lexicographically smallest occurrences of `pattern` in w.
-
-    >>> find_occurrences((4, 3, 2, 1), (3, 2, 1), 2)
-    [(1, 2, 3), (1, 2, 4)]
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    return list(islice(iter_occurrences(w, pattern), limit))
+    return sum(middle_counts(w, pattern))
 
 
 def reverse(w: Sequence[int]) -> Perm:

@@ -82,6 +82,32 @@ def test_count_unrestricted_at_limit_reaches_the_oracle(capsys, monkeypatch):
     assert lines[0]["value"] == str(cli._UNRESTRICTED_MAX_N)
 
 
+@pytest.mark.parametrize("method", sorted(cli._FORMULA_MAX_N))
+def test_count_formula_refused_above_limit(capsys, monkeypatch, method):
+    for name in ("a_n", "decomposition_sum", "convolution_odd_321", "convolution_even_321"):
+        monkeypatch.setattr(cli, name, lambda *args: 7)  # stands in for about a minute at the limit
+    limit = cli._FORMULA_MAX_N[method]
+    argv = ["count", "--pattern", "321", "--exactly", "1", "--method", method, "--n"]
+    code, lines, _ = run_lines(capsys, argv + [str(limit)])
+    assert code == 0
+    assert lines[0]["value"] == "7"
+    huge = "99999999999999999999"
+    code, lines, err = run_lines(capsys, argv + [huge])
+    assert code == 1
+    assert lines == []
+    assert err.startswith(f"--n {huge}: --method {method} stops at n = {limit}; ")
+    if method != "closed_form":  # the sums name the method that reaches further
+        assert err.endswith(f"; --method closed_form reaches n = {cli._FORMULA_MAX_N['closed_form']}\n")
+
+
+def test_count_prints_values_past_the_int_to_str_limit(capsys):
+    # str() refuses ints over 4300 digits unless the process-wide limit is raised
+    code, lines, _ = run_lines(capsys, ["count", "--pattern", "321", "--n", "14500", "--exactly", "1"])
+    assert code == 0
+    value = lines[0]["value"]
+    assert (len(value), value[:12], value[-6:]) == (4361, "251419374844", "794560")
+
+
 def test_count_exactly_two_uses_oracle(capsys):
     expected = count(GenerationFilter(AlternationClass.UP_DOWN, 6, exact_occurrences=(PATTERN_321, 2)))
     code, lines, _ = run_lines(capsys, ["count", "--pattern", "321", "--n", "6", "--exactly", "2"])

@@ -31,6 +31,11 @@ def test_filter_validation():
         GenerationFilter(UD, 4, exact_occurrences=((1, 1), 1))
     with pytest.raises(ValueError):
         GenerationFilter(UD, 4, exact_occurrences=((), 0))
+    # only 321 and 123 are counted, whatever the other pattern's length
+    with pytest.raises(ValueError, match=r"pattern must be \(3, 2, 1\) or \(1, 2, 3\)"):
+        GenerationFilter(UD, 4, avoid=(1, 3, 2))
+    with pytest.raises(ValueError, match=r"pattern must be \(3, 2, 1\) or \(1, 2, 3\)"):
+        GenerationFilter(UD, 4, exact_occurrences=((2, 1), 0))
     # a flag is a bool or None, a target an int: 1 would act as True at n <= 2 only
     with pytest.raises(ValueError):
         GenerationFilter(UD, 5, ends_in_largest=1)
@@ -46,8 +51,8 @@ def test_filter_stores_patterns_as_tuples():
         (GenerationFilter(UD, 7, exact_occurrences=([3, 2, 1], 1)),
          GenerationFilter(UD, 7, exact_occurrences=(PATTERN_321, 1))),
         (GenerationFilter(DU, 7, avoid=[1, 2, 3]), GenerationFilter(DU, 7, avoid=PATTERN_123)),
-        (GenerationFilter(UD, 6, exact_occurrences=([1, 3, 2], 1)),
-         GenerationFilter(UD, 6, exact_occurrences=((1, 3, 2), 1))),
+        (GenerationFilter(UD, 6, exact_occurrences=([1, 2, 3], 2)),
+         GenerationFilter(UD, 6, exact_occurrences=(PATTERN_123, 2))),
     ):
         assert as_list == as_tuple
         assert hash(as_list) == hash(as_tuple)
@@ -79,7 +84,8 @@ NAIVE_SCAN_CASES = [
     {},
     {"avoid": PATTERN_321},
     {"avoid": PATTERN_123},
-    {"avoid": (2, 1)},
+    # counts above the 0..3 of the generated list below
+    {"exact_occurrences": (PATTERN_321, 4)},
     {"exact_occurrences": (PATTERN_321, 1)},
     {"exact_occurrences": (PATTERN_123, 2)},
     {"ends_in_largest": True},
@@ -89,8 +95,8 @@ NAIVE_SCAN_CASES = [
     {"avoid": PATTERN_321, "ends_in_largest": True},
     {"avoid": PATTERN_321, "begins_with_smallest": False},
     {"exact_occurrences": (PATTERN_321, 1), "ends_in_largest": False},
-    {"exact_occurrences": ((1, 3, 2), 1)},
-    {"exact_occurrences": ((3, 1, 2), 2)},
+    {"exact_occurrences": (PATTERN_123, 4), "begins_with_smallest": True},
+    {"exact_occurrences": (PATTERN_321, 6), "ends_in_largest": True},
 ]
 # every exact 321/123 count of 0..3, alone and under each boundary flag
 NAIVE_SCAN_CASES += [
@@ -119,14 +125,11 @@ NAIVE_SCAN_CASES += [
 @pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("constraints", NAIVE_SCAN_CASES)
 def test_generate_matches_naive_scan(cls, constraints):
-    pattern = constraints.get("avoid") or constraints.get("exact_occurrences", ((),))[0]
     # 321 and 123 are scored by the forced-occurrence count F, whose lookahead
-    # at n = 8 cuts prefixes with up to six entries still to place; other
-    # length-3 patterns are scored by count_occurrences of the prefix; the
+    # at n = 8 cuts prefixes with up to six entries still to place; the
     # pattern-free cases reach n = 8 too, as ends_in_largest bounds exactly
     # the two last positions, which are filled in place
-    n_max = 8 if pattern in (PATTERN_321, PATTERN_123, ()) else 7 if len(pattern) == 3 else 6
-    for n in range(0, n_max + 1):
+    for n in range(0, 9):
         filt = GenerationFilter(cls, n, **constraints)
         got = list(generate(filt))
         expected = naive.matching_perms(
@@ -155,7 +158,7 @@ CONCURRENT_FILTERS = [
     GenerationFilter(UD, 9),
     GenerationFilter(DU, 10, exact_occurrences=(PATTERN_321, 2)),
     GenerationFilter(UD, 11, avoid=PATTERN_123, ends_in_largest=False),
-    GenerationFilter(DU, 8, exact_occurrences=((1, 3, 2), 1)),
+    GenerationFilter(DU, 8, exact_occurrences=(PATTERN_123, 1)),
 ]
 
 
@@ -203,7 +206,6 @@ def test_single_entry_conventions():
     assert list(generate(GenerationFilter(DU, 1))) == [(1,)]
     assert list(generate(GenerationFilter(UD, 1, ends_in_largest=True))) == [(1,)]
     assert list(generate(GenerationFilter(UD, 1, ends_in_largest=False))) == []
-    assert list(generate(GenerationFilter(UD, 1, exact_occurrences=((1,), 1)))) == [(1,)]
 
 
 def test_euler_zigzag_values():

@@ -236,9 +236,9 @@ def test_decomposition_sum_down_up_counts_even_123():
 
 
 def test_sequence_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pattern must be \(3, 2, 1\) or \(1, 2, 3\)"):
         SequenceSpec((2, 1, 3), UD)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pattern must be \(3, 2, 1\) or \(1, 2, 3\)"):
         SequenceSpec((2, 1), UD)
 
 

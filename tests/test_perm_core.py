@@ -2,15 +2,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from altperms.perm_core import (
+    PATTERN_123,
+    PATTERN_321,
     AlternationClass,
     boundary_statistics,
     classify,
     complement,
     count_occurrences,
-    find_occurrences,
     format_perm,
     is_alternating,
     is_permutation,
+    middle_counts,
     parse_perm,
     perm,
     reverse,
@@ -27,7 +29,8 @@ perms_up_to_8 = st.integers(min_value=0, max_value=8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
 ).map(tuple)
 
-length3_patterns = st.sampled_from([(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)])
+# the two patterns the package counts; every other one is rejected
+PATTERNS = [PATTERN_123, PATTERN_321]
 
 
 def test_is_permutation():
@@ -120,7 +123,7 @@ def test_suffix_class_matches_actual_suffix_shape():
         ((4, 3, 2, 1), (3, 2, 1), 4),
         ((1, 4, 2, 3), (1, 2, 3), 1),
         ((3, 4, 1, 2), (3, 2, 1), 0),
-        ((1,), (1,), 1),
+        ((1, 4, 3, 5, 2, 6), (3, 2, 1), 1),
         ((2, 1), (1, 2, 3), 0),
     ],
 )
@@ -129,51 +132,24 @@ def test_count_occurrences_examples(w, p, expected):
 
 
 def test_count_occurrences_rejects_bad_pattern():
-    with pytest.raises(ValueError):
-        count_occurrences((1, 2), ())
-    with pytest.raises(ValueError):
-        count_occurrences((1, 2), (1, 1))
+    for counter in (count_occurrences, middle_counts):
+        for pattern in ((), (1, 1), (1,), (2, 1), (1, 3, 2), [3, 2, 1, 4]):
+            with pytest.raises(ValueError, match=r"pattern must be \(3, 2, 1\) or \(1, 2, 3\)"):
+                counter((1, 2), pattern)
 
 
-# The longer patterns have slots with earlier entries on both sides, which pins
-# the walker's choice of the nearest matched value below and above.
-NAIVE_PATTERNS = [(1,), (2, 1), (1, 2, 3), (3, 2, 1), (1, 3, 2), (2, 4, 1, 3), (3, 1, 4, 2), (2, 4, 1, 5, 3)]
-
-
-@pytest.mark.parametrize("pattern", NAIVE_PATTERNS)
+# each counted pattern given as a list and as a tuple
+@pytest.mark.parametrize("pattern", [list(p) for p in PATTERNS] + PATTERNS)
 def test_count_occurrences_matches_naive(pattern):
-    for n in range(0, 7):
+    for n in range(0, 8):
         for w in naive.all_perms(n):
-            assert count_occurrences(w, pattern) == naive.occurrence_count(w, pattern)
-
-
-@pytest.mark.parametrize(
-    "w,p,limit,expected",
-    [
-        ((1, 4, 3, 5, 2, 6), (3, 2, 1), 10, [(2, 3, 5)]),
-        ((1, 2, 3, 4), (3, 2, 1), 5, []),
-        ((4, 3, 2, 1), (3, 2, 1), 2, [(1, 2, 3), (1, 2, 4)]),
-    ],
-)
-def test_find_occurrences_examples(w, p, limit, expected):
-    assert find_occurrences(w, p, limit) == expected
-
-
-def test_find_occurrences_limit_must_be_positive():
-    with pytest.raises(ValueError):
-        find_occurrences((1, 2), (1, 2), 0)
-
-
-@pytest.mark.parametrize("pattern", NAIVE_PATTERNS)
-def test_find_occurrences_lexicographic_and_complete(pattern):
-    for n in range(0, 7):
-        for w in naive.all_perms(n):
-            expected = naive.occurrence_positions(w, pattern)
-            got = find_occurrences(w, pattern, 10**6)
-            assert got == expected  # naive list is generated in lex order too
-            assert len(got) == count_occurrences(w, pattern)
-            if expected:
-                assert find_occurrences(w, pattern, 1) == expected[:1]
+            positions = naive.occurrence_positions(w, pattern)
+            assert count_occurrences(w, pattern) == len(positions)
+            # each occurrence counted once, at its middle position
+            middles = [0] * n
+            for _, j, _ in positions:
+                middles[j - 1] += 1
+            assert middle_counts(w, pattern) == middles
 
 
 @pytest.mark.parametrize(
@@ -197,7 +173,7 @@ def test_reverse_and_complement_are_involutions(w):
     assert complement(complement(w)) == w
 
 
-@given(perms_up_to_8, length3_patterns)
+@given(perms_up_to_8, st.sampled_from(PATTERNS))
 def test_count_reversal_symmetry(w, p):
     assert count_occurrences(w, p) == count_occurrences(reverse(w), reverse(p))
 
