@@ -5,13 +5,11 @@ between hosts and their boundary-constrained block decompositions.
 
 from .perm_core import (
     AlternationClass,
-    BoundaryStatistics,
     Occurrence,
     Pattern,
     PATTERN_123,
     PATTERN_321,
     Perm,
-    boundary_statistics,
     check_pattern,
     classify,
     complement,

@@ -63,10 +63,10 @@ _IDENTITY_BOUND = 200
 #: The longest unrestricted count: the oracle lists all E_n permutations at
 #: ~0.5M/s (2-CPU x86, Python 3.11), so n = 13 takes ~45 s and n = 14 ~7 min
 _UNRESTRICTED_MAX_N = 13
-#: The longest count by each formula method, timed at its limit on the same host:
+#: The longest count by each method but the oracle, timed at its limit on the same host:
 #: convolution 31 s and decomposition_sum 25 s (both grow about as n^2.5),
-#: closed_form 56 s (about n^1.9)
-_FORMULA_MAX_N = {"closed_form": 1_000_000, "convolution": 60_000, "decomposition_sum": 60_000}
+#: closed_form 14 s (about n^1.7), bijection 41 s for 237,728 hosts (hosts grow ~3.7x per two lengths)
+_METHOD_MAX_N = {"closed_form": 1_000_000, "convolution": 60_000, "decomposition_sum": 60_000, "bijection": 20}
 
 
 class UsageError(Exception):
@@ -130,9 +130,9 @@ def _count(pattern: Pattern | None, cls: AlternationClass, n: int, exactly: int 
         raise UsageError(f"--method {method}: unrestricted counts only support oracle")
     if exactly != 1:
         raise UsageError(f"--method {method}: only --exactly 1 has formula backing")
-    limit = _FORMULA_MAX_N.get(method)
+    limit = _METHOD_MAX_N.get(method)
     if limit is not None and n > limit:
-        fallback = f"--method closed_form reaches n = {_FORMULA_MAX_N['closed_form']}"
+        fallback = f"--method closed_form reaches n = {_METHOD_MAX_N['closed_form']}"
         if method == "closed_form":
             fallback = "no method reaches further"
         raise UsageError(f"--n {n}: --method {method} stops at n = {limit}; {fallback}")

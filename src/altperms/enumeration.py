@@ -36,7 +36,7 @@ from .perm_core import (
 
 @dataclass(frozen=True, init=False)
 class GenerationFilter:
-    """Constraints for one generation run.
+    """Constraints for one generation run: `cls`, an AlternationClass, and `length`, an int >= 0.
 
     The one occurrence constraint is `exact_occurrences`, a (pattern, target)
     pair, target an int >= 0; `avoid=p` is stored as (p, 0), so at most one may
@@ -57,8 +57,10 @@ class GenerationFilter:
     def __init__(self, cls: AlternationClass, length: int, avoid: Pattern | None = None,
                  exact_occurrences: tuple[Pattern, int] | None = None,
                  ends_in_largest: bool | None = None, begins_with_smallest: bool | None = None) -> None:
-        if length < 0:
-            raise ValueError("length must be >= 0")
+        if not isinstance(cls, AlternationClass):
+            raise ValueError(f"cls must be an AlternationClass, got {cls!r}")
+        if not isinstance(length, int) or length < 0:
+            raise ValueError("length must be an int >= 0")
         if avoid is not None and exact_occurrences is not None:
             raise ValueError("avoid and exact_occurrences are mutually exclusive")
         if avoid is not None:

@@ -3,7 +3,8 @@ length-3 pattern occurrence.
 
 Everything here is big-integer arithmetic: Catalan numbers, the tabulated
 counts of 321-avoiding alternating permutations (with their validity ranges),
-the factorial-quotient closed forms, the two convolution identities, and the
+the exactly-one closed forms (one table of rows P(m)*C(2m,m)/((m+1)...(m+K)),
+read by one evaluator on math.comb), the two convolution identities, and the
 position-indexed decomposition sum that counts hosts by splitting them at the
 middle entry of their unique 321 occurrence.
 """
@@ -11,7 +12,7 @@ middle entry of their unique 321 occurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, prod
 
 from .perm_core import (
     STATISTICS,
@@ -148,12 +149,25 @@ def boundary_count(cls: AlternationClass, n: int, role: str) -> int:
         return 0
 
 
-def _exact_div(numerator: int, denominator: int) -> int:
-    quotient, remainder = divmod(numerator, denominator)
+#: The exactly-one counts, keyed by (host class, n odd).  With n = 2m or 2m+1
+#: each is P(m)*C(2m,m)/((m+1)(m+2)...(m+K)) for m >= valid_from; a row holds
+#: (P's coefficients, constant term first; K; valid_from).
+_CLOSED_FORMS = {
+    (AlternationClass.UP_DOWN, False): ((-48, -104, 0, 32), 4, 2),  # P = 8(m-2)(2m+1)(2m+3)
+    (AlternationClass.DOWN_UP, False): ((0, -10, 10), 3, 2),  # P = 10m(m-1)
+    **{(cls, True): ((-24, -42, 30, 36), 4, 1) for cls in AlternationClass},  # P = 6(m-1)(3m+4)(2m+1)
+}
+
+
+def _closed_form(cls: AlternationClass, odd: bool, m: int) -> int:
+    """Row (cls, odd) of _CLOSED_FORMS evaluated at m."""
+    coefficients, k, valid_from = _CLOSED_FORMS[(cls, odd)]
+    if m < valid_from:
+        raise ValueError(f"m must be >= {valid_from}")
+    p = sum(c * m**i for i, c in enumerate(coefficients))
+    quotient, remainder = divmod(p * comb(2 * m, m), prod(range(m + 1, m + k + 1)))
     if remainder:
-        raise ArithmeticError(
-            f"{numerator}/{denominator} is not an integer; a closed form was transcribed wrong"
-        )
+        raise ArithmeticError(f"row {(cls.value, odd)} is not an integer at m = {m}; it was transcribed wrong")
     return quotient
 
 
@@ -163,9 +177,7 @@ def closed_form_even_321(m: int) -> int:
     >>> [closed_form_even_321(m) for m in (2, 3, 4, 5)]
     [0, 12, 66, 286]
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    return _exact_div(4 * (m - 2) * factorial(2 * m + 3), factorial(m + 1) * factorial(m + 4))
+    return _closed_form(AlternationClass.UP_DOWN, False, m)
 
 
 def closed_form_even_123(m: int) -> int:
@@ -174,9 +186,7 @@ def closed_form_even_123(m: int) -> int:
     >>> [closed_form_even_123(m) for m in (2, 3, 4)]
     [2, 10, 40]
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    return _exact_div(10 * factorial(2 * m), factorial(m - 2) * factorial(m + 3))
+    return _closed_form(AlternationClass.DOWN_UP, False, m)
 
 
 def closed_form_odd(m: int) -> int:
@@ -186,11 +196,7 @@ def closed_form_odd(m: int) -> int:
     >>> [closed_form_odd(m) for m in (1, 2, 3, 4)]
     [0, 5, 26, 108]
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _exact_div(
-        3 * (3 * m + 4) * (m - 1) * factorial(2 * m + 2), factorial(m + 1) * factorial(m + 4)
-    )
+    return _closed_form(AlternationClass.UP_DOWN, True, m)
 
 
 def convolution_even_321(m: int) -> int:
@@ -268,10 +274,8 @@ def host_class(pattern: Pattern, cls: AlternationClass) -> AlternationClass:
 def a_n(spec: SequenceSpec, n: int) -> int:
     """Length-n permutations of spec.cls containing spec.pattern exactly once.
 
-    Dispatches on parity to the closed forms; at even lengths the one-321
-    hosts of host_class(spec.pattern, spec.cls) are counted by
-    closed_form_even_321 if up-down and by its complement closed_form_even_123
-    if down-up.  Lengths shorter than the pattern have count 0.
+    Evaluates the closed-form row of (host_class(spec.pattern, spec.cls), n odd).
+    Lengths shorter than the pattern have count 0.
 
     >>> a_n(SequenceSpec(PATTERN_321, AlternationClass.UP_DOWN), 8)
     66
@@ -283,8 +287,4 @@ def a_n(spec: SequenceSpec, n: int) -> int:
     if n < 3:
         return 0
     m, rem = divmod(n, 2)
-    if rem:
-        return closed_form_odd(m)
-    if host_class(spec.pattern, spec.cls) is AlternationClass.UP_DOWN:
-        return closed_form_even_321(m)
-    return closed_form_even_123(m)
+    return _closed_form(host_class(spec.pattern, spec.cls), rem == 1, m)

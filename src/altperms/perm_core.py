@@ -12,7 +12,7 @@ Lengths 0 and 1 are legal and belong to both alternation classes.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
 #: A pattern is itself a permutation; only PATTERN_321 and PATTERN_123 are accepted.
@@ -182,17 +182,5 @@ def standardize(values: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in values)
 
 
-class BoundaryStatistics(NamedTuple):
-    ends_in_largest: bool
-    begins_with_smallest: bool
-
-
 #: Boundary statistics of a Table 1 cell: all permutations, or those with the property.
-STATISTICS = ("total", *BoundaryStatistics._fields)
-
-
-def boundary_statistics(w: Sequence[int]) -> BoundaryStatistics:
-    """Whether w_n = n and whether w_1 = 1; rejects the empty permutation."""
-    if len(w) == 0:
-        raise ValueError("boundary statistics are undefined for the empty permutation")
-    return BoundaryStatistics(w[-1] == len(w), w[0] == 1)
+STATISTICS = ("total", "ends_in_largest", "begins_with_smallest")

@@ -82,11 +82,13 @@ def test_count_unrestricted_at_limit_reaches_the_oracle(capsys, monkeypatch):
     assert lines[0]["value"] == str(cli._UNRESTRICTED_MAX_N)
 
 
-@pytest.mark.parametrize("method", sorted(cli._FORMULA_MAX_N))
+@pytest.mark.parametrize("method", sorted(cli._METHOD_MAX_N))
 def test_count_formula_refused_above_limit(capsys, monkeypatch, method):
+    # each stands in for about a minute at the limit
     for name in ("a_n", "decomposition_sum", "convolution_odd_321", "convolution_even_321"):
-        monkeypatch.setattr(cli, name, lambda *args: 7)  # stands in for about a minute at the limit
-    limit = cli._FORMULA_MAX_N[method]
+        monkeypatch.setattr(cli, name, lambda *args: 7)
+    monkeypatch.setattr(cli, "enumerate_by_decomposition", lambda *args: range(7))
+    limit = cli._METHOD_MAX_N[method]
     argv = ["count", "--pattern", "321", "--exactly", "1", "--method", method, "--n"]
     code, lines, _ = run_lines(capsys, argv + [str(limit)])
     assert code == 0
@@ -96,8 +98,8 @@ def test_count_formula_refused_above_limit(capsys, monkeypatch, method):
     assert code == 1
     assert lines == []
     assert err.startswith(f"--n {huge}: --method {method} stops at n = {limit}; ")
-    if method != "closed_form":  # the sums name the method that reaches further
-        assert err.endswith(f"; --method closed_form reaches n = {cli._FORMULA_MAX_N['closed_form']}\n")
+    if method != "closed_form":  # the others name the method that reaches further
+        assert err.endswith(f"; --method closed_form reaches n = {cli._METHOD_MAX_N['closed_form']}\n")
 
 
 def test_count_prints_values_past_the_int_to_str_limit(capsys):

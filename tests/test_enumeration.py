@@ -19,6 +19,11 @@ ZIGZAG = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765]
 def test_filter_validation():
     with pytest.raises(ValueError):
         GenerationFilter(UD, -1)
+    # a class code or a float length would otherwise only fail inside generate
+    with pytest.raises(ValueError, match="AlternationClass"):
+        GenerationFilter("UD", 5)
+    with pytest.raises(ValueError, match="int"):
+        GenerationFilter(UD, 2.5)
     with pytest.raises(ValueError):
         GenerationFilter(UD, 4, avoid=PATTERN_321, exact_occurrences=(PATTERN_123, 1))
     with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import ast
 import sys
 import threading
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -185,11 +185,30 @@ def test_closed_form_domains():
             bad_call()
 
 
-def test_closed_forms_always_divide_exactly():
-    for m in range(2, 80):
-        closed_form_even_321(m)
-        closed_form_even_123(m)
-        closed_form_odd(m)
+#: The paper's exactly-one counts as factorial quotients (numerator, denominator),
+#: each with the first m it holds for: the reference for formulas' closed-form rows
+PAPER_QUOTIENTS = (
+    (closed_form_even_321, 2, lambda m: (4 * (m - 2) * factorial(2 * m + 3), factorial(m + 1) * factorial(m + 4))),
+    (closed_form_even_123, 2, lambda m: (10 * factorial(2 * m), factorial(m - 2) * factorial(m + 3))),
+    (closed_form_odd, 1,
+     lambda m: (3 * (3 * m + 4) * (m - 1) * factorial(2 * m + 2), factorial(m + 1) * factorial(m + 4))),
+)
+
+
+def test_closed_forms_equal_the_papers_factorial_quotients():
+    for closed_form, valid_from, quotient in PAPER_QUOTIENTS:
+        for m in range(valid_from, 301):
+            expected, remainder = divmod(*quotient(m))
+            assert remainder == 0
+            assert closed_form(m) == expected, (closed_form.__name__, m)
+
+
+def test_a_corrupted_closed_form_row_raises(monkeypatch):
+    coefficients, k, valid_from = formulas._CLOSED_FORMS[(UD, False)]
+    corrupted = (coefficients[:-1] + (coefficients[-1] + 1,), k, valid_from)
+    monkeypatch.setitem(formulas._CLOSED_FORMS, (UD, False), corrupted)
+    with pytest.raises(ArithmeticError, match="transcribed wrong"):
+        closed_form_even_321(5)
 
 
 def test_convolution_examples():

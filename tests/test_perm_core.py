@@ -5,7 +5,6 @@ from altperms.perm_core import (
     PATTERN_123,
     PATTERN_321,
     AlternationClass,
-    boundary_statistics,
     classify,
     complement,
     count_occurrences,
@@ -208,18 +207,3 @@ def test_standardize_rejects_repeats():
 @given(perms_up_to_8)
 def test_standardize_fixes_permutations(w):
     assert standardize(w) == w
-
-
-@pytest.mark.parametrize(
-    "w,ends,begins",
-    [((1, 3, 2, 4), True, True), ((2, 4, 1, 3), False, False), ((3, 1, 2), False, False)],
-)
-def test_boundary_statistics(w, ends, begins):
-    stats = boundary_statistics(w)
-    assert stats.ends_in_largest is ends
-    assert stats.begins_with_smallest is begins
-
-
-def test_boundary_statistics_rejects_empty():
-    with pytest.raises(ValueError):
-        boundary_statistics(())
