@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from decimal import Decimal
 from functools import partial
 from itertools import chain, permutations
 from typing import Iterator, Sequence
@@ -65,8 +64,9 @@ _IDENTITY_BOUND = 200
 _UNRESTRICTED_MAX_N = 13
 #: The longest count by each method but the oracle, timed at its limit on the same host:
 #: convolution 31 s and decomposition_sum 25 s (both grow about as n^2.5),
-#: closed_form 14 s (about n^1.7), bijection 41 s for 237,728 hosts (hosts grow ~3.7x per two lengths)
-_METHOD_MAX_N = {"closed_form": 1_000_000, "convolution": 60_000, "decomposition_sum": 60_000, "bijection": 20}
+#: closed_form 49 s, 7 s of it printing (about n^2), bijection 30 s for 296,514 hosts
+#: (hosts grow ~3.7x per two lengths and n = 20 took 20 s, so n = 22 would pass a minute)
+_METHOD_MAX_N = {"closed_form": 2_000_000, "convolution": 60_000, "decomposition_sum": 60_000, "bijection": 21}
 
 
 class UsageError(Exception):
@@ -101,8 +101,19 @@ def _print_line(command: str, inputs: dict, fields: dict, started: float, **extr
 
 
 def _text(value: object) -> str:
-    """The JSON string of a value; an int goes through Decimal, as str() refuses ints over 4300 digits."""
-    return str(Decimal(value)) if isinstance(value, int) else str(value)
+    """The JSON string of a value.
+
+    str() refuses ints of more than sys.get_int_max_str_digits() digits (4300 by
+    default).  An int of at most 3 bits per allowed digit is below
+    8**limit < 10**limit, so only longer ones go through Decimal, imported here.
+    Where there is no limit (0, or a Python before 3.10.7) every int but 0 does.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if isinstance(value, int) and value.bit_length() > 3 * limit:
+        from decimal import Decimal
+
+        return str(Decimal(value))
+    return str(value)
 
 
 def _emit(command: str, inputs: dict, value: int | str, method: str, started: float, **extra) -> None:

@@ -108,8 +108,9 @@ def parse_record(text: str) -> DecompositionRecord:
 def locate_unique_321(w: Perm) -> Occurrence:
     """The (i, j, k) of the single 321 occurrence; NotExactlyOne otherwise.
 
-    Counts without listing, by the middle entries (perm_core.middle_counts),
-    so this is O(n^2) time and O(n) memory however many occurrences there are.
+    Counts without listing, by the middle entries (perm_core.middle_counts: one
+    pass of binary searches over the entries seen so far), so this is O(n log n)
+    comparisons and O(n) memory however many occurrences there are.
 
     >>> locate_unique_321((1, 4, 3, 5, 2, 6))
     (2, 3, 5)

@@ -12,6 +12,7 @@ Lengths 0 and 1 are legal and belong to both alternation classes.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -135,15 +136,23 @@ def middle_counts(w: Sequence[int], pattern: Sequence[int]) -> list[int]:
     """Per position of w, the occurrences of `pattern` (321 or 123) whose middle entry sits there.
 
     For 321 that is (larger entries before) x (smaller entries after); the 123s
-    of w are the 321s of complement(w), at the same positions.  O(n^2) time and
-    O(n) memory however many occurrences there are.
+    of w are the 321s of complement(w), at the same positions.  One left-to-right
+    pass of binary searches: `seen` holds the entries read so far, sorted, and
+    the smaller entries after b are the smaller entries overall (in `order`)
+    less those in `seen`.  Ties count as neither larger nor smaller, so any
+    sequence of ints works.  O(n log n) comparisons, O(n) memory however many
+    occurrences there are.
 
     >>> middle_counts((4, 3, 2, 1), (3, 2, 1))
     [0, 2, 2, 0]
     """
     if check_pattern(pattern) == PATTERN_123:
         w = complement(w)
-    return [sum(a > b for a in w[:t]) * sum(c < b for c in w[t + 1 :]) for t, b in enumerate(w)]
+    order, seen, counts = sorted(w), [], []
+    for t, b in enumerate(w):
+        counts.append((t - bisect_right(seen, b)) * (bisect_left(order, b) - bisect_left(seen, b)))
+        insort(seen, b)
+    return counts
 
 
 def count_occurrences(w: Sequence[int], pattern: Sequence[int]) -> int:

@@ -1,4 +1,6 @@
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 
@@ -108,6 +110,19 @@ def test_count_prints_values_past_the_int_to_str_limit(capsys):
     assert code == 0
     value = lines[0]["value"]
     assert (len(value), value[:12], value[-6:]) == (4361, "251419374844", "794560")
+
+
+@pytest.mark.parametrize("digits", [640, 4300])
+def test_text_prints_ints_either_side_of_the_decimal_cutoff(digits):
+    # ints of more than 3 bits per allowed digit go through Decimal; both sides print whole
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        for value in (2 ** (3 * digits) - 1, 2 ** (3 * digits), 10**digits - 1, 10**digits, -(10**digits)):
+            assert cli._text(value) == str(Decimal(value))
+        assert cli._text("pass") == "pass"
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_count_exactly_two_uses_oracle(capsys):

@@ -137,18 +137,49 @@ def test_count_occurrences_rejects_bad_pattern():
                 counter((1, 2), pattern)
 
 
+def naive_middles(w, pattern):
+    """Per position of w, the naive occurrences of `pattern` whose middle entry sits there."""
+    middles = [0] * len(w)
+    for _, j, _ in naive.occurrence_positions(w, pattern):
+        middles[j - 1] += 1
+    return middles
+
+
 # each counted pattern given as a list and as a tuple
 @pytest.mark.parametrize("pattern", [list(p) for p in PATTERNS] + PATTERNS)
 def test_count_occurrences_matches_naive(pattern):
     for n in range(0, 8):
         for w in naive.all_perms(n):
-            positions = naive.occurrence_positions(w, pattern)
-            assert count_occurrences(w, pattern) == len(positions)
+            middles = naive_middles(w, pattern)
+            assert count_occurrences(w, pattern) == sum(middles)
             # each occurrence counted once, at its middle position
-            middles = [0] * n
-            for _, j, _ in positions:
-                middles[j - 1] += 1
             assert middle_counts(w, pattern) == middles
+
+
+# lengths 8-16, past the exhaustive range above (the bijection benchmark's hosts are 9-21 long)
+@given(
+    st.integers(min_value=8, max_value=16).flatmap(lambda n: st.permutations(list(range(1, n + 1)))).map(tuple),
+    st.sampled_from(PATTERNS),
+)
+def test_middle_counts_matches_naive_on_longer_perms(w, pattern):
+    assert middle_counts(w, pattern) == naive_middles(w, pattern)
+
+
+# any ints: two equal entries are neither larger nor smaller than each other, so they share no occurrence
+@pytest.mark.parametrize(
+    "w,middles_321,middles_123",
+    [
+        ((10, 30, 20, 5, 40), [0, 0, 1, 0, 0], [0, 1, 1, 0, 0]),
+        ((5, -1, 0, -3), [0, 1, 1, 0], [0, 0, 0, 0]),
+        ((3, 3, 2, 1, 1), [0, 0, 4, 0, 0], [0, 0, 0, 0, 0]),
+        ((1, 1, 2, 3, 3), [0, 0, 0, 0, 0], [0, 0, 4, 0, 0]),
+        ((3, 2, 2, 1), [0, 1, 1, 0], [0, 0, 0, 0]),
+        ((2, 2, 2), [0, 0, 0], [0, 0, 0]),
+    ],
+)
+def test_middle_counts_on_sequences_that_are_not_permutations(w, middles_321, middles_123):
+    assert middle_counts(w, PATTERN_321) == middles_321
+    assert middle_counts(w, PATTERN_123) == middles_123
 
 
 @pytest.mark.parametrize(
