@@ -28,8 +28,6 @@ from .enumeration import GenerationFilter, count, euler_zigzag, generate, table1
 from .formulas import (
     OutOfValidityRange,
     SequenceSpec,
-    TABLE1,
-    Table1Row,
     a_n,
     boundary_count,
     catalan,

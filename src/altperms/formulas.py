@@ -1,9 +1,10 @@
 """Exact closed forms and identities for alternating permutations with one
 length-3 pattern occurrence.
 
-Everything here is big-integer arithmetic: Catalan numbers, the tabulated
-counts of 321-avoiding alternating permutations (with their validity ranges),
-the exactly-one closed forms (one table of rows P(m)*C(2m,m)/((m+1)...(m+K)),
+Everything here is big-integer arithmetic: Catalan numbers, Table 1's counts
+of 321-avoiding alternating permutations (one table of Catalan offsets and
+validity bounds keyed by (class, n odd), read by table1_formula), the
+exactly-one closed forms (one table of rows P(m)*C(2m,m)/((m+1)...(m+K)),
 read by one evaluator on math.comb), the two convolution identities, and the
 position-indexed decomposition sum that counts hosts by splitting them at the
 middle entry of their unique 321 occurrence.
@@ -23,8 +24,6 @@ from .perm_core import (
     check_pattern,
     suffix_class,
 )
-
-ROLES = ("u_candidate", "v_candidate")
 
 
 class OutOfValidityRange(ValueError):
@@ -59,50 +58,16 @@ def catalan(index: int) -> int:
 _CATALAN = [1]
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    """One tabulated count of 321-avoiding alternating permutations.
-
-    `formula` is "C(l+1)", "C(l)" or "0", with l defined by n = 2l or 2l+1;
-    the row only applies when l >= valid_from.
-    """
-
-    cls: AlternationClass
-    parity: str  # "even" | "odd"
-    statistic: str
-    formula: str
-    valid_from: int
-
-    def evaluate(self, ell: int) -> int:
-        if ell < self.valid_from:
-            raise OutOfValidityRange(
-                f"{self.cls.value} {self.parity} {self.statistic}: "
-                f"formula {self.formula} requires l >= {self.valid_from}, got l = {ell}"
-            )
-        if self.formula == "C(l+1)":
-            return catalan(ell + 1)
-        if self.formula == "C(l)":
-            return catalan(ell)
-        return 0
-
-
-def _rows() -> tuple[Table1Row, ...]:
-    ud, du = AlternationClass.UP_DOWN, AlternationClass.DOWN_UP
-    layout = (
-        (ud, "even", 2, "C(l+1)", "C(l)", "C(l)"),
-        (ud, "odd", 1, "C(l+1)", "0", "C(l)"),
-        (du, "even", 0, "C(l)", "0", "0"),
-        (du, "odd", 1, "C(l+1)", "C(l)", "0"),
-    )
-    return tuple(
-        Table1Row(cls, parity, statistic, formula, bound)
-        for cls, parity, bound, *cells in layout
-        for statistic, formula in zip(STATISTICS, cells)
-    )
-
-
-TABLE1: tuple[Table1Row, ...] = _rows()
-_TABLE1_INDEX = {(row.cls, row.parity, row.statistic): row for row in TABLE1}
+#: Table 1, the counts of 321-avoiding alternating permutations, keyed by
+#: (class, n odd).  With n = 2l or 2l+1 a row is (valid_from, offsets) and
+#: holds for l >= valid_from; per STATISTICS column the cell is C(l + offset),
+#: or 0 where the offset is None.
+_TABLE1 = {
+    (AlternationClass.UP_DOWN, False): (2, (1, 0, 0)),
+    (AlternationClass.UP_DOWN, True): (1, (1, None, 0)),
+    (AlternationClass.DOWN_UP, False): (0, (0, None, None)),
+    (AlternationClass.DOWN_UP, True): (1, (1, 0, None)),
+}
 
 
 def table1_formula(cls: AlternationClass, n: int, statistic: str) -> int:
@@ -114,13 +79,25 @@ def table1_formula(cls: AlternationClass, n: int, statistic: str) -> int:
     >>> table1_formula(AlternationClass.UP_DOWN, 4, "total")
     5
     """
+    if not isinstance(cls, AlternationClass):
+        raise ValueError(f"cls must be an AlternationClass, got {cls!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
     ell, rem = divmod(n, 2)
-    row = _TABLE1_INDEX[(cls, "odd" if rem else "even", statistic)]
-    return row.evaluate(ell)
+    valid_from, offsets = _TABLE1[(cls, rem == 1)]
+    if ell < valid_from:
+        raise OutOfValidityRange(
+            f"{cls.value} {'odd' if rem else 'even'} {statistic}: "
+            f"requires l >= {valid_from}, got l = {ell}"
+        )
+    offset = offsets[STATISTICS.index(statistic)]
+    return 0 if offset is None else catalan(ell + offset)
+
+
+#: The Table 1 statistic each boundary role takes away from the total.
+_ROLE_STATISTIC = {"u_candidate": "ends_in_largest", "v_candidate": "begins_with_smallest"}
 
 
 def boundary_count(cls: AlternationClass, n: int, role: str) -> int:
@@ -135,14 +112,10 @@ def boundary_count(cls: AlternationClass, n: int, role: str) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if role == "u_candidate":
-        statistic = "ends_in_largest"
-    elif role == "v_candidate":
-        statistic = "begins_with_smallest"
-    else:
-        raise ValueError(f"unknown role {role!r} (expected one of {ROLES})")
+    if role not in _ROLE_STATISTIC:
+        raise ValueError(f"unknown role {role!r} (expected one of {tuple(_ROLE_STATISTIC)})")
     try:
-        return table1_formula(cls, n, "total") - table1_formula(cls, n, statistic)
+        return table1_formula(cls, n, "total") - table1_formula(cls, n, _ROLE_STATISTIC[role])
     except OutOfValidityRange:
         # Only lengths <= 2 are excluded; there the 321-avoiding alternating
         # permutations are 1 and 12, which end in n and begin with 1.
@@ -259,6 +232,8 @@ class SequenceSpec:
     cls: AlternationClass
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cls, AlternationClass):
+            raise ValueError(f"cls must be an AlternationClass, got {self.cls!r}")
         object.__setattr__(self, "pattern", check_pattern(self.pattern))
 
 

@@ -10,7 +10,6 @@ from altperms import enumeration, formulas, perm_core
 from altperms.enumeration import GenerationFilter, count, table1_oracle
 from altperms.formulas import (
     STATISTICS,
-    TABLE1,
     OutOfValidityRange,
     SequenceSpec,
     a_n,
@@ -76,21 +75,38 @@ def test_catalan_cold_cache_is_thread_safe():
         formulas._CATALAN = saved_cache
 
 
+def _paper_catalan(k: int) -> int:
+    return comb(2 * k, k) // (k + 1)
+
+
+def _paper_catalan_next(ell: int) -> int:
+    return _paper_catalan(ell + 1)
+
+
+def _paper_zero(ell: int) -> int:
+    return 0
+
+
+#: The paper's Table 1, the reference for formulas' table: per (class, parity
+#: of n = 2l + parity) the first l the row holds for, then the total,
+#: ends_in_largest and begins_with_smallest cells as functions of l
+PAPER_TABLE1 = (
+    (UD, 0, 2, _paper_catalan_next, _paper_catalan, _paper_catalan),  # C(l+1), C(l), C(l)
+    (UD, 1, 1, _paper_catalan_next, _paper_zero, _paper_catalan),  # C(l+1), 0, C(l)
+    (DU, 0, 0, _paper_catalan, _paper_zero, _paper_zero),  # C(l), 0, 0
+    (DU, 1, 1, _paper_catalan_next, _paper_catalan, _paper_zero),  # C(l+1), C(l), 0
+)
+
+
 def test_table1_transcription():
-    assert len(TABLE1) == 12
-    cells = {(row.cls, row.parity, row.statistic): (row.formula, row.valid_from) for row in TABLE1}
-    assert cells[(UD, "even", "total")] == ("C(l+1)", 2)
-    assert cells[(UD, "even", "ends_in_largest")] == ("C(l)", 2)
-    assert cells[(UD, "even", "begins_with_smallest")] == ("C(l)", 2)
-    assert cells[(UD, "odd", "total")] == ("C(l+1)", 1)
-    assert cells[(UD, "odd", "ends_in_largest")] == ("0", 1)
-    assert cells[(UD, "odd", "begins_with_smallest")] == ("C(l)", 1)
-    assert cells[(DU, "even", "total")] == ("C(l)", 0)
-    assert cells[(DU, "even", "ends_in_largest")] == ("0", 0)
-    assert cells[(DU, "even", "begins_with_smallest")] == ("0", 0)
-    assert cells[(DU, "odd", "total")] == ("C(l+1)", 1)
-    assert cells[(DU, "odd", "ends_in_largest")] == ("C(l)", 1)
-    assert cells[(DU, "odd", "begins_with_smallest")] == ("0", 1)
+    assert len(PAPER_TABLE1) * len(STATISTICS) == 12
+    for cls, parity, valid_from, *cells in PAPER_TABLE1:
+        for statistic, cell in zip(STATISTICS, cells):
+            for ell in range(valid_from, 41):
+                assert table1_formula(cls, 2 * ell + parity, statistic) == cell(ell), (cls, parity, statistic, ell)
+            if valid_from > 0:
+                with pytest.raises(OutOfValidityRange):
+                    table1_formula(cls, 2 * (valid_from - 1) + parity, statistic)
 
 
 def test_table1_formula_examples():
@@ -118,6 +134,26 @@ def test_table1_formula_matches_oracle_where_valid():
                 except OutOfValidityRange:
                     continue
                 assert expected == table1_oracle(cls, n, statistic), (cls, n, statistic)
+
+
+def test_table1_totals_count_123_avoiders_in_the_other_class():
+    # complementation swaps 321 for 123 and flips the class
+    for n in range(0, 12):
+        for cls in (UD, DU):
+            try:
+                expected = table1_formula(cls.flipped, n, "total")
+            except OutOfValidityRange:
+                continue
+            assert count(GenerationFilter(cls, n, avoid=PATTERN_123)) == expected, (cls, n)
+
+
+def test_table1_rejects_a_class_code():
+    with pytest.raises(ValueError, match="cls must be an AlternationClass"):
+        table1_formula("UD", 4, "total")
+    with pytest.raises(ValueError, match="cls must be an AlternationClass"):
+        boundary_count("UD", 4, "u_candidate")
+    with pytest.raises(ValueError, match="cls must be an AlternationClass"):
+        decomposition_sum(8, "UD")
 
 
 def _imported_modules(module) -> set[str]:
@@ -259,6 +295,8 @@ def test_sequence_spec_validation():
         SequenceSpec((2, 1, 3), UD)
     with pytest.raises(ValueError, match=r"pattern must be \(3, 2, 1\) or \(1, 2, 3\)"):
         SequenceSpec((2, 1), UD)
+    with pytest.raises(ValueError, match="cls must be an AlternationClass"):
+        SequenceSpec(PATTERN_321, "UD")
 
 
 def test_a_n_examples():
