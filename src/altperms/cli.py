@@ -63,7 +63,7 @@ _IDENTITY_BOUND = 200
 #: ~0.5M/s (2-CPU x86, Python 3.11), so n = 13 takes ~45 s and n = 14 ~7 min
 _UNRESTRICTED_MAX_N = 13
 #: The longest count by each method but the oracle, timed at its limit on the same host:
-#: convolution 31 s and decomposition_sum 25 s (both grow about as n^2.5),
+#: convolution 33-38 s and decomposition_sum 32 s (both grow about as n^2.5, big-int bound),
 #: closed_form 49 s, 7 s of it printing (about n^2), bijection 30 s for 296,514 hosts
 #: (hosts grow ~3.7x per two lengths and n = 20 took 20 s, so n = 22 would pass a minute)
 _METHOD_MAX_N = {"closed_form": 2_000_000, "convolution": 60_000, "decomposition_sum": 60_000, "bijection": 21}

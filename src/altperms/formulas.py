@@ -1,19 +1,23 @@
 """Exact closed forms and identities for alternating permutations with one
 length-3 pattern occurrence.
 
-Everything here is big-integer arithmetic: Catalan numbers, Table 1's counts
-of 321-avoiding alternating permutations (one table of Catalan offsets and
-validity bounds keyed by (class, n odd), read by table1_formula), the
-exactly-one closed forms (one table of rows P(m)*C(2m,m)/((m+1)...(m+K)),
-read by one evaluator on math.comb), the two convolution identities, and the
-position-indexed decomposition sum that counts hosts by splitting them at the
-middle entry of their unique 321 occurrence.
+Everything here is big-integer arithmetic: Catalan numbers (one published
+list, which the sums index directly), Table 1's counts of 321-avoiding
+alternating permutations (one table of Catalan offsets and validity bounds
+keyed by (class, n odd), whose rows one evaluator reads for table1_formula,
+boundary_count and decomposition_sum), the exactly-one closed forms (one table
+of rows P(m)*C(2m,m)/((m+1)...(m+K)), read by one evaluator on math.comb), the
+two convolution identities, and the position-indexed decomposition sum that
+counts hosts by splitting them at the middle entry of their unique 321
+occurrence.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb, prod
+from operator import mul
 
 from .perm_core import (
     STATISTICS,
@@ -40,19 +44,28 @@ def catalan(index: int) -> int:
     >>> [catalan(i) for i in range(8)]
     [1, 1, 2, 5, 14, 42, 132, 429]
     """
-    global _CATALAN
     if index < 0:
         raise ValueError("index must be >= 0")
+    return _catalans(index)[index]
+
+
+def _catalans(top: int) -> list[int]:
+    """A published Catalan list holding at least C_0..C_top; the only reader of _CATALAN.
+
+    Index the list returned and never re-read _CATALAN: the last writer wins,
+    so a slower thread may publish a shorter list after a longer one.
+    """
+    global _CATALAN
     cache = _CATALAN
-    if len(cache) <= index:
+    if len(cache) <= top:
         # Extend a private copy and publish it with one assignment: a published
         # list is never mutated, so concurrent callers only see complete ones.
         cache = cache.copy()
-        while len(cache) <= index:
+        while len(cache) <= top:
             k = len(cache)
             cache.append(cache[-1] * 2 * (2 * k - 1) // (k + 1))  # exact: multiply first
         _CATALAN = cache
-    return cache[index]
+    return cache
 
 
 _CATALAN = [1]
@@ -70,6 +83,11 @@ _TABLE1 = {
 }
 
 
+def _check_class(cls: object) -> None:
+    if not isinstance(cls, AlternationClass):
+        raise ValueError(f"cls must be an AlternationClass, got {cls!r}")
+
+
 def table1_formula(cls: AlternationClass, n: int, statistic: str) -> int:
     """Tabulated count of 321-avoiding length-n `cls` permutations.
 
@@ -79,21 +97,12 @@ def table1_formula(cls: AlternationClass, n: int, statistic: str) -> int:
     >>> table1_formula(AlternationClass.UP_DOWN, 4, "total")
     5
     """
-    if not isinstance(cls, AlternationClass):
-        raise ValueError(f"cls must be an AlternationClass, got {cls!r}")
+    _check_class(cls)
     if n < 0:
         raise ValueError("n must be >= 0")
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
-    ell, rem = divmod(n, 2)
-    valid_from, offsets = _TABLE1[(cls, rem == 1)]
-    if ell < valid_from:
-        raise OutOfValidityRange(
-            f"{cls.value} {'odd' if rem else 'even'} {statistic}: "
-            f"requires l >= {valid_from}, got l = {ell}"
-        )
-    offset = offsets[STATISTICS.index(statistic)]
-    return 0 if offset is None else catalan(ell + offset)
+    return next(_table1_counts(cls, range(n, n + 1), statistic))
 
 
 #: The Table 1 statistic each boundary role takes away from the total.
@@ -114,12 +123,39 @@ def boundary_count(cls: AlternationClass, n: int, role: str) -> int:
         raise ValueError("n must be >= 1")
     if role not in _ROLE_STATISTIC:
         raise ValueError(f"unknown role {role!r} (expected one of {tuple(_ROLE_STATISTIC)})")
-    try:
-        return table1_formula(cls, n, "total") - table1_formula(cls, n, _ROLE_STATISTIC[role])
-    except OutOfValidityRange:
-        # Only lengths <= 2 are excluded; there the 321-avoiding alternating
-        # permutations are 1 and 12, which end in n and begin with 1.
-        return 0
+    _check_class(cls)
+    return next(_table1_counts(cls, range(n, n + 1), role))
+
+
+def _table1_counts(cls: AlternationClass, lengths: range, column: str) -> Iterator[int]:
+    """Table 1 at each n of `lengths`, a range of one parity; the only reader of _TABLE1.
+
+    `column` names a statistic, whose cell is yielded, or a boundary role,
+    whose count (the total less the role's statistic) is yielded.  The row is
+    looked up once and its cells are read off one Catalan list.  Below the
+    row's bound a cell raises OutOfValidityRange, while a boundary count is 0:
+    the lengths excluded (<= 2) hold only 1 and 12, which end in their largest
+    entry and begin with their smallest.
+    """
+    if not lengths:
+        return
+    valid_from, offsets = _TABLE1[(cls, lengths[0] % 2 == 1)]
+    role_statistic = _ROLE_STATISTIC.get(column)
+    if role_statistic is None:
+        plus, minus = offsets[STATISTICS.index(column)], None
+    else:
+        plus, minus = offsets[STATISTICS.index("total")], offsets[STATISTICS.index(role_statistic)]
+    catalans = _catalans(max(lengths[0], lengths[-1]) // 2 + 1)
+    for n in lengths:
+        ell = n // 2
+        if ell >= valid_from:
+            yield (0 if plus is None else catalans[ell + plus]) - (0 if minus is None else catalans[ell + minus])
+        elif role_statistic is None:
+            raise OutOfValidityRange(
+                f"{cls.value} {'odd' if n % 2 else 'even'} {column}: requires l >= {valid_from}, got l = {ell}"
+            )
+        else:
+            yield 0
 
 
 #: The exactly-one counts, keyed by (host class, n odd).  With n = 2m or 2m+1
@@ -180,8 +216,9 @@ def convolution_even_321(m: int) -> int:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    first = sum(catalan(j + 1) * (catalan(m - j + 1) - catalan(m - j)) for j in range(1, m - 1))
-    second = sum((catalan(j + 1) - catalan(j)) * catalan(m - j + 1) for j in range(2, m))
+    c = _catalans(m + 1)
+    first = sum(c[j + 1] * (c[m - j + 1] - c[m - j]) for j in range(1, m - 1))
+    second = sum((c[j + 1] - c[j]) * c[m - j + 1] for j in range(2, m))
     return first + second
 
 
@@ -193,8 +230,9 @@ def convolution_odd_321(m: int) -> int:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    first = sum(catalan(j + 1) * (catalan(m - j + 1) - catalan(m - j)) for j in range(1, m))
-    second = sum((catalan(j + 1) - catalan(j)) * catalan(m - j + 1) for j in range(2, m + 1))
+    c = _catalans(m + 1)
+    first = sum(c[j + 1] * (c[m - j + 1] - c[m - j]) for j in range(1, m))
+    second = sum((c[j + 1] - c[j]) * c[m - j + 1] for j in range(2, m + 1))
     return first + second
 
 
@@ -205,8 +243,8 @@ def decomposition_sum(n: int, cls: AlternationClass) -> int:
     valid left blocks share the host class, have length j and do not end in
     their largest entry; valid right blocks have length n-j+1, the class a
     block starting at position j inherits, and do not begin with their
-    smallest entry.  Every term is a difference of two Table 1 cells, so the
-    sum is independent of the exhaustive oracle.
+    smallest entry.  Each block count is a difference of two Table 1 cells,
+    so the sum is independent of the exhaustive oracle.
 
     >>> decomposition_sum(6, AlternationClass.UP_DOWN)
     12
@@ -215,11 +253,14 @@ def decomposition_sum(n: int, cls: AlternationClass) -> int:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
+    _check_class(cls)
     total = 0
-    for j in range(2, n):
-        left = boundary_count(cls, j, "u_candidate")
-        right = boundary_count(suffix_class(cls, j), n - j + 1, "v_candidate")
-        total += left * right
+    for first in (2, 3):
+        # Positions j of one parity share the left row, the right row and the right block's class;
+        # the right blocks have lengths n - j + 1 for j = first, first + 2, ...
+        lefts = _table1_counts(cls, range(first, n, 2), "u_candidate")
+        rights = _table1_counts(suffix_class(cls, first), range(n + 1 - first, 1, -2), "v_candidate")
+        total += sum(map(mul, lefts, rights))
     return total
 
 
@@ -232,8 +273,7 @@ class SequenceSpec:
     cls: AlternationClass
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cls, AlternationClass):
-            raise ValueError(f"cls must be an AlternationClass, got {self.cls!r}")
+        _check_class(self.cls)
         object.__setattr__(self, "pattern", check_pattern(self.pattern))
 
 

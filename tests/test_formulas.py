@@ -24,7 +24,7 @@ from altperms.formulas import (
     host_class,
     table1_formula,
 )
-from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321
+from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321, suffix_class
 
 UD = AlternationClass.UP_DOWN
 DU = AlternationClass.DOWN_UP
@@ -261,9 +261,9 @@ def test_convolution_examples():
 
 
 def test_convolutions_equal_closed_forms():
-    for m in range(2, 60):
+    for m in range(2, 301):
         assert convolution_even_321(m) == closed_form_even_321(m)
-    for m in range(1, 60):
+    for m in range(1, 301):
         assert convolution_odd_321(m) == closed_form_odd(m)
 
 
@@ -273,6 +273,70 @@ def test_decomposition_sum_examples():
     assert decomposition_sum(5, UD) == 5
     with pytest.raises(ValueError):
         decomposition_sum(2, UD)
+
+
+def test_decomposition_sum_equals_its_per_cell_definition():
+    # The sum streams Table 1 along positions of one parity; its definition
+    # asks the public, validated boundary_count for every cell.
+    for cls in (UD, DU):
+        for n in range(3, 301):
+            assert decomposition_sum(n, cls) == sum(
+                boundary_count(cls, j, "u_candidate") * boundary_count(suffix_class(cls, j), n - j + 1, "v_candidate")
+                for j in range(2, n)
+            ), (n, cls)
+
+
+def test_sums_on_a_cold_cache_are_thread_safe():
+    # The last writer wins, so a slow thread can publish a shorter Catalan
+    # list after a longer one.  Here one thread keeps publishing the coldest
+    # list while four others sum at different sizes: a sum that re-read the
+    # cache after extending it, instead of indexing the list it was handed,
+    # would see too short a list.  Results are checked against math.comb forms.
+    sizes, rounds = (50, 150, 300, 400), 20
+    calls = {
+        "decomposition_sum": lambda size: decomposition_sum(size, UD),
+        "convolution_even_321": convolution_even_321,
+        "convolution_odd_321": convolution_odd_321,
+    }
+    expected = {
+        (name, size): value
+        for size in sizes
+        for name, value in (
+            ("decomposition_sum", a_n(SequenceSpec(PATTERN_321, UD), size)),
+            ("convolution_even_321", closed_form_even_321(size)),
+            ("convolution_odd_321", closed_form_odd(size)),
+        )
+    }
+    results: list[tuple[tuple[str, int], int]] = []
+    workers_done = threading.Event()
+
+    def work(size: int) -> None:
+        for _ in range(rounds):
+            for name, call in calls.items():
+                results.append(((name, size), call(size)))
+
+    def cool() -> None:
+        while not workers_done.is_set():
+            formulas._CATALAN = [1]
+
+    saved_cache, saved_interval = formulas._CATALAN, sys.getswitchinterval()
+    formulas._CATALAN = [1]
+    sys.setswitchinterval(1e-6)
+    try:
+        cooler = threading.Thread(target=cool)
+        workers = [threading.Thread(target=work, args=(size,)) for size in sizes]
+        cooler.start()
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=60)
+        workers_done.set()
+        cooler.join(timeout=60)
+        assert not any(thread.is_alive() for thread in [cooler, *workers])
+        assert sorted(results) == sorted((key, value) for key, value in expected.items() for _ in range(rounds))
+    finally:
+        sys.setswitchinterval(saved_interval)
+        formulas._CATALAN = saved_cache
 
 
 def test_decomposition_sum_matches_oracle():
