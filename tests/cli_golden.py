@@ -64,6 +64,8 @@ OTHERS = [
     ["verify-table", "--n-max", "8"],
     ["verify-identity", "--n-max", "40"],
     ["verify-identity", "--n-max", "1"],
+    ["verify-identity", "--n-max", str(cli._N_MAX_LIMIT["verify-identity"] + 1)],  # refused
+    ["verify-table", "--n-max", str(cli._N_MAX_LIMIT["verify-table"] + 1)],  # refused
     ["selftest", "--n-max", "6"],
     ["count", "--n", "x"],  # integer flags report their rule, not their parser
     ["count", "--n", "1.5"],
@@ -85,7 +87,7 @@ SABOTAGES = [
     ("reconstruct", lambda record: (), ["selftest", "--n-max", "4"]),
     ("enumerate_by_decomposition", lambda n, cls: iter(()), ["selftest", "--n-max", "4"]),
     ("euler_zigzag", lambda n: 7, ["selftest", "--n-max", "4"]),
-    ("count_occurrences", lambda w, p: len(w) if p == (1, 2, 3) else 0, ["selftest", "--n-max", "4"]),
+    ("reverse", lambda w: tuple(w), ["selftest", "--n-max", "4"]),
 ]
 
 _ELAPSED = re.compile(r'"(elapsed_\w+)": [0-9.]+')

@@ -7,6 +7,7 @@ import pytest
 import altperms.cli as cli
 import altperms.decompose as decompose_module
 from altperms.enumeration import GenerationFilter, count
+from altperms.formulas import OutOfValidityRange
 from altperms.perm_core import AlternationClass, PATTERN_321
 
 
@@ -197,6 +198,43 @@ def test_verify_identity_detects_sabotage(capsys, monkeypatch):
     assert "mismatch" in err
 
 
+@pytest.mark.parametrize("command", sorted(cli._N_MAX_LIMIT))
+def test_verification_refused_above_limit(capsys, monkeypatch, command):
+    def never(*args):
+        raise AssertionError(f"{command} ran a check")
+
+    monkeypatch.setattr(cli, "_identity_families", never)
+    monkeypatch.setattr(cli, "table1_oracle", never)
+    limit = cli._N_MAX_LIMIT[command]
+    for n_max in (limit + 1, 10**20):
+        code, lines, err = run_lines(capsys, [command, "--n-max", str(n_max)])
+        assert (code, lines) == (1, [])
+        assert err == f"--n-max {n_max}: {command} stops at --n-max {limit}\n"
+
+
+def test_verify_identity_at_limit_runs_its_families(capsys, monkeypatch):
+    # stands in for about a minute of sums at the limit
+    monkeypatch.setattr(cli, "_identity_families", lambda bound: [("odd", "m_max", "convolution", iter([({}, 1, 1)]))])
+    limit = cli._N_MAX_LIMIT["verify-identity"]
+    code, lines, _ = run_lines(capsys, ["verify-identity", "--n-max", str(limit)])
+    assert code == 0
+    assert [(line["inputs"], line["value"]) for line in lines] == [({"family": "odd", "m_max": limit}, "1")]
+
+
+def test_verify_table_at_limit_checks_every_cell(capsys, monkeypatch):
+    def formula_or_zero(cls, n, statistic):  # stands in for the oracle's ~30 s at the limit
+        try:
+            return cli.table1_formula(cls, n, statistic)
+        except OutOfValidityRange:
+            return 0
+
+    monkeypatch.setattr(cli, "table1_oracle", formula_or_zero)
+    limit = cli._N_MAX_LIMIT["verify-table"]
+    code, lines, _ = run_lines(capsys, ["verify-table", "--n-max", str(limit)])
+    assert code == 0
+    assert (lines[-1]["inputs"], lines[-1]["value"]) == ({"n_max": limit}, str((limit + 1) * 2 * 3))
+
+
 def test_decompose_and_reconstruct_roundtrip(capsys):
     code, lines, _ = run_lines(capsys, ["decompose", "--perm", "1,4,3,5,2,6"])
     assert code == 0
@@ -285,8 +323,11 @@ SELFTEST_SABOTAGES = [
     ("reconstruct", lambda record: (), "bijection", {"class": "DU", "perm": "3,2,4,1"},
      "3,2,4,1", "n=4;class=DU;j=2;U=2,1;V=2,3,1"),
     ("euler_zigzag", lambda n: 7, "zigzag", {"n": 0}, "7", "1"),
-    ("count_occurrences", lambda w, p: len(w) if p == (1, 2, 3) else 0, "symmetry", {"perm": "1"},
-     "equal counts", "unequal"),
+    ("reverse", lambda w: tuple(w), "symmetry", {"class": "UD", "n": 4},
+     "reversal maps UD one-123 onto DU one-321", "sets differ"),
+    # only the odd lengths, where reversal keeps the class
+    ("reverse", lambda w: tuple(w) if len(w) % 2 else tuple(reversed(w)), "symmetry", {"class": "UD", "n": 5},
+     "reversal maps UD one-123 onto UD one-321", "sets differ"),
 ]
 
 
@@ -294,13 +335,13 @@ def test_selftest_reports_first_counterexample(capsys, monkeypatch):
     for name, fake, suite, where, expected, actual in SELFTEST_SABOTAGES:
         with monkeypatch.context() as patch:
             patch.setattr(cli, name, fake)
-            code, lines, err = run_lines(capsys, ["selftest", "--n-max", "4"])
+            code, lines, err = run_lines(capsys, ["selftest", "--n-max", "5"])
         assert code == 2, name
         (mismatch,) = [line for line in lines if line.get("error") == "mismatch"]
         assert mismatch["inputs"] == {"suite": suite, **where}
         assert (mismatch["expected"], mismatch["actual"]) == (expected, actual)
         assert lines[-1]["value"] == "fail"
-        assert lines[-1]["inputs"] == {"suite": suite, "n_max": 4}
+        assert lines[-1]["inputs"] == {"suite": suite, "n_max": 5}
         assert [line["value"] for line in lines[:-2]] == ["pass"] * (len(lines) - 2)
         assert err == f"selftest: mismatch at {mismatch['inputs']}: expected {expected}, got {actual}\n"
 
