@@ -67,10 +67,16 @@ _UNRESTRICTED_MAX_N = 13
 #: closed_form 49 s, 7 s of it printing (about n^2), bijection 30 s for 296,514 hosts
 #: (hosts grow ~3.7x per two lengths and n = 20 took 20 s, so n = 22 would pass a minute)
 _METHOD_MAX_N = {"closed_form": 2_000_000, "convolution": 60_000, "decomposition_sum": 60_000, "bijection": 21}
-#: The largest --n-max of each verification command, timed there on the same host:
-#: verify-identity 49 s (big-int sums; 2300 took 58 s and 2400 67-71 s), verify-table 28 s
-#: (the oracle grows ~3.6x per two lengths, so 24 would take about 100 s)
-_N_MAX_LIMIT = {"verify-identity": 2200, "verify-table": 22}
+#: The largest --n-max of each command that loops over lengths, keyed by the argv words that
+#: select it, timed there on the same host: verify-identity 49 s (big-int sums; 2300 took 58 s
+#: and 2400 67-71 s), verify-table 28 s (the oracle grows ~3.6x per two lengths, so 24 would
+#: take about 100 s), selftest 23 s (its zigzag suite lists all E_n permutations, 8.9x more at
+#: 14), sequence on its slowest (pattern, class) pairs by oracle 29-31 s (15-16.5 s at 22, so
+#: 24 would pass a minute) and by closed_form 36-37 s (29 s at 16,000, 53-54 s at 20,000)
+_N_MAX_LIMIT = {
+    "verify-identity": 2200, "verify-table": 22, "selftest": 13,
+    "sequence --method oracle": 23, "sequence --method closed_form": 18_000,
+}
 
 
 class UsageError(Exception):
@@ -105,19 +111,13 @@ def _print_line(command: str, inputs: dict, fields: dict, started: float, **extr
 
 
 def _text(value: object) -> str:
-    """The JSON string of a value.
-
-    str() refuses ints of more than sys.get_int_max_str_digits() digits (4300 by
-    default).  An int of at most 3 bits per allowed digit is below
-    8**limit < 10**limit, so only longer ones go through Decimal, imported here.
-    Where there is no limit (0, or a Python before 3.10.7) every int but 0 does.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if isinstance(value, int) and value.bit_length() > 3 * limit:
+    """The JSON string of a value; ints past str()'s digit limit go through Decimal."""
+    try:
+        return str(value)
+    except ValueError:
         from decimal import Decimal
 
         return str(Decimal(value))
-    return str(value)
 
 
 def _emit(command: str, inputs: dict, value: int | str, method: str, started: float, **extra) -> None:
@@ -145,8 +145,8 @@ def _count(pattern: Pattern | None, cls: AlternationClass, n: int, exactly: int 
         raise UsageError(f"--method {method}: unrestricted counts only support oracle")
     if exactly != 1:
         raise UsageError(f"--method {method}: only --exactly 1 has formula backing")
-    limit = _METHOD_MAX_N.get(method)
-    if limit is not None and n > limit:
+    limit = _METHOD_MAX_N[method]
+    if n > limit:
         fallback = f"--method closed_form reaches n = {_METHOD_MAX_N['closed_form']}"
         if method == "closed_form":
             fallback = "no method reaches further"
@@ -300,18 +300,14 @@ def _identity_checks(family: str, var: str, indices: range, expected, actual) ->
 
 def _identity_families(bound: int):
     """Each identity as (family, bound key, method, its checks up to `bound`)."""
-    yield "even_321", "m_max", "convolution", _identity_checks(
-        "even_321", "m", range(2, bound + 1), closed_form_even_321, convolution_even_321
-    )
-    yield "odd", "m_max", "convolution", _identity_checks(
-        "odd", "m", range(1, bound + 1), closed_form_odd, convolution_odd_321
-    )
-    for cls in AlternationClass:
-        family = f"decomposition_{cls.value}"
-        yield family, "n_max", "decomposition_sum", _identity_checks(
-            family, "n", range(3, bound + 1),
-            partial(a_n, SequenceSpec(PATTERN_321, cls)), partial(decomposition_sum, cls=cls),
-        )
+    rows = [
+        ("even_321", "m", 2, "convolution", closed_form_even_321, convolution_even_321),
+        ("odd", "m", 1, "convolution", closed_form_odd, convolution_odd_321),
+        *((f"decomposition_{cls.value}", "n", 3, "decomposition_sum", partial(a_n, SequenceSpec(PATTERN_321, cls)),
+           partial(decomposition_sum, cls=cls)) for cls in AlternationClass),
+    ]
+    for family, var, first, method, expected, actual in rows:
+        yield family, f"{var}_max", method, _identity_checks(family, var, range(first, bound + 1), expected, actual)
 
 
 def _identity_suite(_n_max: int) -> Iterator[Check]:
@@ -417,9 +413,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        limit = _N_MAX_LIMIT.get(args.command)
+        key = f"sequence --method {args.method}" if args.command == "sequence" else args.command
+        limit = _N_MAX_LIMIT.get(key)
         if limit is not None and args.n_max > limit:
-            raise UsageError(f"--n-max {args.n_max}: {args.command} stops at --n-max {limit}")
+            further = _N_MAX_LIMIT["sequence --method closed_form"]
+            hint = f"; --method closed_form reaches --n-max {further}" if key == "sequence --method oracle" else ""
+            raise UsageError(f"--n-max {args.n_max}: {key} stops at --n-max {limit}{hint}")
         return args.func(args)
     except SystemExit:  # argparse exits after printing help; error() raises UsageError instead
         return OK

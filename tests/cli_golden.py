@@ -66,6 +66,12 @@ OTHERS = [
     ["verify-identity", "--n-max", "1"],
     ["verify-identity", "--n-max", str(cli._N_MAX_LIMIT["verify-identity"] + 1)],  # refused
     ["verify-table", "--n-max", str(cli._N_MAX_LIMIT["verify-table"] + 1)],  # refused
+    ["selftest", "--n-max", str(cli._N_MAX_LIMIT["selftest"] + 1)],  # refused
+    *(  # refused; the oracle's message names closed_form
+        ["sequence", "--pattern", "321", "--method", method,
+         "--n-max", str(cli._N_MAX_LIMIT[f"sequence --method {method}"] + 1)]
+        for method in ("closed_form", "oracle")
+    ),
     ["selftest", "--n-max", "6"],
     ["count", "--n", "x"],  # integer flags report their rule, not their parser
     ["count", "--n", "1.5"],

@@ -113,13 +113,14 @@ def test_count_prints_values_past_the_int_to_str_limit(capsys):
     assert (len(value), value[:12], value[-6:]) == (4361, "251419374844", "794560")
 
 
-@pytest.mark.parametrize("digits", [640, 4300])
+@pytest.mark.parametrize("digits", [0, 640, 4300])
 def test_text_prints_ints_either_side_of_the_decimal_cutoff(digits):
-    # ints of more than 3 bits per allowed digit go through Decimal; both sides print whole
+    # ints that str() refuses go through Decimal; both sides print whole, and 0 means no limit
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(digits)
     try:
-        for value in (2 ** (3 * digits) - 1, 2 ** (3 * digits), 10**digits - 1, 10**digits, -(10**digits)):
+        edges = (2 ** (3 * digits) - 1, 2 ** (3 * digits), 10**digits - 1, 10**digits, -(10**digits))
+        for value in (0, -1, 66, 10**700, 10**5000 + 1, *edges):
             assert cli._text(value) == str(Decimal(value))
         assert cli._text("pass") == "pass"
     finally:
@@ -198,13 +199,14 @@ def test_verify_identity_detects_sabotage(capsys, monkeypatch):
     assert "mismatch" in err
 
 
-@pytest.mark.parametrize("command", sorted(cli._N_MAX_LIMIT))
+@pytest.mark.parametrize("command", ["selftest", "verify-identity", "verify-table"])
 def test_verification_refused_above_limit(capsys, monkeypatch, command):
     def never(*args):
         raise AssertionError(f"{command} ran a check")
 
     monkeypatch.setattr(cli, "_identity_families", never)
     monkeypatch.setattr(cli, "table1_oracle", never)
+    monkeypatch.setattr(cli, "_SUITES", [("never", "oracle", never)])
     limit = cli._N_MAX_LIMIT[command]
     for n_max in (limit + 1, 10**20):
         code, lines, err = run_lines(capsys, [command, "--n-max", str(n_max)])
@@ -219,6 +221,58 @@ def test_verify_identity_at_limit_runs_its_families(capsys, monkeypatch):
     code, lines, _ = run_lines(capsys, ["verify-identity", "--n-max", str(limit)])
     assert code == 0
     assert [(line["inputs"], line["value"]) for line in lines] == [({"family": "odd", "m_max": limit}, "1")]
+
+
+def test_identity_families_keep_their_own_checks_when_built_up_front():
+    # checks that read the loop's variables late would all run the last family's sums
+    families = list(cli._identity_families(6))
+    assert [family for family, *_ in families] == ["even_321", "odd", "decomposition_UD", "decomposition_DU"]
+    for family, _, _, checks in families:
+        checks = list(checks)
+        assert checks
+        assert all(inputs["family"] == family and expected == actual for inputs, expected, actual in checks)
+
+
+def test_selftest_at_limit_runs_every_suite(capsys, monkeypatch):
+    def stub(n_max):  # stands in for the suites' ~23 s at the limit
+        return iter([({"n": n_max}, n_max, n_max)])
+
+    monkeypatch.setattr(cli, "_SUITES", [("first", "oracle", stub), ("second", "closed_form", stub)])
+    limit = cli._N_MAX_LIMIT["selftest"]
+    code, lines, _ = run_lines(capsys, ["selftest", "--n-max", str(limit)])
+    assert code == 0
+    assert [(line["inputs"]["suite"], line["value"], line["checks"]) for line in lines] == [
+        ("first", "pass", 1),
+        ("second", "pass", 1),
+    ]
+
+
+@pytest.mark.parametrize("method", ["closed_form", "oracle"])
+def test_sequence_refused_above_limit(capsys, monkeypatch, method):
+    def never(pattern, cls, n, exactly, method):
+        raise AssertionError(f"sequence counted n = {n}")
+
+    monkeypatch.setattr(cli, "_count", never)
+    limit = cli._N_MAX_LIMIT[f"sequence --method {method}"]
+    for n_max in (limit + 1, 10**20):
+        argv = ["sequence", "--pattern", "123", "--method", method, "--n-max", str(n_max)]
+        code, lines, err = run_lines(capsys, argv)
+        assert (code, lines) == (1, [])
+        message = f"--n-max {n_max}: sequence --method {method} stops at --n-max {limit}"
+        if method == "oracle":  # names the method that reaches further
+            message += f"; --method closed_form reaches --n-max {cli._N_MAX_LIMIT['sequence --method closed_form']}"
+        assert err == message + "\n"
+
+
+@pytest.mark.parametrize("method", ["closed_form", "oracle"])
+def test_sequence_at_limit_counts_every_length(capsys, monkeypatch, method):
+    # stands in for up to a minute of counts at the limit
+    monkeypatch.setattr(cli, "_count", lambda pattern, cls, n, exactly, method: n)
+    limit = cli._N_MAX_LIMIT[f"sequence --method {method}"]
+    code, lines, _ = run_lines(capsys, ["sequence", "--pattern", "321", "--method", method, "--n-max", str(limit)])
+    assert code == 0
+    assert [line["value"] for line in lines] == [str(n) for n in range(3, limit + 1)]
+    assert {line["method"] for line in lines} == {method}
 
 
 def test_verify_table_at_limit_checks_every_cell(capsys, monkeypatch):

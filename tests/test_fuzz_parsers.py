@@ -53,11 +53,17 @@ OPTIONS = {
 FLAGS = sorted({"-h", "--help"}.union(*(action.option_strings for actions in OPTIONS.values() for action in actions)))
 WORDS = [*cli._METHODS, "bogus", "UD", "DU", "XX", "321", "123", "132"]
 RECORDS = ["n=6;class=UD;j=3;U=1,3,2;V=2,3,1,4", "n=7;class=DU;j=4;U=2,1,4,3;V=2,3,1,4"]
-#: Commands whose default bound runs for seconds; the fuzzer caps it with a last --n-max.
-BOUNDED = {"selftest", "verify-table", "verify-identity"}
+#: Commands that take --n-max; the fuzzer ends each with a small cap or a refused one.
+BOUNDED = {"selftest", "sequence", "verify-table", "verify-identity"}
+#: Each bounded command's refused tails: a 20-digit --n-max, and for each of its limits the
+#: flags in the limit's key (sequence's --method) with --n-max one past the limit.
+REFUSED = {command: [["--n-max", "9" * 20]] for command in BOUNDED}
+for key, limit in cli._N_MAX_LIMIT.items():
+    command, *flags = key.split()
+    REFUSED[command].append([*flags, "--n-max", str(limit + 1)])
 
 # Integers stay <= 9, permutations at 6, and the free text has no digits, so no
-# request can run long.
+# request can run long; the larger caps above are all refused before anything runs.
 integers = st.integers(min_value=-1, max_value=9).map(str)
 values = st.one_of(
     integers,
@@ -90,8 +96,11 @@ def argvs(draw):
     options = st.sampled_from(actions).flatmap(option)
     pieces = draw(st.lists(st.one_of(options, options, options, strays), max_size=6))
     argv = ([command] if command else []) + [word for piece in pieces for word in piece]
+    if command and draw(st.booleans()):  # its required flags too, so that more lists run
+        argv += [word for a in OPTIONS[command] if a.required for word in (a.option_strings[0], draw(fitting(a)))]
     if argv and argv[0] in BOUNDED:  # a stray word may be the command that runs
-        argv += ["--n-max", str(draw(st.integers(min_value=1, max_value=6)))]
+        caps = st.integers(min_value=1, max_value=6).map(lambda n_max: ["--n-max", str(n_max)])
+        argv += draw(st.one_of(caps, caps, st.sampled_from(REFUSED[argv[0]])))
     return argv
 
 
