@@ -60,7 +60,7 @@ _METHODS = ("closed_form", "convolution", "decomposition_sum", "oracle", "biject
 #: The index up to which selftest checks every identity; verify-identity's default --n-max
 _IDENTITY_BOUND = 200
 #: The longest unrestricted count: the oracle lists all E_n permutations at
-#: ~0.5M/s (2-CPU x86, Python 3.11), so n = 13 takes ~45 s and n = 14 ~7 min
+#: ~0.9M/s (2-CPU x86, Python 3.11), so n = 13 takes 24-27 s and n = 14 (8.9x more) ~4 min
 _UNRESTRICTED_MAX_N = 13
 #: The longest count by each method but the oracle, timed at its limit on the same host:
 #: convolution 33-38 s and decomposition_sum 32 s (both grow about as n^2.5, big-int bound),
@@ -69,12 +69,12 @@ _UNRESTRICTED_MAX_N = 13
 _METHOD_MAX_N = {"closed_form": 2_000_000, "convolution": 60_000, "decomposition_sum": 60_000, "bijection": 21}
 #: The largest --n-max of each command that loops over lengths, keyed by the argv words that
 #: select it, timed there on the same host: verify-identity 49 s (big-int sums; 2300 took 58 s
-#: and 2400 67-71 s), verify-table 28 s (the oracle grows ~3.6x per two lengths, so 24 would
-#: take about 100 s), selftest 23 s (its zigzag suite lists all E_n permutations, 8.9x more at
-#: 14), sequence on its slowest (pattern, class) pairs by oracle 29-31 s (15-16.5 s at 22, so
-#: 24 would pass a minute) and by closed_form 36-37 s (29 s at 16,000, 53-54 s at 20,000)
+#: and 2400 67-71 s), verify-table 36-38 s (18-20 s at 22; the oracle grows ~1.9x per length,
+#: so 24 would take about 70 s), selftest 30 s (its zigzag suite lists all E_n permutations,
+#: 8.9x more at 14), sequence on its slowest (pattern, class) pairs by oracle 39-42 s (84-91 s
+#: at 24) and by closed_form 36-37 s (29 s at 16,000, 53-54 s at 20,000)
 _N_MAX_LIMIT = {
-    "verify-identity": 2200, "verify-table": 22, "selftest": 13,
+    "verify-identity": 2200, "verify-table": 23, "selftest": 13,
     "sequence --method oracle": 23, "sequence --method closed_form": 18_000,
 }
 

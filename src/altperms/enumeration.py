@@ -4,9 +4,12 @@ One pruned, lexicographic backtracker is the single oracle every formula in
 this package is checked against. It keeps the unused values in a sorted list
 and draws each entry from the part of that list inside the zigzag range cut to
 the boundary flags' bounds, so it never steps over a placed value; a candidate
-v at index i of the list lies above b = v - 1 - i placed values. The last two
+v at index i of the list lies above b = v - 1 - i placed values. Its stack is
+one fixed array per depth, written on a push and read back on a backtrack, and
+a node's candidate window is computed once, when it is pushed. The last two
 slots take the two values left, in the order the class fixes, and are checked
-in place without nodes of their own.
+in place, so each node at depth n - 3 hands the tails (v, x, y) it accepts over
+as one batch: `generate` joins them to the prefix, `count` adds up their lengths.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
 each unused value, the prefix 21-pairs above it (12-pairs below it); placing v
 above b placed entries adds (d - b)(v - 1 - b) (for 123, b(n - v - d + b)), and
@@ -77,32 +80,22 @@ class GenerationFilter:
             object.__setattr__(self, f.name, value)
 
 
-def generate(filt: GenerationFilter) -> Iterator[Perm]:
-    """Yield every permutation matching `filt`, lexicographically, each once.
-
-    Implemented as an explicit-stack backtracker so that counting millions of
-    permutations stays a flat loop rather than a tower of delegating
-    generators.
-    """
+def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, ...]]]]:
+    """Yield (prefix, tails) per node at depth n - 3 that accepts a tail, in order;
+    the prefix list is reused. Below length 3 the one match is a prefix with tail ()."""
     n = filt.length
     pattern, target = filt.exact_occurrences or (None, 0)
-    ends = filt.ends_in_largest
-    begins = filt.begins_with_smallest
-
+    ends, begins = filt.ends_in_largest, filt.begins_with_smallest
     if n <= 2:  # the class holds one permutation of this length, too short for a 321 or 123
         w = (2, 1) if n == 2 and not filt.cls.rises_into(2) else tuple(range(1, n + 1))
         if ends in (None, w[-1:] == (n,)) and begins in (None, w[:1] == (1,)) and target == 0:
-            yield w
+            yield list(w), [()]
         return
 
     # rise[t] (1-based position t >= 2): entry at t must exceed entry at t-1
-    rise = [False] * (n + 1)
-    for t in range(2, n + 1):
-        rise[t] = filt.cls.rises_into(t)
-
+    rise = [t >= 2 and filt.cls.rises_into(t) for t in range(n + 1)]
     # floor[t]..ceil[t]: the values the boundary flags leave at position t
-    floor = [1] * (n + 1)
-    ceil = [n] * (n + 1)
+    floor, ceil = [1] * (n + 1), [n] * (n + 1)
     if ends is True:
         ceil = [n - 1] * n + [n]  # n must stay available for the last slot
         floor[n] = n
@@ -112,32 +105,24 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
         ceil[1] = 1
     elif begins is False:
         floor[1] = 2
-
     is321, is123 = pattern == PATTERN_321, pattern == PATTERN_123
 
-    # positions n - 1 and n are filled in place from position n - 2: of the two
-    # values left, rise[n] puts the smaller (index j = 0) or larger (j = 1) first
-    last = n - 2
+    # the nodes at depth leaf fill position last; of the two values left,
+    # rise[n] puts the smaller (index j = 0) or larger (j = 1) first
+    last, leaf = n - 2, n - 3
     j = 0 if rise[n] else 1
     # position n - 1 >= 2 needs no flag check of its own: begins_with_smallest
     # bounds position 1 only, and ends_in_largest's ceil n - 1 holds once y = n
     rise1, lo2, hi2 = rise[n - 1], floor[n], ceil[n]
     # the unused values, increasing; the sentinel n + 1 ends every candidate scan
     free = [*range(1, n + 1), n + 1]
-    prefix: list[int] = []
-    forced = [0]  # forced[d]: F of prefix[:d]; read for 321/123 only
-    resume = [0] * last  # resume[d]: 1 + index in free of the value placed at depth d, 0 on entry
-    d = 0
-    while d >= 0:
-        t = d + 1  # position being filled
-        lo, hi = floor[t], ceil[t]
-        if d > 0:
-            if rise[t]:
-                if lo <= prefix[-1]:
-                    lo = prefix[-1] + 1
-            elif hi >= prefix[-1]:
-                hi = prefix[-1] - 1
-        i = resume[d] or bisect_left(free, lo)
+    # prefix[d]: the value placed at depth d; resume[d]: its index in free;
+    # forced[d]: F of prefix[:d], read for 321/123 only; top[d]: depth d's upper bound
+    prefix, resume = [0] * leaf, [0] * leaf
+    forced, top = [0] * (leaf + 1), [ceil[1]] * (leaf + 1)
+    tails: list[tuple[int, ...]] = []
+    d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
+    while True:
         v = free[i]
         while v <= hi:
             # i unused values lie below v, so v - 1 - i placed ones do
@@ -148,13 +133,7 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
             else:
                 total = 0
             if total <= target:
-                if t < last:
-                    resume[d] = i + 1
-                    del free[i]
-                    prefix.append(v)
-                    forced.append(total)
-                    d += 1
-                    resume[d] = 0
+                if d < leaf:
                     break
                 a, b = free[i == 0], free[2 if i < 2 else 1]  # the two values left beside v
                 x, y = (b, a) if j else (a, b)
@@ -166,19 +145,47 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
                     elif is123:
                         total += (x - 1 - j) * (n - last - 1 - j)
                     if total == target:
-                        yield (*prefix, v, x, y)
+                        tails.append((v, x, y))
             i += 1
             v = free[i]
-        else:  # no candidate left at this depth: backtrack
+        else:  # no candidate left at this depth: hand over its tails, backtrack
+            if tails:
+                yield prefix, tails
+                tails = []
             d -= 1
-            if d >= 0:
-                free.insert(resume[d] - 1, prefix.pop())
-                forced.pop()
+            if d < 0:
+                return
+            free.insert(resume[d], prefix[d])
+            i, hi = resume[d] + 1, top[d]
+            continue
+        # push v, then the child's window: the flags' bounds cut by the zigzag
+        resume[d] = i
+        del free[i]
+        prefix[d] = v
+        d += 1
+        forced[d] = total
+        t = d + 1
+        lo, hi = floor[t], ceil[t]
+        if rise[t]:
+            if lo <= v:
+                lo = v + 1
+        elif hi >= v:
+            hi = v - 1
+        top[d] = hi
+        i = bisect_left(free, lo)
+
+
+def generate(filt: GenerationFilter) -> Iterator[Perm]:
+    """Yield every permutation matching `filt`, lexicographically, each once: a prefix plus one of its tails."""
+    for prefix, tails in _walk(filt):
+        head = tuple(prefix)
+        for tail in tails:
+            yield head + tail
 
 
 def count(filt: GenerationFilter) -> int:
-    """Cardinality of generate(filt), draining the stream without storing it."""
-    return sum(1 for _ in generate(filt))
+    """Cardinality of generate(filt): the sum of the batches' lengths, with no permutation built."""
+    return sum(len(tails) for _, tails in _walk(filt))
 
 
 def euler_zigzag(n: int) -> int:

@@ -150,6 +150,17 @@ def test_generate_matches_naive_scan(cls, constraints):
 
 
 @pytest.mark.parametrize("cls", [UD, DU])
+def test_count_matches_generate_one_past_naive_scan(cls):
+    # count adds up the per-node batches that generate expands; at n = 9 the
+    # stream must still be sorted and free of duplicates under every constraint
+    for constraints in NAIVE_SCAN_CASES:
+        filt = GenerationFilter(cls, 9, **constraints)
+        out = list(generate(filt))
+        assert count(filt) == len(out), constraints
+        assert out == sorted(set(out)), constraints
+
+
+@pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_every_occurrence_target_matches_histogram(cls, pattern):
     # every target from 0 to one past the largest count, not only 0..3
@@ -220,7 +231,7 @@ def test_euler_zigzag_values():
 
 
 def test_euler_zigzag_matches_generation():
-    for n in range(0, 10):
+    for n in range(0, 12):
         assert count(GenerationFilter(UD, n)) == euler_zigzag(n)
         assert count(GenerationFilter(DU, n)) == euler_zigzag(n)
 

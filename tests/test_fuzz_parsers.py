@@ -9,8 +9,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import event, given, settings, strategies as st
 
 import altperms.cli as cli
-from altperms.decompose import format_record, parse_record
-from altperms.perm_core import format_perm, parse_perm
+from altperms.decompose import format_record, parse_record, split
+from altperms.perm_core import PATTERN_321, format_perm, parse_perm
+
+import naive
 
 # Arbitrary text, plus text over the record alphabet, which reaches past the field checks.
 texts = st.one_of(st.text(max_size=40), st.text(alphabet="nclasjUVD=;,0123456789- ", max_size=40))
@@ -51,9 +53,13 @@ OPTIONS = {
     for name, sub in _subcommands.choices.items()
 }
 FLAGS = sorted({"-h", "--help"}.union(*(action.option_strings for actions in OPTIONS.values() for action in actions)))
-WORDS = [*cli._METHODS, "bogus", "UD", "DU", "XX", "321", "123", "132"]
-RECORDS = ["n=6;class=UD;j=3;U=1,3,2;V=2,3,1,4", "n=7;class=DU;j=4;U=2,1,4,3;V=2,3,1,4"]
-#: Commands that take --n-max; the fuzzer ends each with a small cap or a refused one.
+WORDS = [*cli._METHODS, "bogus", "UD", "DU", "XX"]
+_HOSTS = [w for n in (5, 6, 7) for cls in ("UD", "DU") for w in naive.matching_perms(cls, n, exactly=(PATTERN_321, 1))]
+#: Values of each text flag: the one-321 hosts of length 5-7 and their records (split at
+#: the first draw, so that a broken split fails the test rather than its collection).
+TEXTS = {"perm": st.sampled_from([format_perm(w) for w in _HOSTS]),
+         "record": st.deferred(lambda: st.sampled_from([format_record(split(w)) for w in _HOSTS]))}
+#: Commands that take --n-max; the fuzzer gives each a small cap, then maybe a refused one.
 BOUNDED = {"selftest", "sequence", "verify-table", "verify-identity"}
 #: Each bounded command's refused tails: a 20-digit --n-max, and for each of its limits the
 #: flags in the limit's key (sequence's --method) with --n-max one past the limit.
@@ -62,45 +68,65 @@ for key, limit in cli._N_MAX_LIMIT.items():
     command, *flags = key.split()
     REFUSED[command].append([*flags, "--n-max", str(limit + 1)])
 
-# Integers stay <= 9, permutations at 6, and the free text has no digits, so no
-# request can run long; the larger caps above are all refused before anything runs.
-integers = st.integers(min_value=-1, max_value=9).map(str)
+# Integers stay <= 9 and permutations at 7; no word or free text holds a digit (a misfit
+# --n 321 with a pattern target would run for ever) and no permutation parses as an integer,
+# so no request can run long: selftest --n-max 9 takes ~0.2 s. The larger caps above are all
+# refused before anything runs. A bounded command always gets an --n-max: selftest's
+# default, 10, is slower.
+INTEGERS = [str(k) for k in range(-1, 10)]
 values = st.one_of(
-    integers,
+    st.sampled_from(INTEGERS),
     st.sampled_from(WORDS),
+    st.permutations(range(1, 7)).map(format_perm),
     st.text(st.characters(blacklist_categories=("Nd",)), max_size=8),
 )
-strays = st.one_of(st.sampled_from(COMMANDS + FLAGS), values).map(lambda word: [word])
+strays = st.one_of(st.sampled_from(COMMANDS + FLAGS), values)
+DEFECTS = ("none", "stray word", "misfit value", "dropped required flag", "refused cap")
+
+
+def _takes(action: argparse.Action, text: str) -> bool:
+    try:
+        action.type(text)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
 
 
 def fitting(action: argparse.Action):
-    """Values of the kind `action` parses: its choices, an integer, or a perm or record text."""
+    """Values `action` accepts: its choices, an integer its type takes, or a text of its kind."""
     if action.choices:
         return st.sampled_from(sorted(action.choices))
     if action.type is not None:
-        return integers
-    return st.permutations(range(1, 7)).map(format_perm) | st.sampled_from(RECORDS)
-
-
-def option(action: argparse.Action):
-    value = st.one_of(fitting(action), fitting(action), values)
-    return st.tuples(st.sampled_from(action.option_strings), value).map(list)
+        return st.sampled_from([text for text in INTEGERS if _takes(action, text)])
+    return TEXTS[action.dest]
 
 
 @st.composite
 def argvs(draw):
-    """A subcommand (or none), then mostly its own flags, each with a value that
-    usually fits, so that many lists get past the parser; stray words too."""
-    command = draw(st.sampled_from([None, *COMMANDS]))
-    actions = OPTIONS[command] if command else [a for actions in OPTIONS.values() for a in actions]
-    options = st.sampled_from(actions).flatmap(option)
-    pieces = draw(st.lists(st.one_of(options, options, options, strays), max_size=6))
-    argv = ([command] if command else []) + [word for piece in pieces for word in piece]
-    if command and draw(st.booleans()):  # its required flags too, so that more lists run
-        argv += [word for a in OPTIONS[command] if a.required for word in (a.option_strings[0], draw(fitting(a)))]
-    if argv and argv[0] in BOUNDED:  # a stray word may be the command that runs
-        caps = st.integers(min_value=1, max_value=6).map(lambda n_max: ["--n-max", str(n_max)])
-        argv += draw(st.one_of(caps, caps, st.sampled_from(REFUSED[argv[0]])))
+    """A whole command line, then at most one defect.
+
+    The line is a subcommand, its required flags, some of its other flags and,
+    where it takes one, a small --n-max, each with a value it accepts, so that
+    most lists reach a command body. The defect is a stray word anywhere, a
+    misfit value, a dropped required flag or a refused --n-max cap."""
+    command = draw(st.sampled_from(COMMANDS))
+    chosen = [a for a in OPTIONS[command] if a.required or a.dest == "n_max" or draw(st.booleans())]
+    if command == "count" and len({a.dest for a in chosen} & {"pattern", "exactly"}) == 1:  # each needs the other
+        chosen = [a for a in OPTIONS[command] if a in chosen or a.dest in ("pattern", "exactly")]
+    pieces = [[draw(st.sampled_from(a.option_strings)), draw(fitting(a))] for a in chosen]
+    defect = draw(st.sampled_from(DEFECTS[:1] * 5 + DEFECTS[1:]))  # five lists in nine stay whole
+    if defect == "misfit value" and pieces:
+        pieces[draw(st.integers(min_value=0, max_value=len(pieces) - 1))][1] = draw(values)
+    elif defect == "dropped required flag":
+        pieces = [piece for piece, a in zip(pieces, chosen) if not a.required]
+    elif defect == "refused cap" and command in BOUNDED:
+        pieces.append(draw(st.sampled_from(REFUSED[command])))  # the last --n-max counts
+    argv = [command]
+    for piece in pieces:  # a flag and its value as two words or as one, joined by "="
+        argv += ["=".join(piece)] if len(piece) == 2 and draw(st.booleans()) else piece
+    if defect == "stray word":
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), draw(strays))
+    event(f"defect: {defect}")
     return argv
 
 
