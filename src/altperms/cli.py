@@ -13,9 +13,9 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterator, Sequence
 from functools import partial
 from itertools import chain
-from typing import Iterator, Sequence
 
 from .decompose import (
     InvariantViolation,

@@ -13,12 +13,12 @@ InvariantViolation on any disagreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .enumeration import GenerationFilter, generate
 from .perm_core import (
     AlternationClass,
+    FrozenRecord,
     Occurrence,
     PATTERN_321,
     Perm,
@@ -58,21 +58,26 @@ class InvariantViolation(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class DecompositionRecord:
+class DecompositionRecord(FrozenRecord):
     """Right-hand side of the bijection: host length and class, the 1-based
     position j of the occurrence's middle entry, and the standardized blocks
     U (length j) and V (length n-j+1), stored as tuples whatever sequences are given."""
 
+    __slots__ = ("n", "cls", "j", "u", "v")
     n: int
     cls: AlternationClass
     j: int
     u: Perm
     v: Perm
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "v", tuple(self.v))
+    def __init__(self, n: int, cls: AlternationClass, j: int, u: Sequence[int], v: Sequence[int]) -> None:
+        # field by field rather than through __setstate__: a round trip builds three records
+        set_field = object.__setattr__
+        set_field(self, "n", n)
+        set_field(self, "cls", cls)
+        set_field(self, "j", j)
+        set_field(self, "u", tuple(u))
+        set_field(self, "v", tuple(v))
 
 
 def format_record(record: DecompositionRecord) -> str:

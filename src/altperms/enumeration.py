@@ -23,12 +23,12 @@ These are the only patterns a filter accepts (perm_core.check_pattern).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
-from typing import Iterator
+from collections.abc import Iterator
 
 from .perm_core import (
     STATISTICS,
     AlternationClass,
+    FrozenRecord,
     Pattern,
     Perm,
     PATTERN_123,
@@ -37,8 +37,7 @@ from .perm_core import (
 )
 
 
-@dataclass(frozen=True, init=False)
-class GenerationFilter:
+class GenerationFilter(FrozenRecord):
     """Constraints for one generation run: `cls`, an AlternationClass, and `length`, an int >= 0.
 
     The one occurrence constraint is `exact_occurrences`, a (pattern, target)
@@ -48,14 +47,16 @@ class GenerationFilter:
     The boundary flags `ends_in_largest`/`begins_with_smallest` are None, True or
     False; a boolean keeps only permutations whose statistic equals it, and the
     empty permutation neither ends in its largest nor begins with its smallest
-    entry. Every field is a constructor argument, so `dataclasses.replace` works.
+    entry. Every field is a constructor argument, so `filt.replace(length=9)`
+    derives a filter.
     """
 
+    __slots__ = ("cls", "length", "exact_occurrences", "ends_in_largest", "begins_with_smallest")
     cls: AlternationClass
     length: int
-    exact_occurrences: tuple[Pattern, int] | None = None
-    ends_in_largest: bool | None = None
-    begins_with_smallest: bool | None = None
+    exact_occurrences: tuple[Pattern, int] | None
+    ends_in_largest: bool | None
+    begins_with_smallest: bool | None
 
     def __init__(self, cls: AlternationClass, length: int, avoid: Pattern | None = None,
                  exact_occurrences: tuple[Pattern, int] | None = None,
@@ -75,9 +76,7 @@ class GenerationFilter:
                 raise ValueError("exact_occurrences count must be an int >= 0")
         if not all(flag is None or isinstance(flag, bool) for flag in (ends_in_largest, begins_with_smallest)):
             raise ValueError("ends_in_largest and begins_with_smallest must be None, True or False")
-        values = (cls, length, exact_occurrences, ends_in_largest, begins_with_smallest)
-        for f, value in zip(fields(self), values):  # frozen: bypass the generated __setattr__
-            object.__setattr__(self, f.name, value)
+        self.__setstate__((cls, length, exact_occurrences, ends_in_largest, begins_with_smallest))
 
 
 def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, ...]]]]:

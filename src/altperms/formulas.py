@@ -15,13 +15,13 @@ occurrence.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import comb, prod
 from operator import mul
 
 from .perm_core import (
     STATISTICS,
     AlternationClass,
+    FrozenRecord,
     Pattern,
     PATTERN_123,
     PATTERN_321,
@@ -264,17 +264,17 @@ def decomposition_sum(n: int, cls: AlternationClass) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(FrozenRecord):
     """Which exactly-once counting sequence: a length-3 monotone pattern (any
     sequence, stored as a tuple) plus the alternation class of the host."""
 
+    __slots__ = ("pattern", "cls")
     pattern: Pattern
     cls: AlternationClass
 
-    def __post_init__(self) -> None:
-        _check_class(self.cls)
-        object.__setattr__(self, "pattern", check_pattern(self.pattern))
+    def __init__(self, pattern: Pattern, cls: AlternationClass) -> None:
+        _check_class(cls)
+        self.__setstate__((check_pattern(pattern), cls))
 
 
 def host_class(pattern: Pattern, cls: AlternationClass) -> AlternationClass:

@@ -1,4 +1,5 @@
-"""Core permutation values: alternation shape, 321/123 occurrences, symmetries.
+"""Core permutation values: alternation shape, 321/123 occurrences, symmetries,
+and FrozenRecord, the immutable base of the package's records.
 
 The two patterns, 321 and 123, are counted one way, by middle entries
 (`middle_counts`); `check_pattern` rejects every other pattern.
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right, insort
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from operator import attrgetter
 
 Perm = tuple[int, ...]
 #: A pattern is itself a permutation; only PATTERN_321 and PATTERN_123 are accepted.
@@ -23,6 +25,53 @@ Occurrence = tuple[int, ...]
 
 PATTERN_321: Pattern = (3, 2, 1)
 PATTERN_123: Pattern = (1, 2, 3)
+
+
+class FrozenRecord:
+    """Base of the package's immutable records, compared by the values of their fields.
+
+    A subclass names its fields (two or more) in `__slots__` and sets them in
+    its own `__init__`, either with `__setstate__`, which takes the values in
+    slot order, or one by one with `object.__setattr__`. A record equals only
+    a record of its own class with equal fields, hashes as the tuple of its
+    fields, prints as `Name(field=value, ...)`, refuses assignment and
+    deletion, and pickles and copies by that tuple. `replace(**changes)`
+    calls the constructor, so the new record is validated.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = attrgetter(*cls.__slots__)  # one tuple getter per class, for == and hash
+
+    def __setstate__(self, values: tuple) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> tuple:
+        return self._values(self)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, built and validated by the constructor."""
+        return type(self)(**dict(zip(self.__slots__, self._values(self)), **changes))
 
 
 class AlternationClass(enum.Enum):

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +12,9 @@ import altperms.decompose as decompose_module
 from altperms.enumeration import GenerationFilter, count
 from altperms.formulas import OutOfValidityRange
 from altperms.perm_core import AlternationClass, PATTERN_321
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_lines(capsys, argv):
@@ -422,3 +428,11 @@ def test_all_output_lines_are_json_objects(capsys):
         assert lines
         for line in lines:
             assert {"command", "inputs", "elapsed_ms"} <= set(line)
+
+
+def test_cli_import_skips_heavy_modules():
+    # -S keeps site's .pth files from preloading modules; the CLI itself must not load these.
+    probe = "import sys, altperms.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")

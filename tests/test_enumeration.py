@@ -1,6 +1,5 @@
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from itertools import zip_longest
 
 import pytest
@@ -206,7 +205,7 @@ def test_avoid_equals_exact_zero():
             with pytest.raises(AttributeError):
                 avoid.avoid
             assert list(generate(avoid)) == list(generate(exact))
-            assert replace(avoid, length=n + 1) == GenerationFilter(UD, n + 1, avoid=pattern)
+            assert avoid.replace(length=n + 1) == GenerationFilter(UD, n + 1, avoid=pattern)
 
 
 def test_empty_permutation_conventions():

@@ -1,6 +1,12 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from altperms.decompose import DecompositionRecord
+from altperms.enumeration import GenerationFilter
+from altperms.formulas import SequenceSpec
 from altperms.perm_core import (
     PATTERN_123,
     PATTERN_321,
@@ -238,3 +244,63 @@ def test_standardize_rejects_repeats():
 @given(perms_up_to_8)
 def test_standardize_fixes_permutations(w):
     assert standardize(w) == w
+
+
+# One record of each FrozenRecord class; its repr as the dataclass it replaced printed it;
+# its fields as a plain tuple; and a change to its last field.
+RECORDS = [
+    (GenerationFilter(UD, 8, avoid=PATTERN_321, ends_in_largest=False),
+     "GenerationFilter(cls=<AlternationClass.UP_DOWN: 'UD'>, length=8, exact_occurrences=((3, 2, 1), 0), "
+     "ends_in_largest=False, begins_with_smallest=None)",
+     (UD, 8, (PATTERN_321, 0), False, None), {"begins_with_smallest": True}),
+    (SequenceSpec(PATTERN_321, UD),
+     "SequenceSpec(pattern=(3, 2, 1), cls=<AlternationClass.UP_DOWN: 'UD'>)",
+     (PATTERN_321, UD), {"cls": DU}),
+    (DecompositionRecord(6, UD, 3, [1, 3, 2], [2, 3, 1, 4]),
+     "DecompositionRecord(n=6, cls=<AlternationClass.UP_DOWN: 'UD'>, j=3, u=(1, 3, 2), v=(2, 3, 1, 4))",
+     (6, UD, 3, (1, 3, 2), (2, 3, 1, 4)), {"v": (2, 3, 4, 1)}),
+]
+RECORD_IDS = ["GenerationFilter", "SequenceSpec", "DecompositionRecord"]
+
+
+@pytest.mark.parametrize("record,text,values,change", RECORDS, ids=RECORD_IDS)
+def test_record_repr_and_equality(record, text, values, change):
+    assert repr(record) == text
+    assert record != values and values != record
+    assert tuple(getattr(record, name) for name in record.__slots__) == values
+    changed = record.replace(**change)
+    assert changed != record and not changed == record
+    assert record.replace() == record and hash(record.replace()) == hash(record)
+
+
+@pytest.mark.parametrize("record,text,values,change", RECORDS, ids=RECORD_IDS)
+def test_record_refuses_assignment(record, text, values, change):
+    fresh = record.replace()  # a failing check must not leave RECORDS changed for other tests
+    for name in fresh.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(fresh, name, None)
+        with pytest.raises(AttributeError):
+            delattr(fresh, name)
+    with pytest.raises(AttributeError):
+        fresh.extra = 1
+    assert repr(fresh) == text
+
+
+@pytest.mark.parametrize("record,text,values,change", RECORDS, ids=RECORD_IDS)
+def test_record_pickles_and_copies(record, text, values, change):
+    twins = [pickle.loads(pickle.dumps(record, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*twins, copy.copy(record), copy.deepcopy(record)]:
+        assert type(twin) is type(record)
+        assert twin == record and hash(twin) == hash(record) and repr(twin) == text
+
+
+def test_filter_replace_validates():
+    filt = GenerationFilter(UD, 8, exact_occurrences=(PATTERN_321, 1))
+    assert filt.replace(length=9) == GenerationFilter(UD, 9, exact_occurrences=(PATTERN_321, 1))
+    with pytest.raises(ValueError, match="length"):
+        filt.replace(length=-1)
+    with pytest.raises(ValueError, match="mutually exclusive"):
+        filt.replace(avoid=PATTERN_123)
+    assert GenerationFilter(UD, 8).replace(avoid=[1, 2, 3]) == GenerationFilter(UD, 8, avoid=PATTERN_123)
+    with pytest.raises(ValueError, match="pattern"):
+        SequenceSpec(PATTERN_321, UD).replace(pattern=(1, 3, 2))
