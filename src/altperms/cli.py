@@ -64,9 +64,9 @@ _IDENTITY_BOUND = 200
 _UNRESTRICTED_MAX_N = 13
 #: The longest count by each method but the oracle, timed at its limit on the same host:
 #: convolution 33-38 s and decomposition_sum 32 s (both grow about as n^2.5, big-int bound),
-#: closed_form 49 s, 7 s of it printing (about n^2), bijection 30 s for 296,514 hosts
-#: (hosts grow ~3.7x per two lengths and n = 20 took 20 s, so n = 22 would pass a minute)
-_METHOD_MAX_N = {"closed_form": 2_000_000, "convolution": 60_000, "decomposition_sum": 60_000, "bijection": 21}
+#: closed_form 49 s, 7 s of it printing (about n^2), bijection 33 s for the 891,480 hosts
+#: of its largest class (13-14 s for 296,514 at n = 21, 61 s for 1,099,492 at n = 23)
+_METHOD_MAX_N = {"closed_form": 2_000_000, "convolution": 60_000, "decomposition_sum": 60_000, "bijection": 22}
 #: The largest --n-max of each command that loops over lengths, keyed by the argv words that
 #: select it, timed there on the same host: verify-identity 49 s (big-int sums; 2300 took 58 s
 #: and 2400 67-71 s), verify-table 36-38 s (18-20 s at 22; the oracle grows ~1.9x per length,

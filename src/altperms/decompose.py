@@ -131,38 +131,52 @@ def locate_unique_321(w: Perm) -> Occurrence:
     return i + 1, middle + 1, k + 1
 
 
-def _record_problems(record: DecompositionRecord) -> list[str]:
-    """All constraint violations of a record (empty list when valid)."""
-    n, j, u, v = record.n, record.j, record.u, record.v
+def _block_problems(name: str, block: Perm, length: int, cls: AlternationClass, j: int) -> tuple[int, list[str]]:
+    """One block of a record whose middle entry sits at j: the stage its check ends at, and
+    that stage's problems.
+
+    Stage 0 finds a block that is not a permutation, stage 1 one of the wrong `length`
+    (j for U, n-j+1 for V); a block past both reaches stage 2, which lists every 321,
+    `cls`-shape and boundary problem (U must not end in its largest entry, V must not
+    begin with its smallest), and an empty list there means the block is valid.
+    """
+    if not is_permutation(block):
+        return 0, [f"{name} is not a permutation"]
+    is_u = name == "U"
+    if len(block) != length:
+        expected = f"j={j}" if is_u else f"n-j+1={length}"
+        return 1, [f"{name} has length {len(block)}, expected {expected}"]
     problems = []
-    if not 2 <= j <= n - 1:
-        problems.append(f"j={j} outside 2..{n - 1}")
-    if not is_permutation(u):
-        problems.append("U is not a permutation")
-    if not is_permutation(v):
-        problems.append("V is not a permutation")
-    if problems:
-        return problems
-    if len(u) != j:
-        problems.append(f"U has length {len(u)}, expected j={j}")
-    if len(v) != n - j + 1:
-        problems.append(f"V has length {len(v)}, expected n-j+1={n - j + 1}")
-    if problems:
-        return problems
-    if any(middle_counts(u, PATTERN_321)):
-        problems.append("U contains 321")
-    if any(middle_counts(v, PATTERN_321)):
-        problems.append("V contains 321")
-    if not is_alternating(u, record.cls):
-        problems.append(f"U is not {record.cls.value}-alternating")
-    v_cls = suffix_class(record.cls, j)
-    if not is_alternating(v, v_cls):
-        problems.append(f"V is not {v_cls.value}-alternating (required for j={j})")
-    if u[-1] == j:
+    if any(middle_counts(block, PATTERN_321)):
+        problems.append(f"{name} contains 321")
+    if not is_alternating(block, cls):
+        problems.append(f"{name} is not {cls.value}-alternating" + ("" if is_u else f" (required for j={j})"))
+    # a block is empty only when j is out of range
+    if is_u and block and block[-1] == length:
         problems.append("U ends in its largest entry")
-    if v[0] == 1:
+    if not is_u and block and block[0] == 1:
         problems.append("V begins with its smallest entry")
-    return problems
+    return 2, problems
+
+
+def _record_problems(record: DecompositionRecord) -> list[str]:
+    """All constraint violations of a record (empty list when valid).
+
+    j must lie in 2..n-1 and each block must pass `_block_problems`.  The
+    checks run in three stages across the record: j's range and whether each
+    block is a permutation, then the block lengths, then each block's 321,
+    shape and boundary (U's problems before V's).  Only the first stage with
+    a problem is reported.
+    """
+    n, j, cls = record.n, record.j, record.cls
+    checks = [
+        _block_problems("U", record.u, j, cls, j),
+        _block_problems("V", record.v, n - j + 1, suffix_class(cls, j), j),
+    ]
+    if not 2 <= j <= n - 1:
+        checks.insert(0, (0, [f"j={j} outside 2..{n - 1}"]))
+    first = min((stage for stage, problems in checks if problems), default=None)
+    return [problem for stage, problems in checks if stage == first for problem in problems]
 
 
 def validate_record(record: DecompositionRecord) -> None:
@@ -214,11 +228,28 @@ def _rebuild(record: DecompositionRecord) -> Perm:
     n, j, u, v = record.n, record.j, record.u, record.v
     w_i = j - 1 + v[0]  # v's first entry ranks w_i among {w_k} u {j+1..n}
     w_k = u[-1]  # u's values are {1..j-1} u {w_i}, so ranks below j are literal
-    left_values = list(range(1, j)) + [w_i]  # rank r -> left_values[r-1]
-    right_values = [w_k] + list(range(j + 1, n + 1))
-    prefix = tuple(left_values[r - 1] for r in u[:-1])
-    suffix = tuple(right_values[r - 1] for r in v[1:])
-    return prefix + (j,) + suffix
+    # rank r -> values[r]; index 0 is padding
+    left_values = [*range(j), w_i]
+    right_values = [0, w_k, *range(j + 1, n + 1)]
+    return (*map(left_values.__getitem__, u[:-1]), j, *map(right_values.__getitem__, v[1:]))
+
+
+def _rebuild_and_read_back(record: DecompositionRecord) -> Perm:
+    """The host `_rebuild` makes of a valid record, once the record read back
+    off it equals `record`; InvariantViolation otherwise."""
+    w = _rebuild(record)
+    try:
+        read = _read(w)
+    except ValueError as exc:
+        raise InvariantViolation(
+            f"rebuilt host {format_perm(w)} of {format_record(record)} does not split: {exc}"
+        ) from exc
+    if read != record:
+        raise InvariantViolation(
+            f"rebuilt host {format_perm(w)} splits to {format_record(read)}, "
+            f"not to {format_record(record)}"
+        )
+    return w
 
 
 def reconstruct(record: DecompositionRecord) -> Perm:
@@ -235,44 +266,40 @@ def reconstruct(record: DecompositionRecord) -> Perm:
     (1, 4, 3, 5, 2, 6)
     """
     validate_record(record)
-    w = _rebuild(record)
-    try:
-        read = _read(w)
-    except ValueError as exc:
-        raise InvariantViolation(
-            f"rebuilt host {format_perm(w)} of {format_record(record)} does not split: {exc}"
-        ) from exc
-    if read != record:
-        raise InvariantViolation(
-            f"rebuilt host {format_perm(w)} splits to {format_record(read)}, "
-            f"not to {format_record(record)}"
-        )
-    return w
+    return _rebuild_and_read_back(record)
+
+
+def _checked_blocks(name: str, blocks: GenerationFilter, n: int, cls: AlternationClass, j: int) -> Iterator[Perm]:
+    """The `name` blocks `blocks` generates for the length-n `cls` hosts with middle
+    position j, each passed through `_block_problems` on its way out;
+    InvariantViolation at the first that fails."""
+    for block in generate(blocks):
+        _, problems = _block_problems(name, block, blocks.length, blocks.cls, j)
+        if problems:
+            raise InvariantViolation(
+                f"generated block {name}={format_perm(block)} of n={n};class={cls.value};j={j} is invalid: "
+                + "; ".join(problems)
+            )
+        yield block
 
 
 def enumerate_by_decomposition(n: int, cls: AlternationClass) -> Iterator[Perm]:
     """All length-n `cls` hosts with exactly one 321, built from records.
 
-    Iterates j ascending and the valid (U, V) block pairs lexicographically,
-    reconstructing each; every emitted host has already been read back to
-    its record.
+    Iterates j ascending and the valid (U, V) block pairs lexicographically.
+    Each generated block passes the record's block check once, before its
+    pairs are built (InvariantViolation if one fails; j lies in 2..n-1 by
+    construction), and every pair is rebuilt and read back to its record, so
+    every emitted host has already been read back as `reconstruct` would.
     """
     for j in range(2, n):
-        right_blocks = list(
-            generate(
-                GenerationFilter(
-                    cls=suffix_class(cls, j),
-                    length=n - j + 1,
-                    avoid=PATTERN_321,
-                    begins_with_smallest=False,
-                )
-            )
+        right_filter = GenerationFilter(
+            cls=suffix_class(cls, j), length=n - j + 1, avoid=PATTERN_321, begins_with_smallest=False
         )
+        right_blocks = list(_checked_blocks("V", right_filter, n, cls, j))
         if not right_blocks:
             continue
-        left_filter = GenerationFilter(
-            cls=cls, length=j, avoid=PATTERN_321, ends_in_largest=False
-        )
-        for u in generate(left_filter):
+        left_filter = GenerationFilter(cls=cls, length=j, avoid=PATTERN_321, ends_in_largest=False)
+        for u in _checked_blocks("U", left_filter, n, cls, j):
             for v in right_blocks:
-                yield reconstruct(DecompositionRecord(n=n, cls=cls, j=j, u=u, v=v))
+                yield _rebuild_and_read_back(DecompositionRecord(n, cls, j, u, v))

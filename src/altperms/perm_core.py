@@ -13,9 +13,9 @@ Lengths 0 and 1 are legal and belong to both alternation classes.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from operator import attrgetter
+from operator import attrgetter, lt
 
 Perm = tuple[int, ...]
 #: A pattern is itself a permutation; only PATTERN_321 and PATTERN_123 are accepted.
@@ -118,12 +118,7 @@ def is_permutation(values: Sequence[int]) -> bool:
     [True, True, True, False, False]
     """
     n = len(values)
-    seen = [False] * (n + 1)
-    for v in values:
-        if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
-            return False
-        seen[v] = True
-    return True
+    return all(map(isinstance, values, [int] * n)) and sorted(values) == list(range(1, n + 1))
 
 
 def perm(values: Iterable[int]) -> Perm:
@@ -146,7 +141,7 @@ def parse_perm(text: str) -> Perm:
     if not text:
         return ()
     try:
-        values = tuple(int(part) for part in text.split(","))
+        values = tuple(map(int, text.split(",")))
     except ValueError:
         raise ValueError(f"malformed permutation text {text!r}") from None
     return perm(values)
@@ -154,12 +149,14 @@ def parse_perm(text: str) -> Perm:
 
 def format_perm(w: Sequence[int]) -> str:
     """Inverse of parse_perm: "1,4,3,5,2,6"; n=0 gives ""."""
-    return ",".join(str(v) for v in w)
+    return ",".join(map(str, w))
 
 
 def is_alternating(w: Sequence[int], cls: AlternationClass) -> bool:
-    """Positionwise zigzag check; lengths <= 1 satisfy every class."""
-    return all((w[t - 2] < w[t - 1]) == cls.rises_into(t) for t in range(2, len(w) + 1))
+    """Positionwise zigzag check: the entry at each 1-based position t >= 2 exceeds
+    its predecessor exactly when `cls.rises_into(t)`, a tie counting as no rise.
+    Lengths <= 1 satisfy every class.  Tested as `cls in classify(w)`."""
+    return cls in classify(w)
 
 
 def classify(w: Sequence[int]) -> set[AlternationClass]:
@@ -170,7 +167,14 @@ def classify(w: Sequence[int]) -> set[AlternationClass]:
     >>> classify((1, 2, 3, 4))
     set()
     """
-    return {cls for cls in AlternationClass if is_alternating(w, cls)}
+    rises = list(map(lt, w, w[1:]))  # rises[t] is w[t] < w[t+1] (0-based): a tie is no rise
+    into_even, into_odd = rises[::2], rises[1::2]  # into 1-based positions 2, 4, ... and 3, 5, ...
+    classes = set()
+    if False not in into_even and True not in into_odd:
+        classes.add(AlternationClass.UP_DOWN)
+    if True not in into_even and False not in into_odd:
+        classes.add(AlternationClass.DOWN_UP)
+    return classes
 
 
 def check_pattern(pattern: Sequence[int]) -> Pattern:
@@ -199,8 +203,9 @@ def middle_counts(w: Sequence[int], pattern: Sequence[int]) -> list[int]:
         w = complement(w)
     order, seen, counts = sorted(w), [], []
     for t, b in enumerate(w):
-        counts.append((t - bisect_right(seen, b)) * (bisect_left(order, b) - bisect_left(seen, b)))
-        insort(seen, b)
+        at = bisect_left(seen, b)  # also where b goes: among equal entries, any slot keeps `seen` sorted
+        counts.append((t - bisect_right(seen, b)) * (bisect_left(order, b) - at))
+        seen.insert(at, b)
     return counts
 
 
@@ -234,10 +239,10 @@ def standardize(values: Sequence[int]) -> Perm:
     >>> standardize((7,))
     (1,)
     """
-    if len(set(values)) != len(values):
+    rank = dict(zip(sorted(values), range(1, len(values) + 1)))
+    if len(rank) != len(values):
         raise ValueError(f"cannot standardize {tuple(values)}: repeated values")
-    rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return tuple(rank[v] for v in values)
+    return tuple(map(rank.__getitem__, values))
 
 
 #: Boundary statistics of a Table 1 cell: all permutations, or those with the property.

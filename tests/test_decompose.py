@@ -170,10 +170,33 @@ def test_reconstruct_rejects_block_ending_in_largest():
         reconstruct(record)
 
 
+# the problems of the first failing stage only: j and the permutation checks,
+# then the lengths, then each block's 321, shape and boundary
+MULTI_PROBLEM_RECORDS = [
+    (DecompositionRecord(4, UD, 5, (1,), (1,)), "j=5 outside 2..3"),
+    (DecompositionRecord(6, UD, 9, (1, 3, 3), (2, 3, 1, 4)), "j=9 outside 2..5; U is not a permutation"),
+    (DecompositionRecord(6, UD, 3, (1, 3, 3), (2, 2, 1, 4)), "U is not a permutation; V is not a permutation"),
+    # a wrong length hides the other block's 321 and shape
+    (DecompositionRecord(7, UD, 4, (3, 2, 1), (2, 3, 1, 4)), "U has length 3, expected j=4"),
+    (DecompositionRecord(6, DU, 3, (3, 2, 1), (2, 1, 5, 4, 3)), "V has length 5, expected n-j+1=4"),
+    (
+        DecompositionRecord(6, DU, 3, (3, 2, 1), (1, 4, 3, 2)),
+        "U contains 321; U is not DU-alternating; "
+        "V contains 321; V is not DU-alternating (required for j=3); V begins with its smallest entry",
+    ),
+    (
+        DecompositionRecord(6, UD, 3, (2, 1, 3), (1, 3, 4, 2)),
+        "U is not UD-alternating; U ends in its largest entry; "
+        "V is not UD-alternating (required for j=3); V begins with its smallest entry",
+    ),
+]
+
+
 def test_validate_record_reports_all_problems():
-    record = DecompositionRecord(n=4, cls=UD, j=5, u=(1,), v=(1,))
-    with pytest.raises(InvalidRecord):
-        validate_record(record)
+    for record, message in MULTI_PROBLEM_RECORDS:
+        with pytest.raises(InvalidRecord) as info:
+            validate_record(record)
+        assert str(info.value) == f"{format_record(record)}: {message}"
 
 
 @pytest.mark.parametrize(
@@ -264,6 +287,32 @@ def test_enumerate_by_decomposition_deterministic_grouped_by_j():
     assert first == second
     js = [split(w).j for w in first]
     assert js == sorted(js)
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        # DU-alternating and not ending in 5, but 5,3,1 is a 321 (left block at j = 5)
+        ((5, 3, 4, 1, 2), "generated block U=5,3,4,1,2 of n=7;class=DU;j=5 is invalid: U contains 321"),
+        # UD-alternating and 321-avoiding, but it begins with 1 (right block at j = 2)
+        ((1, 3, 2, 5, 4, 6), "generated block V=1,3,2,5,4,6 of n=7;class=DU;j=2 is invalid: "
+         "V begins with its smallest entry"),
+    ],
+)
+def test_enumerate_by_decomposition_checks_each_generated_block(monkeypatch, bad, message):
+    # without the check the bad block would be paired and rebuilt, failing later with another message
+    is_left = len(bad) == 5
+
+    def generate_with_a_bad_block(filt):
+        blocks = list(generate(filt))
+        if filt.length == len(bad) and (filt.ends_in_largest is not None) == is_left:
+            blocks.insert(0, bad)
+        return blocks
+
+    monkeypatch.setattr(decompose_module, "generate", generate_with_a_bad_block)
+    with pytest.raises(InvariantViolation) as info:
+        list(enumerate_by_decomposition(7, DU))
+    assert str(info.value) == message
 
 
 def test_reconstruct_refuses_a_host_that_reads_back_differently(monkeypatch):

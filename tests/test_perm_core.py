@@ -2,7 +2,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from altperms.decompose import DecompositionRecord
 from altperms.enumeration import GenerationFilter
@@ -47,6 +47,33 @@ def test_is_permutation():
     assert not is_permutation((2, 3))
 
 
+# entries that are no int, or no int of 1..n, or ints (bools) that compare as 1 and 0
+JUNK = st.one_of(st.integers(-2, 9), st.booleans(), st.sampled_from([1.0, 2.0, 0.5, "1", "a"]))
+
+
+@st.composite
+def near_permutations(draw):
+    """A permutation of 1..n (n <= 7), half the time with one entry swapped for junk."""
+    w = list(draw(st.permutations(range(1, draw(st.integers(0, 7)) + 1))))
+    if w and draw(st.booleans()):
+        w[draw(st.integers(0, len(w) - 1))] = draw(JUNK)
+    return w
+
+
+@given(st.one_of(near_permutations(), st.lists(JUNK, max_size=6)))
+@example([1.0])
+@example([True])
+@example([True, 2])
+@example([0, 1])
+@example([-1, 1])
+@example([2, 2])
+def test_is_permutation_matches_its_definition(values):
+    n = len(values)
+    expected = all(isinstance(v, int) and 1 <= v <= n for v in values) and len(set(values)) == n
+    assert is_permutation(values) == expected
+    assert is_permutation(tuple(values)) == expected
+
+
 def test_perm_rejects_bad_input():
     with pytest.raises(ValueError):
         perm((1, 3))
@@ -85,6 +112,24 @@ def test_text_roundtrip(w):
 )
 def test_classify(w, expected):
     assert classify(w) == expected
+
+
+@given(st.lists(st.integers(0, 4), max_size=9))  # small values: many ties
+@example([])
+@example([5])
+@example([2, 2])
+@example([1, 2])
+@example([2, 1])
+def test_alternation_matches_the_positionwise_rule(w):
+    # a tie is no rise, so it must sit where the class falls
+    expected = {
+        cls for cls in AlternationClass
+        if all((w[t - 2] < w[t - 1]) == cls.rises_into(t) for t in range(2, len(w) + 1))
+    }
+    for seq in (w, tuple(w)):
+        assert classify(seq) == expected
+        for cls in AlternationClass:
+            assert is_alternating(seq, cls) == (cls in expected)
 
 
 def test_classify_matches_naive_for_small_n():
@@ -188,6 +233,16 @@ def test_middle_counts_on_sequences_that_are_not_permutations(w, middles_321, mi
     assert middle_counts(w, PATTERN_123) == middles_123
 
 
+@given(st.lists(st.integers(-2, 4), max_size=12), st.sampled_from(PATTERNS))
+def test_middle_counts_with_ties_matches_the_quadratic_count(w, pattern):
+    # strictly larger entries before times strictly smaller after (321), or the reverse (123)
+    above = (lambda x, b: x > b) if pattern == PATTERN_321 else (lambda x, b: x < b)
+    expected = [
+        sum(above(x, b) for x in w[:t]) * sum(above(b, x) for x in w[t + 1 :]) for t, b in enumerate(w)
+    ]
+    assert middle_counts(w, pattern) == expected
+
+
 @pytest.mark.parametrize(
     "w,expected",
     [((1, 3, 2, 4), (4, 2, 3, 1)), ((), ()), ((1, 2, 3, 4, 5), (5, 4, 3, 2, 1))],
@@ -237,8 +292,18 @@ def test_standardize_examples(values, expected):
 
 
 def test_standardize_rejects_repeats():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"cannot standardize \(3, 1, 3\): repeated values"):
         standardize((3, 1, 3))
+
+
+@given(st.lists(st.integers(-50, 50), max_size=10))
+def test_standardize_ranks_distinct_ints_and_rejects_repeats(values):
+    if len(set(values)) < len(values):
+        with pytest.raises(ValueError, match="repeated values"):
+            standardize(values)
+        return
+    # each entry's rank: how many entries are at most it
+    assert standardize(values) == tuple(sum(x <= v for x in values) for v in values)
 
 
 @given(perms_up_to_8)
