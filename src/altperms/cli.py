@@ -59,21 +59,16 @@ _PATTERNS = {"321": PATTERN_321, "123": PATTERN_123}
 _METHODS = ("closed_form", "convolution", "decomposition_sum", "oracle", "bijection")
 #: The index up to which selftest checks every identity; verify-identity's default --n-max
 _IDENTITY_BOUND = 200
-#: The longest unrestricted count: the oracle lists all E_n permutations at
-#: ~0.9M/s (2-CPU x86, Python 3.11), so n = 13 takes 24-27 s and n = 14 (8.9x more) ~4 min
-_UNRESTRICTED_MAX_N = 13
-#: The longest count by each method but the oracle, timed at its limit on the same host:
-#: convolution 33-38 s and decomposition_sum 32 s (both grow about as n^2.5, big-int bound),
-#: closed_form 49 s, 7 s of it printing (about n^2), bijection 33 s for the 891,480 hosts
-#: of its largest class (13-14 s for 296,514 at n = 21, 61 s for 1,099,492 at n = 23)
-_METHOD_MAX_N = {"closed_form": 2_000_000, "convolution": 60_000, "decomposition_sum": 60_000, "bijection": 22}
-#: The largest --n-max of each command that loops over lengths, keyed by the argv words that
-#: select it, timed there on the same host: verify-identity 49 s (big-int sums; 2300 took 58 s
-#: and 2400 67-71 s), verify-table 36-38 s (18-20 s at 22; the oracle grows ~1.9x per length,
-#: so 24 would take about 70 s), selftest 30 s (its zigzag suite lists all E_n permutations,
-#: 8.9x more at 14), sequence on its slowest (pattern, class) pairs by oracle 39-42 s (84-91 s
-#: at 24) and by closed_form 36-37 s (29 s at 16,000, 53-54 s at 20,000)
-_N_MAX_LIMIT = {
+#: The largest --n (count) or --n-max (the commands that loop over lengths) of each request,
+#: keyed by the argv words that select it: where the request's slowest (pattern, class) pair
+#: takes up to about 50 s as a CLI process on a 2-CPU x86 host (Python 3.11); README lists
+#: each time. An oracle target with no row of its own reads the unrestricted row, 13: a scored
+#: walk only prunes the unrestricted walk, which lists all E_n permutations (8.9x more at 14).
+_LIMITS = {
+    "count --method oracle": 13,
+    **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((25, 24, 22, 20, 19))},
+    "count --method closed_form": 2_000_000, "count --method convolution": 60_000,
+    "count --method decomposition_sum": 60_000, "count --method bijection": 22,
     "verify-identity": 2200, "verify-table": 23, "selftest": 13,
     "sequence --method oracle": 23, "sequence --method closed_form": 18_000,
 }
@@ -130,27 +125,29 @@ def _emit_mismatch(command: str, inputs: dict, expected, actual, started: float)
     print(f"{command}: mismatch at {inputs}: expected {expected}, got {actual}", file=sys.stderr)
 
 
+def _refuse_past_limit(key: str, flag: str, size: int, exactly_one: bool) -> None:
+    """Refuse a size past its row of `_LIMITS` before any work runs. An exactly-one
+    request by another method is told how far closed_form, which answers it too, reaches."""
+    limit = _LIMITS[key]
+    if size > limit:
+        closed_form = f"{key.split()[0]} --method closed_form"
+        hint = ""
+        if exactly_one and key != closed_form:
+            hint = f"; --method closed_form reaches {flag} {_LIMITS[closed_form]}"
+        raise UsageError(f"{flag} {size}: {key} stops at {flag} {limit}{hint}")
+
+
 def _count(pattern: Pattern | None, cls: AlternationClass, n: int, exactly: int | None, method: str) -> int:
     """Length-n `cls` permutations with `exactly` occurrences of `pattern` (all
     of them if `pattern` is None), by `method`: the one place that decides
     which method may answer which request."""
     if method == "oracle":
-        if pattern is None and n > _UNRESTRICTED_MAX_N:
-            raise UsageError(
-                f"--n {n}: unrestricted counts list every permutation and stop at n = {_UNRESTRICTED_MAX_N}"
-            )
         target = None if pattern is None else (pattern, exactly)
         return count(GenerationFilter(cls=cls, length=n, exact_occurrences=target))
     if pattern is None:
         raise UsageError(f"--method {method}: unrestricted counts only support oracle")
     if exactly != 1:
         raise UsageError(f"--method {method}: only --exactly 1 has formula backing")
-    limit = _METHOD_MAX_N[method]
-    if n > limit:
-        fallback = f"--method closed_form reaches n = {_METHOD_MAX_N['closed_form']}"
-        if method == "closed_form":
-            fallback = "no method reaches further"
-        raise UsageError(f"--n {n}: --method {method} stops at n = {limit}; {fallback}")
     m, odd = divmod(n, 2)
     if method == "convolution" and not odd and host_class(pattern, cls) is not AlternationClass.UP_DOWN:
         raise UsageError(
@@ -180,6 +177,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if pattern is not None:
         inputs.update({"pattern": args.pattern, "exactly": args.exactly})
     method = args.method or ("closed_form" if args.exactly == 1 else "oracle")
+    key = f"count --method {method}"
+    if f"{key} --exactly {args.exactly}" in _LIMITS:  # the oracle's per-target rows
+        key += f" --exactly {args.exactly}"
+    _refuse_past_limit(key, "--n", args.n, args.exactly == 1)
     value = _count(pattern, AlternationClass.from_code(args.cls), args.n, args.exactly, method)
     _emit("count", inputs, value, method, started)
     return OK
@@ -414,11 +415,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         key = f"sequence --method {args.method}" if args.command == "sequence" else args.command
-        limit = _N_MAX_LIMIT.get(key)
-        if limit is not None and args.n_max > limit:
-            further = _N_MAX_LIMIT["sequence --method closed_form"]
-            hint = f"; --method closed_form reaches --n-max {further}" if key == "sequence --method oracle" else ""
-            raise UsageError(f"--n-max {args.n_max}: {key} stops at --n-max {limit}{hint}")
+        if key in _LIMITS:  # the commands that take --n-max; count refuses its own --n
+            _refuse_past_limit(key, "--n-max", args.n_max, args.command == "sequence")
         return args.func(args)
     except SystemExit:  # argparse exits after printing help; error() raises UsageError instead
         return OK

@@ -114,11 +114,12 @@ def suffix_class(cls: AlternationClass, start: int) -> AlternationClass:
 def is_permutation(values: Sequence[int]) -> bool:
     """Check one-line notation: every value of {1..n} exactly once.
 
-    >>> [is_permutation(w) for w in ((), (1,), (2, 1), (1, 3), (2, 2))]
-    [True, True, True, False, False]
+    Entries must be ints proper: a bool compares as 1 or 0 but prints as a word.
+
+    >>> [is_permutation(w) for w in ((), (1,), (2, 1), (1, 3), (2, 2), (True,))]
+    [True, True, True, False, False, False]
     """
-    n = len(values)
-    return all(map(isinstance, values, [int] * n)) and sorted(values) == list(range(1, n + 1))
+    return {int}.issuperset(map(type, values)) and sorted(values) == list(range(1, len(values) + 1))
 
 
 def perm(values: Iterable[int]) -> Perm:

@@ -64,13 +64,19 @@ OTHERS = [
     ["verify-table", "--n-max", "8"],
     ["verify-identity", "--n-max", "40"],
     ["verify-identity", "--n-max", "1"],
-    ["verify-identity", "--n-max", str(cli._N_MAX_LIMIT["verify-identity"] + 1)],  # refused
-    ["verify-table", "--n-max", str(cli._N_MAX_LIMIT["verify-table"] + 1)],  # refused
-    ["selftest", "--n-max", str(cli._N_MAX_LIMIT["selftest"] + 1)],  # refused
+    ["verify-identity", "--n-max", str(cli._LIMITS["verify-identity"] + 1)],  # refused
+    ["verify-table", "--n-max", str(cli._LIMITS["verify-table"] + 1)],  # refused
+    ["selftest", "--n-max", str(cli._LIMITS["selftest"] + 1)],  # refused
     *(  # refused; the oracle's message names closed_form
         ["sequence", "--pattern", "321", "--method", method,
-         "--n-max", str(cli._N_MAX_LIMIT[f"sequence --method {method}"] + 1)]
+         "--n-max", str(cli._LIMITS[f"sequence --method {method}"] + 1)]
         for method in ("closed_form", "oracle")
+    ),
+    ["count", "--n", str(cli._LIMITS["count --method oracle"] + 1)],  # refused
+    *(  # refused; an exactly-one oracle count names closed_form
+        ["count", "--pattern", "321", "--exactly", target, "--method", "oracle",
+         "--n", str(cli._LIMITS[f"count --method oracle --exactly {target}"] + 1)]
+        for target in ("0", "1")
     ),
     ["selftest", "--n-max", "6"],
     ["count", "--n", "x"],  # integer flags report their rule, not their parser

@@ -71,7 +71,62 @@ def test_count_unrestricted_matches_zigzag(capsys):
     assert lines[0]["method"] == "oracle"
 
 
-@pytest.mark.parametrize("n", [cli._UNRESTRICTED_MAX_N + 1, 40])
+def limit_request(key, size):
+    """The argv of the request that a row of `cli._LIMITS` selects, at `size`, and its size flag."""
+    command, *words = key.split()
+    if command != "count":
+        pattern = ["--pattern", "123"] if command == "sequence" else []
+        return [command, *pattern, *words, "--n-max", str(size)], "--n-max"
+    if words != ["--method", "oracle"] and "--exactly" not in words:  # the formula methods count one 321
+        words += ["--exactly", "1"]
+    pattern = ["--pattern", "321"] if "--exactly" in words else []  # the plain oracle row: no pattern
+    return ["count", *pattern, *words, "--n", str(size)], "--n"
+
+
+def row_id(key):
+    return key.replace(" --", "-").replace(" ", "-")
+
+
+#: The rows whose requests are exactly-one requests closed_form also answers.
+REACHED_BY_CLOSED_FORM = {
+    "count --method oracle --exactly 1", "count --method convolution", "count --method decomposition_sum",
+    "count --method bijection", "sequence --method oracle",
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._LIMITS), ids=row_id)
+def test_refused_past_limit(capsys, monkeypatch, key):
+    def never(*args):
+        raise AssertionError(f"{key} ran past its limit")
+
+    for name in ("_count", "_identity_families", "table1_oracle"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli, "_SUITES", [("never", "oracle", never)])
+    limit = cli._LIMITS[key]
+    for size in (limit + 1, 10**20):
+        argv, flag = limit_request(key, size)
+        code, lines, err = run_lines(capsys, argv)
+        assert (code, lines) == (1, [])
+        message = f"{flag} {size}: {key} stops at {flag} {limit}"
+        if key in REACHED_BY_CLOSED_FORM:
+            message += f"; --method closed_form reaches {flag} {cli._LIMITS[argv[0] + ' --method closed_form']}"
+        assert err == message + "\n"
+
+
+@pytest.mark.parametrize("target", [5, 10**20])
+def test_count_oracle_targets_past_the_table_stop_where_unrestricted_counts_do(capsys, monkeypatch, target):
+    # a scored walk is a subtree of the unrestricted one, so the unrestricted limit bounds any target
+    monkeypatch.setattr(cli, "count", lambda filt: filt.length)
+    argv = ["count", "--pattern", "123", "--method", "oracle", "--exactly", str(target), "--n"]
+    limit = cli._LIMITS["count --method oracle"]
+    code, lines, _ = run_lines(capsys, argv + [str(limit)])
+    assert (code, lines[0]["value"]) == (0, str(limit))
+    code, lines, err = run_lines(capsys, argv + [str(limit + 1)])
+    assert (code, lines) == (1, [])
+    assert err == f"--n {limit + 1}: count --method oracle stops at --n {limit}\n"
+
+
+@pytest.mark.parametrize("n", [cli._LIMITS["count --method oracle"] + 1, 40])
 def test_count_unrestricted_refused_above_limit(capsys, monkeypatch, n):
     def never(filt):
         raise AssertionError(f"the oracle ran at n = {filt.length}")
@@ -80,35 +135,32 @@ def test_count_unrestricted_refused_above_limit(capsys, monkeypatch, n):
     code, lines, err = run_lines(capsys, ["count", "--class", "UD", "--n", str(n)])
     assert code == 1
     assert lines == []
-    limit = cli._UNRESTRICTED_MAX_N
-    assert err == f"--n {n}: unrestricted counts list every permutation and stop at n = {limit}\n"
+    limit = cli._LIMITS["count --method oracle"]
+    assert err == f"--n {n}: count --method oracle stops at --n {limit}\n"
 
 
 def test_count_unrestricted_at_limit_reaches_the_oracle(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "count", lambda filt: filt.length)  # stands in for E_13's ~45 s
-    code, lines, _ = run_lines(capsys, ["count", "--class", "UD", "--n", str(cli._UNRESTRICTED_MAX_N)])
+    monkeypatch.setattr(cli, "count", lambda filt: filt.length)  # stands in for E_13's ~25 s
+    limit = cli._LIMITS["count --method oracle"]
+    code, lines, _ = run_lines(capsys, ["count", "--class", "UD", "--n", str(limit)])
     assert code == 0
-    assert lines[0]["value"] == str(cli._UNRESTRICTED_MAX_N)
+    assert lines[0]["value"] == str(limit)
 
 
-@pytest.mark.parametrize("method", sorted(cli._METHOD_MAX_N))
-def test_count_formula_refused_above_limit(capsys, monkeypatch, method):
-    # each stands in for about a minute at the limit
+COUNT_ROWS = sorted(key for key in cli._LIMITS if key.startswith("count "))
+
+
+@pytest.mark.parametrize("key", [key for key in COUNT_ROWS if key != "count --method oracle"], ids=row_id)
+def test_count_at_limit_runs(capsys, monkeypatch, key):
+    # each stands in for up to about a minute at the limit
     for name in ("a_n", "decomposition_sum", "convolution_odd_321", "convolution_even_321"):
         monkeypatch.setattr(cli, name, lambda *args: 7)
     monkeypatch.setattr(cli, "enumerate_by_decomposition", lambda *args: range(7))
-    limit = cli._METHOD_MAX_N[method]
-    argv = ["count", "--pattern", "321", "--exactly", "1", "--method", method, "--n"]
-    code, lines, _ = run_lines(capsys, argv + [str(limit)])
+    monkeypatch.setattr(cli, "count", lambda filt: 7)
+    argv, _ = limit_request(key, cli._LIMITS[key])
+    code, lines, _ = run_lines(capsys, argv)
     assert code == 0
     assert lines[0]["value"] == "7"
-    huge = "99999999999999999999"
-    code, lines, err = run_lines(capsys, argv + [huge])
-    assert code == 1
-    assert lines == []
-    assert err.startswith(f"--n {huge}: --method {method} stops at n = {limit}; ")
-    if method != "closed_form":  # the others name the method that reaches further
-        assert err.endswith(f"; --method closed_form reaches n = {cli._METHOD_MAX_N['closed_form']}\n")
 
 
 def test_count_prints_values_past_the_int_to_str_limit(capsys):
@@ -205,25 +257,10 @@ def test_verify_identity_detects_sabotage(capsys, monkeypatch):
     assert "mismatch" in err
 
 
-@pytest.mark.parametrize("command", ["selftest", "verify-identity", "verify-table"])
-def test_verification_refused_above_limit(capsys, monkeypatch, command):
-    def never(*args):
-        raise AssertionError(f"{command} ran a check")
-
-    monkeypatch.setattr(cli, "_identity_families", never)
-    monkeypatch.setattr(cli, "table1_oracle", never)
-    monkeypatch.setattr(cli, "_SUITES", [("never", "oracle", never)])
-    limit = cli._N_MAX_LIMIT[command]
-    for n_max in (limit + 1, 10**20):
-        code, lines, err = run_lines(capsys, [command, "--n-max", str(n_max)])
-        assert (code, lines) == (1, [])
-        assert err == f"--n-max {n_max}: {command} stops at --n-max {limit}\n"
-
-
 def test_verify_identity_at_limit_runs_its_families(capsys, monkeypatch):
     # stands in for about a minute of sums at the limit
     monkeypatch.setattr(cli, "_identity_families", lambda bound: [("odd", "m_max", "convolution", iter([({}, 1, 1)]))])
-    limit = cli._N_MAX_LIMIT["verify-identity"]
+    limit = cli._LIMITS["verify-identity"]
     code, lines, _ = run_lines(capsys, ["verify-identity", "--n-max", str(limit)])
     assert code == 0
     assert [(line["inputs"], line["value"]) for line in lines] == [({"family": "odd", "m_max": limit}, "1")]
@@ -244,7 +281,7 @@ def test_selftest_at_limit_runs_every_suite(capsys, monkeypatch):
         return iter([({"n": n_max}, n_max, n_max)])
 
     monkeypatch.setattr(cli, "_SUITES", [("first", "oracle", stub), ("second", "closed_form", stub)])
-    limit = cli._N_MAX_LIMIT["selftest"]
+    limit = cli._LIMITS["selftest"]
     code, lines, _ = run_lines(capsys, ["selftest", "--n-max", str(limit)])
     assert code == 0
     assert [(line["inputs"]["suite"], line["value"], line["checks"]) for line in lines] == [
@@ -254,27 +291,10 @@ def test_selftest_at_limit_runs_every_suite(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("method", ["closed_form", "oracle"])
-def test_sequence_refused_above_limit(capsys, monkeypatch, method):
-    def never(pattern, cls, n, exactly, method):
-        raise AssertionError(f"sequence counted n = {n}")
-
-    monkeypatch.setattr(cli, "_count", never)
-    limit = cli._N_MAX_LIMIT[f"sequence --method {method}"]
-    for n_max in (limit + 1, 10**20):
-        argv = ["sequence", "--pattern", "123", "--method", method, "--n-max", str(n_max)]
-        code, lines, err = run_lines(capsys, argv)
-        assert (code, lines) == (1, [])
-        message = f"--n-max {n_max}: sequence --method {method} stops at --n-max {limit}"
-        if method == "oracle":  # names the method that reaches further
-            message += f"; --method closed_form reaches --n-max {cli._N_MAX_LIMIT['sequence --method closed_form']}"
-        assert err == message + "\n"
-
-
-@pytest.mark.parametrize("method", ["closed_form", "oracle"])
 def test_sequence_at_limit_counts_every_length(capsys, monkeypatch, method):
     # stands in for up to a minute of counts at the limit
     monkeypatch.setattr(cli, "_count", lambda pattern, cls, n, exactly, method: n)
-    limit = cli._N_MAX_LIMIT[f"sequence --method {method}"]
+    limit = cli._LIMITS[f"sequence --method {method}"]
     code, lines, _ = run_lines(capsys, ["sequence", "--pattern", "321", "--method", method, "--n-max", str(limit)])
     assert code == 0
     assert [line["value"] for line in lines] == [str(n) for n in range(3, limit + 1)]
@@ -289,7 +309,7 @@ def test_verify_table_at_limit_checks_every_cell(capsys, monkeypatch):
             return 0
 
     monkeypatch.setattr(cli, "table1_oracle", formula_or_zero)
-    limit = cli._N_MAX_LIMIT["verify-table"]
+    limit = cli._LIMITS["verify-table"]
     code, lines, _ = run_lines(capsys, ["verify-table", "--n-max", str(limit)])
     assert code == 0
     assert (lines[-1]["inputs"], lines[-1]["value"]) == ({"n_max": limit}, str((limit + 1) * 2 * 3))

@@ -61,18 +61,21 @@ TEXTS = {"perm": st.sampled_from([format_perm(w) for w in _HOSTS]),
          "record": st.deferred(lambda: st.sampled_from([format_record(split(w)) for w in _HOSTS]))}
 #: Commands that take --n-max; the fuzzer gives each a small cap, then maybe a refused one.
 BOUNDED = {"selftest", "sequence", "verify-table", "verify-identity"}
-#: Each bounded command's refused tails: a 20-digit --n-max, and for each of its limits the
-#: flags in the limit's key (sequence's --method) with --n-max one past the limit.
-REFUSED = {command: [["--n-max", "9" * 20]] for command in BOUNDED}
-for key, limit in cli._N_MAX_LIMIT.items():
+#: Each limited command's refused tails: a 20-digit size (--n for count, --n-max for the
+#: others), and for each row of the limits table the flags in its key (with a pattern where
+#: the key sets a target) and the size one past the row's limit.
+REFUSED = {}
+for key, limit in cli._LIMITS.items():
     command, *flags = key.split()
-    REFUSED[command].append([*flags, "--n-max", str(limit + 1)])
+    size = "--n" if command == "count" else "--n-max"
+    pattern = ["--pattern", "321"] if "--exactly" in flags else []
+    REFUSED.setdefault(command, [[size, "9" * 20]]).append([*flags, *pattern, size, str(limit + 1)])
 
 # Integers stay <= 9 and permutations at 7; no word or free text holds a digit (a misfit
-# --n 321 with a pattern target would run for ever) and no permutation parses as an integer,
-# so no request can run long: selftest --n-max 9 takes ~0.2 s. The larger caps above are all
-# refused before anything runs. A bounded command always gets an --n-max: selftest's
-# default, 10, is slower.
+# --n 20 with a pattern target is inside the oracle's limits, and would run for seconds) and
+# no permutation parses as an integer, so no request can run long: selftest --n-max 9 takes
+# ~0.2 s. The larger sizes above are all refused before anything runs. A bounded command
+# always gets an --n-max: selftest's default, 10, is slower.
 INTEGERS = [str(k) for k in range(-1, 10)]
 values = st.one_of(
     st.sampled_from(INTEGERS),
@@ -108,7 +111,7 @@ def argvs(draw):
     The line is a subcommand, its required flags, some of its other flags and,
     where it takes one, a small --n-max, each with a value it accepts, so that
     most lists reach a command body. The defect is a stray word anywhere, a
-    misfit value, a dropped required flag or a refused --n-max cap."""
+    misfit value, a dropped required flag or a refused --n or --n-max."""
     command = draw(st.sampled_from(COMMANDS))
     chosen = [a for a in OPTIONS[command] if a.required or a.dest == "n_max" or draw(st.booleans())]
     if command == "count" and len({a.dest for a in chosen} & {"pattern", "exactly"}) == 1:  # each needs the other
@@ -119,8 +122,10 @@ def argvs(draw):
         pieces[draw(st.integers(min_value=0, max_value=len(pieces) - 1))][1] = draw(values)
     elif defect == "dropped required flag":
         pieces = [piece for piece, a in zip(pieces, chosen) if not a.required]
-    elif defect == "refused cap" and command in BOUNDED:
-        pieces.append(draw(st.sampled_from(REFUSED[command])))  # the last --n-max counts
+    elif defect == "refused cap" and command in REFUSED:
+        if command == "count":  # the tail picks its own row: a target drawn earlier would pick another
+            pieces = [piece for piece, a in zip(pieces, chosen) if a.dest not in ("pattern", "exactly")]
+        pieces.append(draw(st.sampled_from(REFUSED[command])))  # the last size counts
     argv = [command]
     for piece in pieces:  # a flag and its value as two words or as one, joined by "="
         argv += ["=".join(piece)] if len(piece) == 2 and draw(st.booleans()) else piece

@@ -47,7 +47,7 @@ def test_is_permutation():
     assert not is_permutation((2, 3))
 
 
-# entries that are no int, or no int of 1..n, or ints (bools) that compare as 1 and 0
+# entries that are no int, or no int of 1..n, or bools (they compare as 1 and 0 but are no ints proper)
 JUNK = st.one_of(st.integers(-2, 9), st.booleans(), st.sampled_from([1.0, 2.0, 0.5, "1", "a"]))
 
 
@@ -69,7 +69,7 @@ def near_permutations(draw):
 @example([2, 2])
 def test_is_permutation_matches_its_definition(values):
     n = len(values)
-    expected = all(isinstance(v, int) and 1 <= v <= n for v in values) and len(set(values)) == n
+    expected = all(type(v) is int and 1 <= v <= n for v in values) and len(set(values)) == n
     assert is_permutation(values) == expected
     assert is_permutation(tuple(values)) == expected
 
@@ -79,6 +79,12 @@ def test_perm_rejects_bad_input():
         perm((1, 3))
     with pytest.raises(ValueError):
         perm((1, 2, 2))
+
+
+def test_perm_rejects_bools():
+    # True == 1, but it would print as "True,3,2", which parse_perm refuses
+    with pytest.raises(ValueError, match="not a permutation"):
+        perm((True, 3, 2))
 
 
 @pytest.mark.parametrize(
