@@ -62,8 +62,10 @@ _IDENTITY_BOUND = 200
 #: The largest --n (count) or --n-max (the commands that loop over lengths) of each request,
 #: keyed by the argv words that select it: where the request's slowest (pattern, class) pair
 #: takes up to about 50 s as a CLI process on a 2-CPU x86 host (Python 3.11); README lists
-#: each time. An oracle target with no row of its own reads the unrestricted row, 13: a scored
-#: walk only prunes the unrestricted walk, which lists all E_n permutations (8.9x more at 14).
+#: each time. The unrestricted oracle row, 13, lists all E_13 permutations in about 7 s, and
+#: E_14 takes about 60 s. An oracle target with no row of its own reads that row: its walk is a
+#: subtree of the unrestricted one, but scored node by node, and takes 23-26 s at 13 when
+#: nothing prunes.
 _LIMITS = {
     "count --method oracle": 13,
     **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((25, 24, 22, 20, 19))},

@@ -6,10 +6,18 @@ and draws each entry from the part of that list inside the zigzag range cut to
 the boundary flags' bounds, so it never steps over a placed value; a candidate
 v at index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
-a node's candidate window is computed once, when it is pushed. The last two
-slots take the two values left, in the order the class fixes, and are checked
-in place, so each node at depth n - 3 hands the tails (v, x, y) it accepts over
-as one batch: `generate` joins them to the prefix, `count` adds up their lengths.
+a node's candidate window is computed once, when it is pushed. Each node at the
+last pushed depth hands the tails it accepts over as one batch: `generate`
+joins them to the prefix, `count` adds up their lengths.
+A scored walk (321 or 123) pushes to depth n - 3. There the last two slots take
+the two values left, in the order the class fixes, and are checked in place, so
+a tail is (v, x, y). An unscored walk pushes to depth n - _TAIL - 1 only. After
+each candidate v it takes the last _TAIL entries from a table of the zigzag
+orders of _TAIL sorted values, keyed by how many of them lie below v and by
+whether the next slot rises. The table is built once, by comparing entries in
+every order, and each order is one `operator.itemgetter` that reads v and the
+values after it off the list of unused values. An unscored walk no longer than
+_TAIL takes all its entries from the table, at the root.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
 each unused value, the prefix 21-pairs above it (12-pairs below it); placing v
 above b placed entries adds (d - b)(v - 1 - b) (for 123, b(n - v - d + b)), and
@@ -24,6 +32,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterator
+from itertools import permutations
+from operator import itemgetter
 
 from .perm_core import (
     STATISTICS,
@@ -31,7 +41,6 @@ from .perm_core import (
     FrozenRecord,
     Pattern,
     Perm,
-    PATTERN_123,
     PATTERN_321,
     check_pattern,
 )
@@ -41,9 +50,10 @@ class GenerationFilter(FrozenRecord):
     """Constraints for one generation run: `cls`, an AlternationClass, and `length`, an int >= 0.
 
     The one occurrence constraint is `exact_occurrences`, a (pattern, target)
-    pair, target an int >= 0; `avoid=p` is stored as (p, 0), so at most one may
-    be given. The pattern is 321 or 123 as any sequence (stored as a tuple),
-    and each candidate is scored against it in O(1).
+    pair, target an int >= 0 (a bool is refused here and as `length`); `avoid=p`
+    is stored as (p, 0), so at most one may be given. The pattern is 321 or 123
+    as any sequence (stored as a tuple), and each candidate is scored against it
+    in O(1).
     The boundary flags `ends_in_largest`/`begins_with_smallest` are None, True or
     False; a boolean keeps only permutations whose statistic equals it, and the
     empty permutation neither ends in its largest nor begins with its smallest
@@ -63,7 +73,7 @@ class GenerationFilter(FrozenRecord):
                  ends_in_largest: bool | None = None, begins_with_smallest: bool | None = None) -> None:
         if not isinstance(cls, AlternationClass):
             raise ValueError(f"cls must be an AlternationClass, got {cls!r}")
-        if not isinstance(length, int) or length < 0:
+        if type(length) is not int or length < 0:  # a bool compares as 1 or 0 but prints as a word
             raise ValueError("length must be an int >= 0")
         if avoid is not None and exact_occurrences is not None:
             raise ValueError("avoid and exact_occurrences are mutually exclusive")
@@ -72,23 +82,78 @@ class GenerationFilter(FrozenRecord):
         if exact_occurrences is not None:
             pattern, target = exact_occurrences
             exact_occurrences = (check_pattern(pattern), target)
-            if not isinstance(target, int) or target < 0:
+            if type(target) is not int or target < 0:
                 raise ValueError("exact_occurrences count must be an int >= 0")
         if not all(flag is None or isinstance(flag, bool) for flag in (ends_in_largest, begins_with_smallest)):
             raise ValueError("ends_in_largest and begins_with_smallest must be None, True or False")
         self.__setstate__((cls, length, exact_occurrences, ends_in_largest, begins_with_smallest))
 
 
+#: How many entries an unscored walk takes from the table of zigzag orders after its last candidate
+_TAIL = 5
+_ZIGZAG_TABLE = None
+
+
+def _zigzag_table() -> tuple[dict, dict]:
+    """(orders, tails), built on first use and published whole, so every caller sees a full table.
+
+    orders[k, r, rise] lists, lexicographically, the zigzag orders of k sorted values as
+    index tuples, after a last entry with r of them below it: the first slot rises
+    above that entry exactly when `rise`, and each later slot turns the other way.
+    tails[rise, ends][i] holds one itemgetter per order of orders[_TAIL, i, rise]. It
+    reads the _TAIL + 1 unused values, increasing, and returns the one at index i
+    followed by the others in that order. ends None keeps every order; True keeps
+    those that end on the largest value, False those that do not.
+    """
+    global _ZIGZAG_TABLE
+    table = _ZIGZAG_TABLE
+    if table is None:
+        orders = {(0, 0, False): [()], (0, 0, True): [()]}
+        for k in range(1, _TAIL + 1):
+            for order in permutations(range(k)):  # lexicographic, so each row is too
+                # past one value the first slot turns against the second, which fixes rise;
+                # r then puts order[0] on that side of the last entry
+                for rise in (order[1] < order[0],) if k > 1 else (False, True):
+                    if all((order[s] > order[s - 1]) == (rise == (s % 2 == 0)) for s in range(2, k)):
+                        for r in range(order[0] + 1) if rise else range(order[0] + 1, k + 1):
+                            orders.setdefault((k, r, rise), []).append(order)
+        tails = {}
+        for rise in (False, True):
+            for ends in (None, True, False):
+                tails[rise, ends] = [
+                    [itemgetter(i, *(s + (s >= i) for s in order))
+                     for order in orders.get((_TAIL, i, rise), ())
+                     if ends is None or (order[-1] + (order[-1] >= i) == _TAIL) == ends]
+                    for i in range(_TAIL + 1)
+                ]
+        table = _ZIGZAG_TABLE = (orders, tails)
+    return table
+
+
 def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, ...]]]]:
-    """Yield (prefix, tails) per node at depth n - 3 that accepts a tail, in order;
-    the prefix list is reused. Below length 3 the one match is a prefix with tail ()."""
+    """Yield (prefix, tails) per node at the last pushed depth that accepts a tail, in order;
+    the prefix list is reused. A scored walk's nodes sit at depth n - 3 and check each tail
+    (v, x, y) in place. An unscored walk's nodes sit at depth n - _TAIL - 1, and each of
+    their candidates v takes its last _TAIL entries from the table of zigzag orders. Shorter
+    than 3 a scored walk is an unscored one or empty; an unscored walk no longer than _TAIL
+    is one batch read off the table at the root, with prefix []."""
     n = filt.length
     pattern, target = filt.exact_occurrences or (None, 0)
     ends, begins = filt.ends_in_largest, filt.begins_with_smallest
-    if n <= 2:  # the class holds one permutation of this length, too short for a 321 or 123
-        w = (2, 1) if n == 2 and not filt.cls.rises_into(2) else tuple(range(1, n + 1))
-        if ends in (None, w[-1:] == (n,)) and begins in (None, w[:1] == (1,)) and target == 0:
-            yield list(w), [()]
+    if n < 3 and pattern is not None:  # too short for a 321 or 123: unscored, or nothing
+        if target:
+            return
+        pattern = None
+    if pattern is None and n <= _TAIL:
+        # slot 1 rises above a last entry below every value, or falls below one above them
+        first_rises = not filt.cls.rises_into(2)
+        orders = _zigzag_table()[0][n, 0 if first_rises else n, first_rises]
+        tails = [
+            w for w in (tuple(s + 1 for s in order) for order in orders)
+            if ends in (None, w[-1:] == (n,)) and begins in (None, w[:1] == (1,))
+        ]
+        if tails:
+            yield [], tails
         return
 
     # rise[t] (1-based position t >= 2): entry at t must exceed entry at t-1
@@ -104,7 +169,50 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
         ceil[1] = 1
     elif begins is False:
         floor[1] = 2
-    is321, is123 = pattern == PATTERN_321, pattern == PATTERN_123
+    # the unused values, increasing; the sentinel n + 1 ends every candidate scan
+    free = [*range(1, n + 1), n + 1]
+    tails: list[tuple[int, ...]] = []
+    # both walks keep prefix[d], the value placed at depth d, resume[d], its index
+    # in free, and top[d], depth d's upper bound
+    if pattern is None:
+        # after a candidate at index i, the nodes at depth leaf take the last _TAIL
+        # entries from tables[n unused][i]; ends_in_largest's ceil n - 1 keeps n unused
+        leaf = n - _TAIL - 1
+        tails_of = _zigzag_table()[1]
+        tables = (tails_of[rise[leaf + 2], None], tails_of[rise[leaf + 2], ends])
+        prefix, resume, top = [0] * leaf, [0] * leaf, [ceil[1]] * (leaf + 1)
+        d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
+        while True:
+            v = free[i]
+            if v > hi:  # no candidate left at this depth: backtrack
+                d -= 1
+                if d < 0:
+                    return
+                free.insert(resume[d], prefix[d])
+                i, hi = resume[d] + 1, top[d]
+            elif d < leaf:  # push v, then the child's window: the flags' bounds cut by the zigzag
+                resume[d] = i
+                del free[i]
+                prefix[d] = v
+                d += 1
+                t = d + 1
+                lo, hi = floor[t], ceil[t]
+                if rise[t]:
+                    if lo <= v:
+                        lo = v + 1
+                elif hi >= v:
+                    hi = v - 1
+                top[d] = hi
+                i = bisect_left(free, lo)
+            else:  # every candidate in the window at once; the next scan starts past hi
+                table = tables[free[_TAIL] == n]
+                tails = []
+                while v <= hi:
+                    tails += [get(free) for get in table[i]]
+                    i += 1
+                    v = free[i]
+                if tails:
+                    yield prefix, tails
 
     # the nodes at depth leaf fill position last; of the two values left,
     # rise[n] puts the smaller (index j = 0) or larger (j = 1) first
@@ -113,13 +221,10 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
     # position n - 1 >= 2 needs no flag check of its own: begins_with_smallest
     # bounds position 1 only, and ends_in_largest's ceil n - 1 holds once y = n
     rise1, lo2, hi2 = rise[n - 1], floor[n], ceil[n]
-    # the unused values, increasing; the sentinel n + 1 ends every candidate scan
-    free = [*range(1, n + 1), n + 1]
-    # prefix[d]: the value placed at depth d; resume[d]: its index in free;
-    # forced[d]: F of prefix[:d], read for 321/123 only; top[d]: depth d's upper bound
+    is321 = pattern == PATTERN_321  # else 123
+    # forced[d]: F of prefix[:d]
     prefix, resume = [0] * leaf, [0] * leaf
     forced, top = [0] * (leaf + 1), [ceil[1]] * (leaf + 1)
-    tails: list[tuple[int, ...]] = []
     d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
     while True:
         v = free[i]
@@ -127,10 +232,8 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
             # i unused values lie below v, so v - 1 - i placed ones do
             if is321:
                 total = forced[d] + (d - v + 1 + i) * i
-            elif is123:
-                total = forced[d] + (v - 1 - i) * (n - d - 1 - i)
             else:
-                total = 0
+                total = forced[d] + (v - 1 - i) * (n - d - 1 - i)
             if total <= target:
                 if d < leaf:
                     break
@@ -141,7 +244,7 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
                     # is the exact count, as y is the one value left
                     if is321:
                         total += (last - x + 1 + j) * j
-                    elif is123:
+                    else:
                         total += (x - 1 - j) * (n - last - 1 - j)
                     if total == target:
                         tails.append((v, x, y))

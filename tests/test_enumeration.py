@@ -1,9 +1,12 @@
+import sys
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import zip_longest
 
 import pytest
 
+from altperms import enumeration
 from altperms.enumeration import GenerationFilter, count, euler_zigzag, generate, table1_oracle
 from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321, count_occurrences
 
@@ -47,6 +50,13 @@ def test_filter_validation():
         GenerationFilter(UD, 5, begins_with_smallest=0)
     with pytest.raises(ValueError):
         GenerationFilter(UD, 5, exact_occurrences=(PATTERN_321, 1.5))
+    # a bool compares as 1 or 0 but prints as a word: length=True, or a target counted as 1
+    with pytest.raises(ValueError, match="length"):
+        GenerationFilter(UD, True)
+    with pytest.raises(ValueError, match="count"):
+        GenerationFilter(UD, 5, exact_occurrences=(PATTERN_321, True))
+    with pytest.raises(ValueError, match="count"):
+        GenerationFilter(UD, 5, exact_occurrences=(PATTERN_123, False))
 
 
 def test_filter_stores_patterns_as_tuples():
@@ -126,14 +136,23 @@ NAIVE_SCAN_CASES += [
 ]
 
 
+UNSCORED_CASES = [case for case in NAIVE_SCAN_CASES if not {"avoid", "exact_occurrences"} & set(case)]
+
+
+def test_naive_scan_has_every_unscored_flag_pair():
+    flag_pairs = {(case.get("ends_in_largest"), case.get("begins_with_smallest")) for case in UNSCORED_CASES}
+    assert len(UNSCORED_CASES) == len(flag_pairs) == 9
+
+
 @pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("constraints", NAIVE_SCAN_CASES)
 def test_generate_matches_naive_scan(cls, constraints):
     # 321 and 123 are scored by the forced-occurrence count F, whose lookahead
-    # at n = 8 cuts prefixes with up to six entries still to place; the
-    # pattern-free cases reach n = 8 too, as ends_in_largest bounds exactly
-    # the two last positions, which are filled in place
-    for n in range(0, 9):
+    # at n = 8 cuts prefixes with up to six entries still to place. The
+    # unscored cases run to n = 9: up to n = _TAIL the table of zigzag orders
+    # gives every entry at the root, past it the last _TAIL entries after each
+    # candidate, and each flag filters the table's orders
+    for n in range(0, 10 if constraints in UNSCORED_CASES else 9):
         filt = GenerationFilter(cls, n, **constraints)
         got = list(generate(filt))
         expected = naive.matching_perms(
@@ -187,6 +206,65 @@ def test_count_from_threads_matches_serial():
     serial = [count(filt) for filt in CONCURRENT_FILTERS]
     with ThreadPoolExecutor(max_workers=4) as pool:
         assert list(pool.map(count, CONCURRENT_FILTERS * 2)) == serial * 2
+
+
+def test_zigzag_table_cold_build_is_thread_safe():
+    # In each round the threads start one after another on an unbuilt table, and
+    # the short switch interval makes a later one start its walks inside an
+    # earlier one's build: a table published before it is whole would miss an
+    # order or a key, and shift a count or raise in that thread.
+    filters = [GenerationFilter(cls, n, ends_in_largest=ends) for cls in (UD, DU) for n in (4, 8)
+               for ends in (None, True, False)]
+    expected = [list(generate(filt)) for filt in filters]
+    rounds, workers = 10, 8
+
+    def work(results):
+        results.append([list(generate(filt)) for filt in filters])
+
+    saved_table, saved_interval = enumeration._ZIGZAG_TABLE, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            enumeration._ZIGZAG_TABLE = None
+            results: list = []
+            threads = [threading.Thread(target=work, args=(results,)) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * workers
+            # itemgetters compare by identity; their repr lists the indices they read
+            assert repr(enumeration._ZIGZAG_TABLE) == repr(saved_table)
+    finally:
+        sys.setswitchinterval(saved_interval)
+        enumeration._ZIGZAG_TABLE = saved_table
+
+
+def test_zigzag_table_is_published_whole(monkeypatch):
+    # The first permutations() call (building the orders) and the first itemgetter()
+    # call (building the tails) each run a walk in a new thread and wait for it, so
+    # that walk starts midway through a build: it must find no table, and build its own.
+    filt = GenerationFilter(DU, 8, ends_in_largest=False)
+    expected = list(generate(filt))
+    midway: list = []
+    called: set = set()
+
+    def read_midway(build_step):
+        def step(*args):
+            if build_step not in called:
+                called.add(build_step)
+                reader = threading.Thread(target=lambda: midway.append(list(generate(filt))))
+                reader.start()
+                reader.join(timeout=60)
+            return build_step(*args)
+        return step
+
+    monkeypatch.setattr(enumeration, "permutations", read_midway(enumeration.permutations))
+    monkeypatch.setattr(enumeration, "itemgetter", read_midway(enumeration.itemgetter))
+    monkeypatch.setattr(enumeration, "_ZIGZAG_TABLE", None)
+    assert list(generate(filt)) == expected
+    assert midway == [expected, expected]
 
 
 def test_streams_sorted_and_duplicate_free():
