@@ -22,6 +22,7 @@ from .perm_core import (
     Occurrence,
     PATTERN_321,
     Perm,
+    check_class,
     classify,
     format_perm,
     is_alternating,
@@ -74,7 +75,7 @@ class DecompositionRecord(FrozenRecord):
         # field by field rather than through __setstate__: a round trip builds three records
         set_field = object.__setattr__
         set_field(self, "n", n)
-        set_field(self, "cls", cls)
+        set_field(self, "cls", check_class(cls))
         set_field(self, "j", j)
         set_field(self, "u", tuple(u))
         set_field(self, "v", tuple(v))
@@ -292,6 +293,7 @@ def enumerate_by_decomposition(n: int, cls: AlternationClass) -> Iterator[Perm]:
     construction), and every pair is rebuilt and read back to its record, so
     every emitted host has already been read back as `reconstruct` would.
     """
+    check_class(cls)
     for j in range(2, n):
         right_filter = GenerationFilter(
             cls=suffix_class(cls, j), length=n - j + 1, avoid=PATTERN_321, begins_with_smallest=False

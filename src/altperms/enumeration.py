@@ -11,13 +11,13 @@ last pushed depth hands the tails it accepts over as one batch: `generate`
 joins them to the prefix, `count` adds up their lengths.
 A scored walk (321 or 123) pushes to depth n - 3. There the last two slots take
 the two values left, in the order the class fixes, and are checked in place, so
-a tail is (v, x, y). An unscored walk pushes to depth n - _TAIL - 1 only. After
-each candidate v it takes the last _TAIL entries from a table of the zigzag
-orders of _TAIL sorted values, keyed by how many of them lie below v and by
-whether the next slot rises. The table is built once, by comparing entries in
-every order, and each order is one `operator.itemgetter` that reads v and the
-values after it off the list of unused values. An unscored walk no longer than
-_TAIL takes all its entries from the table, at the root.
+a tail is (v, x, y). An unscored walk of length n >= 2 pushes to depth
+n - k - 1, k = min(_TAIL, n - 1), only. There each candidate v and the k values
+left after it come from a table that lists the zigzag orders of k + 1 sorted
+values by their first entry, by whether the second rises, and by whether the
+last is the largest. The table is built once, by comparing entries in every
+order, and each order is one `operator.itemgetter` that reads the k + 1 unused
+values straight off their list.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
 each unused value, the prefix 21-pairs above it (12-pairs below it); placing v
 above b placed entries adds (d - b)(v - 1 - b) (for 123, b(n - v - d + b)), and
@@ -42,7 +42,9 @@ from .perm_core import (
     Pattern,
     Perm,
     PATTERN_321,
+    check_class,
     check_pattern,
+    check_statistic,
 )
 
 
@@ -71,8 +73,7 @@ class GenerationFilter(FrozenRecord):
     def __init__(self, cls: AlternationClass, length: int, avoid: Pattern | None = None,
                  exact_occurrences: tuple[Pattern, int] | None = None,
                  ends_in_largest: bool | None = None, begins_with_smallest: bool | None = None) -> None:
-        if not isinstance(cls, AlternationClass):
-            raise ValueError(f"cls must be an AlternationClass, got {cls!r}")
+        check_class(cls)
         if type(length) is not int or length < 0:  # a bool compares as 1 or 0 but prints as a word
             raise ValueError("length must be an int >= 0")
         if avoid is not None and exact_occurrences is not None:
@@ -94,49 +95,37 @@ _TAIL = 5
 _ZIGZAG_TABLE = None
 
 
-def _zigzag_table() -> tuple[dict, dict]:
-    """(orders, tails), built on first use and published whole, so every caller sees a full table.
+def _zigzag_table() -> dict:
+    """table[k, rise, ends][i], built on first use and published whole, so every caller sees a full table.
 
-    orders[k, r, rise] lists, lexicographically, the zigzag orders of k sorted values as
-    index tuples, after a last entry with r of them below it: the first slot rises
-    above that entry exactly when `rise`, and each later slot turns the other way.
-    tails[rise, ends][i] holds one itemgetter per order of orders[_TAIL, i, rise]. It
-    reads the _TAIL + 1 unused values, increasing, and returns the one at index i
-    followed by the others in that order. ends None keeps every order; True keeps
-    those that end on the largest value, False those that do not.
+    For k = 1.._TAIL, list i holds one itemgetter per zigzag order of k + 1 sorted values
+    that starts with the one at index i, lexicographically; each reads the values,
+    increasing, and returns them in its order. The second entry exceeds the first exactly
+    when `rise`. ends None keeps every order; True keeps those that end on the largest
+    value, False those that do not.
     """
     global _ZIGZAG_TABLE
     table = _ZIGZAG_TABLE
     if table is None:
-        orders = {(0, 0, False): [()], (0, 0, True): [()]}
+        table = {(k, rise, ends): [[] for _ in range(k + 1)]
+                 for k in range(1, _TAIL + 1) for rise in (False, True) for ends in (None, True, False)}
         for k in range(1, _TAIL + 1):
-            for order in permutations(range(k)):  # lexicographic, so each row is too
-                # past one value the first slot turns against the second, which fixes rise;
-                # r then puts order[0] on that side of the last entry
-                for rise in (order[1] < order[0],) if k > 1 else (False, True):
-                    if all((order[s] > order[s - 1]) == (rise == (s % 2 == 0)) for s in range(2, k)):
-                        for r in range(order[0] + 1) if rise else range(order[0] + 1, k + 1):
-                            orders.setdefault((k, r, rise), []).append(order)
-        tails = {}
-        for rise in (False, True):
-            for ends in (None, True, False):
-                tails[rise, ends] = [
-                    [itemgetter(i, *(s + (s >= i) for s in order))
-                     for order in orders.get((_TAIL, i, rise), ())
-                     if ends is None or (order[-1] + (order[-1] >= i) == _TAIL) == ends]
-                    for i in range(_TAIL + 1)
-                ]
-        table = _ZIGZAG_TABLE = (orders, tails)
+            for order in permutations(range(k + 1)):  # lexicographic, so each list is too
+                if all((order[s] < order[s + 1]) != (order[s + 1] < order[s + 2]) for s in range(k - 1)):
+                    get, rise = itemgetter(*order), order[0] < order[1]
+                    for ends in (None, order[-1] == k):
+                        table[k, rise, ends][order[0]].append(get)
+        _ZIGZAG_TABLE = table
     return table
 
 
 def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, ...]]]]:
     """Yield (prefix, tails) per node at the last pushed depth that accepts a tail, in order;
     the prefix list is reused. A scored walk's nodes sit at depth n - 3 and check each tail
-    (v, x, y) in place. An unscored walk's nodes sit at depth n - _TAIL - 1, and each of
-    their candidates v takes its last _TAIL entries from the table of zigzag orders. Shorter
-    than 3 a scored walk is an unscored one or empty; an unscored walk no longer than _TAIL
-    is one batch read off the table at the root, with prefix []."""
+    (v, x, y) in place. An unscored walk's nodes sit at depth n - k - 1, k = min(_TAIL, n - 1),
+    and each of their candidates v takes itself and the last k entries from the table of
+    zigzag orders. Shorter than 3 a scored walk is an unscored one or empty, and an unscored
+    walk shorter than 2 is one literal batch with prefix []."""
     n = filt.length
     pattern, target = filt.exact_occurrences or (None, 0)
     ends, begins = filt.ends_in_largest, filt.begins_with_smallest
@@ -144,16 +133,9 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
         if target:
             return
         pattern = None
-    if pattern is None and n <= _TAIL:
-        # slot 1 rises above a last entry below every value, or falls below one above them
-        first_rises = not filt.cls.rises_into(2)
-        orders = _zigzag_table()[0][n, 0 if first_rises else n, first_rises]
-        tails = [
-            w for w in (tuple(s + 1 for s in order) for order in orders)
-            if ends in (None, w[-1:] == (n,)) and begins in (None, w[:1] == (1,))
-        ]
-        if tails:
-            yield [], tails
+    if n < 2:  # () neither ends in its largest nor begins with its smallest entry; (1,) does both
+        if ends in (None, n == 1) and begins in (None, n == 1):
+            yield [], [tuple(range(1, n + 1))]
         return
 
     # rise[t] (1-based position t >= 2): entry at t must exceed entry at t-1
@@ -175,11 +157,12 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
     # both walks keep prefix[d], the value placed at depth d, resume[d], its index
     # in free, and top[d], depth d's upper bound
     if pattern is None:
-        # after a candidate at index i, the nodes at depth leaf take the last _TAIL
-        # entries from tables[n unused][i]; ends_in_largest's ceil n - 1 keeps n unused
-        leaf = n - _TAIL - 1
-        tails_of = _zigzag_table()[1]
-        tables = (tails_of[rise[leaf + 2], None], tails_of[rise[leaf + 2], ends])
+        # the nodes at depth leaf take a candidate at index i and the k entries after it
+        # from tables[n unused][i]; ends_in_largest's ceil n - 1 keeps n unused
+        k = min(_TAIL, n - 1)
+        leaf = n - k - 1
+        zigzag = _zigzag_table()
+        tables = (zigzag[k, rise[leaf + 2], None], zigzag[k, rise[leaf + 2], ends])
         prefix, resume, top = [0] * leaf, [0] * leaf, [ceil[1]] * (leaf + 1)
         d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
         while True:
@@ -205,7 +188,7 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
                 top[d] = hi
                 i = bisect_left(free, lo)
             else:  # every candidate in the window at once; the next scan starts past hi
-                table = tables[free[_TAIL] == n]
+                table = tables[free[k] == n]
                 tails = []
                 while v <= hi:
                     tails += [get(free) for get in table[i]]
@@ -316,7 +299,6 @@ def table1_oracle(cls: AlternationClass, n: int, statistic: str) -> int:
     `statistic` is one of "total", "ends_in_largest", "begins_with_smallest";
     the latter two restrict to permutations with that boundary property.
     """
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r} (expected one of {STATISTICS})")
+    check_statistic(statistic)
     flags = {} if statistic == "total" else {statistic: True}
     return count(GenerationFilter(cls=cls, length=n, avoid=PATTERN_321, **flags))

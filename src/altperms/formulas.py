@@ -25,7 +25,9 @@ from .perm_core import (
     Pattern,
     PATTERN_123,
     PATTERN_321,
+    check_class,
     check_pattern,
+    check_statistic,
     suffix_class,
 )
 
@@ -83,11 +85,6 @@ _TABLE1 = {
 }
 
 
-def _check_class(cls: object) -> None:
-    if not isinstance(cls, AlternationClass):
-        raise ValueError(f"cls must be an AlternationClass, got {cls!r}")
-
-
 def table1_formula(cls: AlternationClass, n: int, statistic: str) -> int:
     """Tabulated count of 321-avoiding length-n `cls` permutations.
 
@@ -97,11 +94,10 @@ def table1_formula(cls: AlternationClass, n: int, statistic: str) -> int:
     >>> table1_formula(AlternationClass.UP_DOWN, 4, "total")
     5
     """
-    _check_class(cls)
+    check_class(cls)
     if n < 0:
         raise ValueError("n must be >= 0")
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
+    check_statistic(statistic)
     return next(_table1_counts(cls, range(n, n + 1), statistic))
 
 
@@ -123,7 +119,7 @@ def boundary_count(cls: AlternationClass, n: int, role: str) -> int:
         raise ValueError("n must be >= 1")
     if role not in _ROLE_STATISTIC:
         raise ValueError(f"unknown role {role!r} (expected one of {tuple(_ROLE_STATISTIC)})")
-    _check_class(cls)
+    check_class(cls)
     return next(_table1_counts(cls, range(n, n + 1), role))
 
 
@@ -253,7 +249,7 @@ def decomposition_sum(n: int, cls: AlternationClass) -> int:
     """
     if n < 3:
         raise ValueError("n must be >= 3")
-    _check_class(cls)
+    check_class(cls)
     total = 0
     for first in (2, 3):
         # Positions j of one parity share the left row, the right row and the right block's class;
@@ -273,7 +269,7 @@ class SequenceSpec(FrozenRecord):
     cls: AlternationClass
 
     def __init__(self, pattern: Pattern, cls: AlternationClass) -> None:
-        _check_class(cls)
+        check_class(cls)
         self.__setstate__((check_pattern(pattern), cls))
 
 

@@ -102,6 +102,13 @@ class AlternationClass(enum.Enum):
         raise ValueError(f"unknown alternation class code {code!r} (expected UD or DU)")
 
 
+def check_class(cls: object) -> AlternationClass:
+    """`cls` itself; ValueError unless it is an AlternationClass (a class code such as "UD" is not)."""
+    if not isinstance(cls, AlternationClass):
+        raise ValueError(f"cls must be an AlternationClass, got {cls!r}")
+    return cls
+
+
 def suffix_class(cls: AlternationClass, start: int) -> AlternationClass:
     """Alternation class of a block that takes over at 1-based `start` of a host.
 
@@ -248,3 +255,9 @@ def standardize(values: Sequence[int]) -> Perm:
 
 #: Boundary statistics of a Table 1 cell: all permutations, or those with the property.
 STATISTICS = ("total", "ends_in_largest", "begins_with_smallest")
+
+
+def check_statistic(statistic: str) -> None:
+    """ValueError unless `statistic` names a STATISTICS column."""
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}: expected one of {', '.join(STATISTICS)}")

@@ -267,6 +267,20 @@ def test_converse_roundtrip_over_all_valid_records():
             assert seen == hosts
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        # the record is what validate_record, reconstruct and format_record would be handed
+        lambda: DecompositionRecord(6, "UD", 3, (1, 3, 2), (2, 3, 1, 4)),
+        lambda: list(enumerate_by_decomposition(5, "UD")),
+    ],
+    ids=["record", "enumerate_by_decomposition"],
+)
+def test_a_class_code_is_refused(entry):
+    with pytest.raises(ValueError, match=r"^cls must be an AlternationClass, got 'UD'$"):
+        entry()
+
+
 def test_enumerate_by_decomposition_counts():
     assert sum(1 for _ in enumerate_by_decomposition(6, UD)) == 12
     assert list(enumerate_by_decomposition(4, UD)) == []

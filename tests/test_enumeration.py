@@ -2,13 +2,13 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from itertools import zip_longest
+from itertools import permutations, zip_longest
 
 import pytest
 
 from altperms import enumeration
 from altperms.enumeration import GenerationFilter, count, euler_zigzag, generate, table1_oracle
-from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321, count_occurrences
+from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321, classify, count_occurrences
 
 import naive
 
@@ -149,9 +149,9 @@ def test_naive_scan_has_every_unscored_flag_pair():
 def test_generate_matches_naive_scan(cls, constraints):
     # 321 and 123 are scored by the forced-occurrence count F, whose lookahead
     # at n = 8 cuts prefixes with up to six entries still to place. The
-    # unscored cases run to n = 9: up to n = _TAIL the table of zigzag orders
-    # gives every entry at the root, past it the last _TAIL entries after each
-    # candidate, and each flag filters the table's orders
+    # unscored cases run to n = 9: from n = 2 the table of zigzag orders gives
+    # the last min(_TAIL, n - 1) + 1 entries, all of them up to n = _TAIL + 1,
+    # and ends_in_largest picks which of its orders are read
     for n in range(0, 10 if constraints in UNSCORED_CASES else 9):
         filt = GenerationFilter(cls, n, **constraints)
         got = list(generate(filt))
@@ -206,6 +206,23 @@ def test_count_from_threads_matches_serial():
     serial = [count(filt) for filt in CONCURRENT_FILTERS]
     with ThreadPoolExecutor(max_workers=4) as pool:
         assert list(pool.map(count, CONCURRENT_FILTERS * 2)) == serial * 2
+
+
+def test_zigzag_table_lists_its_definition():
+    # list i of table[k, rise, ends], read off 1..k + 1, is every permutation of those values,
+    # lexicographically, that starts with i + 1, is UD when rise (DU otherwise), and ends on
+    # k + 1 when ends is True, not on k + 1 when it is False
+    table = enumeration._zigzag_table()
+    keys = [(k, rise, ends) for k in range(1, enumeration._TAIL + 1) for rise in (False, True)
+            for ends in (None, True, False)]
+    assert sorted(table, key=repr) == sorted(keys, key=repr)
+    for k, rise, ends in keys:
+        values = tuple(range(1, k + 2))
+        assert len(table[k, rise, ends]) == k + 1
+        for i, getters in enumerate(table[k, rise, ends]):
+            expected = [w for w in permutations(values)
+                        if w[0] == i + 1 and (UD if rise else DU) in classify(w) and ends in (None, w[-1] == k + 1)]
+            assert [get(values) for get in getters] == expected, (k, rise, ends, i)
 
 
 def test_zigzag_table_cold_build_is_thread_safe():

@@ -156,6 +156,13 @@ def test_table1_rejects_a_class_code():
         decomposition_sum(8, "UD")
 
 
+@pytest.mark.parametrize("table1", [table1_formula, table1_oracle])
+def test_table1_refuses_an_unknown_statistic(table1):
+    message = "unknown statistic 'largest': expected one of total, ends_in_largest, begins_with_smallest"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        table1(UD, 4, "largest")
+
+
 def _imported_modules(module) -> set[str]:
     """Every dotted name the module's source imports, relative ones included."""
     names = set()
