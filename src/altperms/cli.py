@@ -62,13 +62,14 @@ _IDENTITY_BOUND = 200
 #: The largest --n (count) or --n-max (the commands that loop over lengths) of each request,
 #: keyed by the argv words that select it: where the request's slowest (pattern, class) pair
 #: takes up to about 50 s as a CLI process on a 2-CPU x86 host (Python 3.11); README lists
-#: each time. The unrestricted oracle row, 13, lists all E_13 permutations in about 7 s, and
-#: E_14 takes about 60 s. An oracle target with no row of its own reads that row: its walk is a
-#: subtree of the unrestricted one, but scored node by node, and takes 23-26 s at 13 when
-#: nothing prunes.
+#: each time. The unrestricted oracle row, 14, counts all E_14 permutations in about 6 s
+#: without building one, and E_15 takes about a minute. Oracle targets 0-4 have a row each;
+#: every larger target shares the row "--exactly 5+", 13: its walk is a subtree of the
+#: unrestricted one, but scored node by node, and takes 23-29 s at 13 when nothing prunes.
 _LIMITS = {
-    "count --method oracle": 13,
+    "count --method oracle": 14,
     **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((25, 24, 22, 20, 19))},
+    "count --method oracle --exactly 5+": 13,
     "count --method closed_form": 2_000_000, "count --method convolution": 60_000,
     "count --method decomposition_sum": 60_000, "count --method bijection": 22,
     "verify-identity": 2200, "verify-table": 23, "selftest": 13,
@@ -180,8 +181,9 @@ def _cmd_count(args: argparse.Namespace) -> int:
         inputs.update({"pattern": args.pattern, "exactly": args.exactly})
     method = args.method or ("closed_form" if args.exactly == 1 else "oracle")
     key = f"count --method {method}"
-    if f"{key} --exactly {args.exactly}" in _LIMITS:  # the oracle's per-target rows
-        key += f" --exactly {args.exactly}"
+    if method == "oracle" and pattern is not None:  # the oracle's per-target rows; 5+ holds the rest
+        target = f"{key} --exactly {args.exactly}"
+        key = target if target in _LIMITS else f"{key} --exactly 5+"
     _refuse_past_limit(key, "--n", args.n, args.exactly == 1)
     value = _count(pattern, AlternationClass.from_code(args.cls), args.n, args.exactly, method)
     _emit("count", inputs, value, method, started)

@@ -7,17 +7,21 @@ the boundary flags' bounds, so it never steps over a placed value; a candidate
 v at index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
 a node's candidate window is computed once, when it is pushed. Each node at the
-last pushed depth hands the tails it accepts over as one batch: `generate`
-joins them to the prefix, `count` adds up their lengths.
+last pushed depth hands the tails it accepts over as one batch (prefix, free,
+getters): each getter is an `operator.itemgetter` that reads one tail off the
+unused values. `generate` joins get(free) to the prefix, `count` adds up the
+batches' lengths and calls no getter, so it builds no permutation.
 A scored walk (321 or 123) pushes to depth n - 3. There the last two slots take
 the two values left, in the order the class fixes, and are checked in place, so
-a tail is (v, x, y). An unscored walk of length n >= 2 pushes to depth
-n - k - 1, k = min(_TAIL, n - 1), only. There each candidate v and the k values
-left after it come from a table that lists the zigzag orders of k + 1 sorted
-values by their first entry, by whether the second rises, and by whether the
-last is the largest. The table is built once, by comparing entries in every
-order, and each order is one `operator.itemgetter` that reads the k + 1 unused
-values straight off their list.
+a tail (v, x, y) is read by one of three getters, one per index of v. An
+unscored walk of length n >= 2 pushes to depth n - k - 1, k = min(_TAIL, n - 1),
+only. There each candidate v and the k values left after it come from a table
+that lists the zigzag orders of k + 1 sorted values lexicographically, by
+whether the second rises and by whether the last is the largest, with the
+offset where each first entry starts; the orders of a node's candidate window
+are then one slice. The table is built once, by comparing entries in every
+order, and each order is one getter that reads the k + 1 unused values
+straight off their list.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
 each unused value, the prefix 21-pairs above it (12-pairs below it); placing v
 above b placed entries adds (d - b)(v - 1 - b) (for 123, b(n - v - d + b)), and
@@ -30,13 +34,12 @@ These are the only patterns a filter accepts (perm_core.check_pattern).
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Iterator
-from itertools import permutations
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
+from itertools import accumulate, chain, permutations
 from operator import itemgetter
 
 from .perm_core import (
-    STATISTICS,
     AlternationClass,
     FrozenRecord,
     Pattern,
@@ -96,13 +99,15 @@ _ZIGZAG_TABLE = None
 
 
 def _zigzag_table() -> dict:
-    """table[k, rise, ends][i], built on first use and published whole, so every caller sees a full table.
+    """table[k, rise, ends] = (orders, start), built on first use and published whole, so every
+    caller sees a full table.
 
-    For k = 1.._TAIL, list i holds one itemgetter per zigzag order of k + 1 sorted values
-    that starts with the one at index i, lexicographically; each reads the values,
-    increasing, and returns them in its order. The second entry exceeds the first exactly
-    when `rise`. ends None keeps every order; True keeps those that end on the largest
-    value, False those that do not.
+    For k = 1.._TAIL, `orders` holds one itemgetter per zigzag order of k + 1 sorted values,
+    lexicographically; each reads the values, increasing, and returns them in its order. The
+    second entry exceeds the first exactly when `rise`. ends None keeps every order; True keeps
+    those that end on the largest value, False those that do not. start[i], i = 0..k + 1, is
+    the offset of the first order whose first entry is at index >= i, so
+    orders[start[i]:start[j]] are the orders that start at an index in [i, j).
     """
     global _ZIGZAG_TABLE
     table = _ZIGZAG_TABLE
@@ -115,17 +120,21 @@ def _zigzag_table() -> dict:
                     get, rise = itemgetter(*order), order[0] < order[1]
                     for ends in (None, order[-1] == k):
                         table[k, rise, ends][order[0]].append(get)
+        for key, lists in table.items():
+            table[key] = (tuple(chain.from_iterable(lists)), tuple(accumulate(map(len, lists), initial=0)))
         _ZIGZAG_TABLE = table
     return table
 
 
-def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, ...]]]]:
-    """Yield (prefix, tails) per node at the last pushed depth that accepts a tail, in order;
-    the prefix list is reused. A scored walk's nodes sit at depth n - 3 and check each tail
-    (v, x, y) in place. An unscored walk's nodes sit at depth n - k - 1, k = min(_TAIL, n - 1),
-    and each of their candidates v takes itself and the last k entries from the table of
-    zigzag orders. Shorter than 3 a scored walk is an unscored one or empty, and an unscored
-    walk shorter than 2 is one literal batch with prefix []."""
+def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Sequence[itemgetter]]]:
+    """Yield (prefix, free, getters) per node at the last pushed depth that accepts a tail, in
+    order: the node's permutations are prefix + get(free), one per getter. The prefix and free
+    lists are reused, and free is valid only until the walk resumes, so a consumer applies the
+    getters before it asks for the next batch. A scored walk's nodes sit at depth n - 3 and
+    check each tail (v, x, y) in place. An unscored walk's nodes sit at depth n - k - 1,
+    k = min(_TAIL, n - 1), and hand over the slice of the table of zigzag orders that starts
+    in their candidate window. Shorter than 3 a scored walk is an unscored one or empty, and an
+    unscored walk shorter than 2 is one literal batch ([], values, (tuple,))."""
     n = filt.length
     pattern, target = filt.exact_occurrences or (None, 0)
     ends, begins = filt.ends_in_largest, filt.begins_with_smallest
@@ -135,7 +144,7 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
         pattern = None
     if n < 2:  # () neither ends in its largest nor begins with its smallest entry; (1,) does both
         if ends in (None, n == 1) and begins in (None, n == 1):
-            yield [], [tuple(range(1, n + 1))]
+            yield [], range(1, n + 1), (tuple,)
         return
 
     # rise[t] (1-based position t >= 2): entry at t must exceed entry at t-1
@@ -153,12 +162,11 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
         floor[1] = 2
     # the unused values, increasing; the sentinel n + 1 ends every candidate scan
     free = [*range(1, n + 1), n + 1]
-    tails: list[tuple[int, ...]] = []
     # both walks keep prefix[d], the value placed at depth d, resume[d], its index
     # in free, and top[d], depth d's upper bound
     if pattern is None:
-        # the nodes at depth leaf take a candidate at index i and the k entries after it
-        # from tables[n unused][i]; ends_in_largest's ceil n - 1 keeps n unused
+        # the nodes at depth leaf take their candidates and the k entries after each from
+        # tables[n unused]; ends_in_largest's ceil n - 1 keeps n unused
         k = min(_TAIL, n - 1)
         leaf = n - k - 1
         zigzag = _zigzag_table()
@@ -188,19 +196,18 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
                 top[d] = hi
                 i = bisect_left(free, lo)
             else:  # every candidate in the window at once; the next scan starts past hi
-                table = tables[free[k] == n]
-                tails = []
-                while v <= hi:
-                    tails += [get(free) for get in table[i]]
-                    i += 1
-                    v = free[i]
-                if tails:
-                    yield prefix, tails
+                orders, start = tables[free[k] == n]
+                first, i = i, bisect_right(free, hi, i)
+                getters = orders[start[first]:start[i]]
+                if getters:
+                    yield prefix, free, getters
 
     # the nodes at depth leaf fill position last; of the two values left,
     # rise[n] puts the smaller (index j = 0) or larger (j = 1) first
     last, leaf = n - 2, n - 3
     j = 0 if rise[n] else 1
+    # tails[i] reads (v, x, y) off free when v is at index i
+    tails = tuple(itemgetter(i, *(pair[::-1] if j else pair)) for i, pair in enumerate(((1, 2), (0, 2), (0, 1))))
     # position n - 1 >= 2 needs no flag check of its own: begins_with_smallest
     # bounds position 1 only, and ends_in_largest's ceil n - 1 holds once y = n
     rise1, lo2, hi2 = rise[n - 1], floor[n], ceil[n]
@@ -208,6 +215,7 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
     # forced[d]: F of prefix[:d]
     prefix, resume = [0] * leaf, [0] * leaf
     forced, top = [0] * (leaf + 1), [ceil[1]] * (leaf + 1)
+    getters: list[itemgetter] = []
     d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
     while True:
         v = free[i]
@@ -230,13 +238,13 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
                     else:
                         total += (x - 1 - j) * (n - last - 1 - j)
                     if total == target:
-                        tails.append((v, x, y))
+                        getters.append(tails[i])
             i += 1
             v = free[i]
         else:  # no candidate left at this depth: hand over its tails, backtrack
-            if tails:
-                yield prefix, tails
-                tails = []
+            if getters:
+                yield prefix, free, getters
+                getters = []
             d -= 1
             if d < 0:
                 return
@@ -262,15 +270,15 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], list[tuple[int, .
 
 def generate(filt: GenerationFilter) -> Iterator[Perm]:
     """Yield every permutation matching `filt`, lexicographically, each once: a prefix plus one of its tails."""
-    for prefix, tails in _walk(filt):
+    for prefix, free, getters in _walk(filt):
         head = tuple(prefix)
-        for tail in tails:
-            yield head + tail
+        for get in getters:
+            yield head + get(free)
 
 
 def count(filt: GenerationFilter) -> int:
-    """Cardinality of generate(filt): the sum of the batches' lengths, with no permutation built."""
-    return sum(len(tails) for _, tails in _walk(filt))
+    """Cardinality of generate(filt): the sum of the batches' lengths, with no getter called."""
+    return sum(len(getters) for _, _, getters in _walk(filt))
 
 
 def euler_zigzag(n: int) -> int:

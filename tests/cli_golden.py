@@ -78,6 +78,8 @@ OTHERS = [
          "--n", str(cli._LIMITS[f"count --method oracle --exactly {target}"] + 1)]
         for target in ("0", "1")
     ),
+    ["count", "--pattern", "321", "--exactly", "7", "--method", "oracle",  # refused by the row for targets >= 5
+     "--n", str(cli._LIMITS["count --method oracle --exactly 5+"] + 1)],
     ["selftest", "--n-max", "6"],
     ["count", "--n", "x"],  # integer flags report their rule, not their parser
     ["count", "--n", "1.5"],

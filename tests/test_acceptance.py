@@ -38,7 +38,7 @@ DU = AlternationClass.DOWN_UP
 
 A321_UP_TO_10 = {3: 0, 4: 0, 5: 5, 6: 12, 7: 26, 8: 66, 9: 108, 10: 286}
 A123_UP_TO_10 = {3: 0, 4: 2, 5: 5, 6: 10, 7: 26, 8: 40, 9: 108, 10: 150}
-ZIGZAG_UP_TO_12 = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765]
+ZIGZAG_UP_TO_13 = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521, 353792, 2702765, 22368256]
 
 
 def _report(criterion: int, label: str, started: float) -> None:
@@ -119,12 +119,13 @@ def test_criterion_4_bijection_n_up_to_10():
     _report(4, "bijection roundtrips and set equality, n<=10", started)
 
 
-def test_criterion_5_cross_oracle_zigzag_n_up_to_12():
+def test_criterion_5_cross_oracle_zigzag_n_up_to_13():
     started = time.perf_counter()
-    assert [euler_zigzag(n) for n in range(13)] == ZIGZAG_UP_TO_12
-    for n in range(0, 13):
-        assert count(GenerationFilter(UD, n)) == euler_zigzag(n), n
-    _report(5, "generation count vs boustrophedon, n<=12", started)
+    assert [euler_zigzag(n) for n in range(14)] == ZIGZAG_UP_TO_13
+    for n in range(0, 14):
+        for cls in (UD, DU):
+            assert count(GenerationFilter(cls, n)) == euler_zigzag(n), (cls, n)
+    _report(5, "generation count vs boustrophedon, both classes, n<=13", started)
 
 
 def test_criterion_6_reversal_symmetry_n_up_to_8():

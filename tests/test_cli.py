@@ -72,8 +72,9 @@ def test_count_unrestricted_matches_zigzag(capsys):
 
 
 def limit_request(key, size):
-    """The argv of the request that a row of `cli._LIMITS` selects, at `size`, and its size flag."""
-    command, *words = key.split()
+    """The argv of the request that a row of `cli._LIMITS` selects, at `size`, and its size flag.
+    The oracle's row for every larger target, "--exactly 5+", is requested with --exactly 5."""
+    command, *words = key.replace("5+", "5").split()
     if command != "count":
         pattern = ["--pattern", "123"] if command == "sequence" else []
         return [command, *pattern, *words, "--n-max", str(size)], "--n-max"
@@ -114,16 +115,18 @@ def test_refused_past_limit(capsys, monkeypatch, key):
 
 
 @pytest.mark.parametrize("target", [5, 10**20])
-def test_count_oracle_targets_past_the_table_stop_where_unrestricted_counts_do(capsys, monkeypatch, target):
-    # a scored walk is a subtree of the unrestricted one, so the unrestricted limit bounds any target
+def test_count_oracle_targets_past_the_table_share_one_row(capsys, monkeypatch, target):
+    # every target from 5 on reads the row "--exactly 5+", below the unrestricted row: a scored
+    # walk is a subtree of the unrestricted one, but scores every node
     monkeypatch.setattr(cli, "count", lambda filt: filt.length)
     argv = ["count", "--pattern", "123", "--method", "oracle", "--exactly", str(target), "--n"]
-    limit = cli._LIMITS["count --method oracle"]
+    limit = cli._LIMITS["count --method oracle --exactly 5+"]
+    assert limit < cli._LIMITS["count --method oracle"]
     code, lines, _ = run_lines(capsys, argv + [str(limit)])
     assert (code, lines[0]["value"]) == (0, str(limit))
     code, lines, err = run_lines(capsys, argv + [str(limit + 1)])
     assert (code, lines) == (1, [])
-    assert err == f"--n {limit + 1}: count --method oracle stops at --n {limit}\n"
+    assert err == f"--n {limit + 1}: count --method oracle --exactly 5+ stops at --n {limit}\n"
 
 
 @pytest.mark.parametrize("n", [cli._LIMITS["count --method oracle"] + 1, 40])
@@ -140,7 +143,7 @@ def test_count_unrestricted_refused_above_limit(capsys, monkeypatch, n):
 
 
 def test_count_unrestricted_at_limit_reaches_the_oracle(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "count", lambda filt: filt.length)  # stands in for E_13's ~25 s
+    monkeypatch.setattr(cli, "count", lambda filt: filt.length)  # stands in for E_14's ~6 s
     limit = cli._LIMITS["count --method oracle"]
     code, lines, _ = run_lines(capsys, ["count", "--class", "UD", "--n", str(limit)])
     assert code == 0

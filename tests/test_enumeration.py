@@ -209,20 +209,23 @@ def test_count_from_threads_matches_serial():
 
 
 def test_zigzag_table_lists_its_definition():
-    # list i of table[k, rise, ends], read off 1..k + 1, is every permutation of those values,
-    # lexicographically, that starts with i + 1, is UD when rise (DU otherwise), and ends on
-    # k + 1 when ends is True, not on k + 1 when it is False
+    # table[k, rise, ends] is (orders, start): orders[start[i]:start[i + 1]], read off 1..k + 1,
+    # is every permutation of those values, lexicographically, that starts with i + 1, is UD
+    # when rise (DU otherwise), and ends on k + 1 when ends is True, not on k + 1 when it is
+    # False; start[k + 1] closes the last slice at the end of orders
     table = enumeration._zigzag_table()
     keys = [(k, rise, ends) for k in range(1, enumeration._TAIL + 1) for rise in (False, True)
             for ends in (None, True, False)]
     assert sorted(table, key=repr) == sorted(keys, key=repr)
     for k, rise, ends in keys:
         values = tuple(range(1, k + 2))
-        assert len(table[k, rise, ends]) == k + 1
-        for i, getters in enumerate(table[k, rise, ends]):
+        orders, start = table[k, rise, ends]
+        assert type(orders) is tuple and len(start) == k + 2
+        assert start[0] == 0 and start[k + 1] == len(orders)
+        for i in range(k + 1):
             expected = [w for w in permutations(values)
                         if w[0] == i + 1 and (UD if rise else DU) in classify(w) and ends in (None, w[-1] == k + 1)]
-            assert [get(values) for get in getters] == expected, (k, rise, ends, i)
+            assert [get(values) for get in orders[start[i]:start[i + 1]]] == expected, (k, rise, ends, i)
 
 
 def test_zigzag_table_cold_build_is_thread_safe():
@@ -259,9 +262,10 @@ def test_zigzag_table_cold_build_is_thread_safe():
 
 
 def test_zigzag_table_is_published_whole(monkeypatch):
-    # The first permutations() call (building the orders) and the first itemgetter()
-    # call (building the tails) each run a walk in a new thread and wait for it, so
-    # that walk starts midway through a build: it must find no table, and build its own.
+    # The first permutations() call (listing the candidate orders) and the first
+    # itemgetter() call (making the first order's getter) each run a walk in a new thread
+    # and wait for it, so that walk starts midway through the build of table[k, rise, ends]:
+    # it must find no table, and build its own.
     filt = GenerationFilter(DU, 8, ends_in_largest=False)
     expected = list(generate(filt))
     midway: list = []

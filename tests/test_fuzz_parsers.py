@@ -66,7 +66,7 @@ BOUNDED = {"selftest", "sequence", "verify-table", "verify-identity"}
 #: the key sets a target) and the size one past the row's limit.
 REFUSED = {}
 for key, limit in cli._LIMITS.items():
-    command, *flags = key.split()
+    command, *flags = key.replace("5+", "5").split()  # the row for every target from 5 on
     size = "--n" if command == "count" else "--n-max"
     pattern = ["--pattern", "321"] if "--exactly" in flags else []
     REFUSED.setdefault(command, [[size, "9" * 20]]).append([*flags, *pattern, size, str(limit + 1)])
