@@ -64,15 +64,16 @@ _IDENTITY_BOUND = 200
 #: takes up to about 50 s as a CLI process on a 2-CPU x86 host (Python 3.11); README lists
 #: each time. The unrestricted oracle row, 14, counts all E_14 permutations in about 6 s
 #: without building one, and E_15 takes about a minute. Oracle targets 0-4 have a row each;
-#: every larger target shares the row "--exactly 5+", 13: its walk is a subtree of the
-#: unrestricted one, but scored node by node, and takes 23-29 s at 13 when nothing prunes.
+#: every larger target shares the row "--exactly 5+", 14: its walk is a subtree of the
+#: unrestricted one, but scored node by node down to its last six entries, and takes
+#: 10-12 s at 14 when nothing prunes.
 _LIMITS = {
     "count --method oracle": 14,
     **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((25, 24, 22, 20, 19))},
-    "count --method oracle --exactly 5+": 13,
+    "count --method oracle --exactly 5+": 14,
     "count --method closed_form": 2_000_000, "count --method convolution": 60_000,
     "count --method decomposition_sum": 60_000, "count --method bijection": 22,
-    "verify-identity": 2200, "verify-table": 23, "selftest": 13,
+    "verify-identity": 2200, "verify-table": 23, "selftest": 14,
     "sequence --method oracle": 23, "sequence --method closed_form": 18_000,
 }
 

@@ -6,22 +6,18 @@ and draws each entry from the part of that list inside the zigzag range cut to
 the boundary flags' bounds, so it never steps over a placed value; a candidate
 v at index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
-a node's candidate window is computed once, when it is pushed. Each node at the
-last pushed depth hands the tails it accepts over as one batch (prefix, free,
-getters): each getter is an `operator.itemgetter` that reads one tail off the
-unused values. `generate` joins get(free) to the prefix, `count` adds up the
-batches' lengths and calls no getter, so it builds no permutation.
-A scored walk (321 or 123) pushes to depth n - 3. There the last two slots take
-the two values left, in the order the class fixes, and are checked in place, so
-a tail (v, x, y) is read by one of three getters, one per index of v. An
-unscored walk of length n >= 2 pushes to depth n - k - 1, k = min(_TAIL, n - 1),
-only. There each candidate v and the k values left after it come from a table
-that lists the zigzag orders of k + 1 sorted values lexicographically, by
+a node's candidate window is computed once, when it is pushed. A walk of length
+n >= 2 (n >= 3 when scored) pushes to depth leaf = n - k - 1, k = min(_TAIL,
+n - 1), only. There each candidate v and the k values left after it come from a
+table that lists the zigzag orders of k + 1 sorted values lexicographically, by
 whether the second rises and by whether the last is the largest, with the
 offset where each first entry starts; the orders of a node's candidate window
 are then one slice. The table is built once, by comparing entries in every
-order, and each order is one getter that reads the k + 1 unused values
-straight off their list.
+order, and each order is one `operator.itemgetter` that reads the k + 1 unused
+values straight off their list. Each node at depth leaf hands the tails it
+accepts over as one batch (prefix, free, getters): `generate` joins get(free) to
+the prefix, `count` adds up the batches' lengths and calls no getter, so it
+builds no permutation.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
 each unused value, the prefix 21-pairs above it (12-pairs below it); placing v
 above b placed entries adds (d - b)(v - 1 - b) (for 123, b(n - v - d + b)), and
@@ -29,6 +25,16 @@ pruning on F > target never loses a solution, because every unused value closes
 a distinct occurrence with each such pair once placed, so F only grows and is
 the exact count at a leaf (the generating-tree lookahead of West, "Generating
 trees and forbidden subsequences", 1996).
+A scored walk's node at depth leaf reads its slice off a scored table instead,
+which keeps only the orders whose tail brings F exactly to the target. Counted
+by middle entry, the tail of order σ of the ranks 0..k adds
+inner(σ) + Σ_r A_r·c_r(σ): c_r is the number of later tail entries below rank r
+(above it for 123), inner = Σ_r e_r·c_r with e_r the earlier tail entries above
+it (below it), and A_r = n - k + r - free[r] the placed values above the unused
+value of rank r (for 123 below it, free[r] - 1 - r). inner and c come from
+comparing the entries of σ, once per table of zigzag orders and pattern; the
+scored table groups the orders by their score under the vector A, clipped at
+cap, and keeps the scores below cap, so a node looks up target - F.
 These are the only patterns a filter accepts (perm_core.check_pattern).
 """
 
@@ -37,7 +43,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import accumulate, chain, permutations
-from operator import itemgetter
+from math import comb
+from operator import itemgetter, mul, sub
 
 from .perm_core import (
     AlternationClass,
@@ -93,21 +100,30 @@ class GenerationFilter(FrozenRecord):
         self.__setstate__((cls, length, exact_occurrences, ends_in_largest, begins_with_smallest))
 
 
-#: How many entries an unscored walk takes from the table of zigzag orders after its last candidate
+#: How many entries a walk takes from the table of zigzag orders after its last candidate
 _TAIL = 5
 _ZIGZAG_TABLE = None
+#: _ORDER_SCORES[k, rise, ends, pattern]: see _order_scores
+_ORDER_SCORES: dict = {}
+#: _SCORED_TABLE[k, rise, ends, pattern, cap][vec] = _orders_by_score(k, rise, ends, pattern, cap, vec)
+_SCORED_TABLE: dict = {}
+
+
+def _sliced(lists: list[list[itemgetter]]) -> tuple[tuple[itemgetter, ...], tuple[int, ...]]:
+    """(orders, start) of lists[i], the orders whose first entry is at index i: orders joins
+    the lists, and start[i], i = 0..len(lists), is the offset of the first order whose first
+    entry is at index >= i, so orders[start[i]:start[j]] are the orders that start in [i, j)."""
+    return tuple(chain.from_iterable(lists)), tuple(accumulate(map(len, lists), initial=0))
 
 
 def _zigzag_table() -> dict:
-    """table[k, rise, ends] = (orders, start), built on first use and published whole, so every
+    """table[k, rise, ends] = _sliced(lists), built on first use and published whole, so every
     caller sees a full table.
 
-    For k = 1.._TAIL, `orders` holds one itemgetter per zigzag order of k + 1 sorted values,
-    lexicographically; each reads the values, increasing, and returns them in its order. The
-    second entry exceeds the first exactly when `rise`. ends None keeps every order; True keeps
-    those that end on the largest value, False those that do not. start[i], i = 0..k + 1, is
-    the offset of the first order whose first entry is at index >= i, so
-    orders[start[i]:start[j]] are the orders that start at an index in [i, j).
+    For k = 1.._TAIL, lists[i] holds one itemgetter per zigzag order of k + 1 sorted values
+    that starts at index i, lexicographically; each reads the values, increasing, and returns
+    them in its order. The second entry exceeds the first exactly when `rise`. ends None keeps
+    every order; True keeps those that end on the largest value, False those that do not.
     """
     global _ZIGZAG_TABLE
     table = _ZIGZAG_TABLE
@@ -121,20 +137,70 @@ def _zigzag_table() -> dict:
                     for ends in (None, order[-1] == k):
                         table[k, rise, ends][order[0]].append(get)
         for key, lists in table.items():
-            table[key] = (tuple(chain.from_iterable(lists)), tuple(accumulate(map(len, lists), initial=0)))
+            table[key] = _sliced(lists)
         _ZIGZAG_TABLE = table
     return table
+
+
+def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern) -> tuple:
+    """One (first, get, inner, c) per order of _zigzag_table()[k, rise, ends], in its order,
+    worked out once by comparing entries and published whole.
+
+    `get` reads the order σ of the ranks 0..k, first = σ[0]. For 321, c[r] is the number of
+    entries after rank r that lie below it, and inner = Σ_r e[r]·c[r], e[r] the number of
+    entries before rank r that lie above it: the 321s inside σ, counted by middle entry.
+    For 123 read below for above and above for below.
+    """
+    key = (k, rise, ends, pattern)
+    scores = _ORDER_SCORES.get(key)
+    if scores is None:
+        down = pattern == PATTERN_321
+        ranks = range(k + 1)
+        scores = []
+        for get in _zigzag_table()[k, rise, ends][0]:
+            order = get(ranks)
+            e, c = [0] * (k + 1), [0] * (k + 1)
+            for s, r in enumerate(order):
+                for x in order[s + 1:]:
+                    if (x < r) == down:  # r, then x below it (above it, for 123)
+                        c[r] += 1
+                        e[x] += 1
+            scores.append((order[0], get, sum(map(mul, e, c)), tuple(c)))
+        _ORDER_SCORES[key] = scores = tuple(scores)
+    return scores
+
+
+def _orders_by_score(k: int, rise: bool, ends: bool | None, pattern: Pattern, cap: int,
+                     vec: tuple[int, ...]) -> dict:
+    """{total: _sliced(lists)} over the orders of _zigzag_table()[k, rise, ends] whose score,
+    inner + Σ_r vec[r]·c[r] (see _order_scores), is total < cap; lists[i] keeps the orders
+    that start at index i, lexicographically.
+
+    When vec[r] counts the placed values above the unused value of rank r (below it, for 123),
+    an order's score is the number of occurrences its tail adds, by middle entry. A walk clips
+    vec at cap: a clipped entry adds at least cap to every order with c[r] >= 1, which then
+    stays out, clipped or not.
+    """
+    totals: dict = {}
+    for first, get, inner, c in _order_scores(k, rise, ends, pattern):
+        total = inner + sum(map(mul, vec, c))
+        if total < cap:
+            if total not in totals:
+                totals[total] = [[] for _ in range(k + 1)]
+            totals[total][first].append(get)
+    return {total: _sliced(lists) for total, lists in totals.items()}
 
 
 def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Sequence[itemgetter]]]:
     """Yield (prefix, free, getters) per node at the last pushed depth that accepts a tail, in
     order: the node's permutations are prefix + get(free), one per getter. The prefix and free
     lists are reused, and free is valid only until the walk resumes, so a consumer applies the
-    getters before it asks for the next batch. A scored walk's nodes sit at depth n - 3 and
-    check each tail (v, x, y) in place. An unscored walk's nodes sit at depth n - k - 1,
-    k = min(_TAIL, n - 1), and hand over the slice of the table of zigzag orders that starts
-    in their candidate window. Shorter than 3 a scored walk is an unscored one or empty, and an
-    unscored walk shorter than 2 is one literal batch ([], values, (tuple,))."""
+    getters before it asks for the next batch. The nodes sit at depth n - k - 1,
+    k = min(_TAIL, n - 1), and hand over one slice of a table, the orders that start in their
+    candidate window: an unscored walk's of the table of zigzag orders, a scored walk's of the
+    orders that table lists under the score that brings F to the target. Shorter than 3 a
+    scored walk is an unscored one or empty, and an unscored walk shorter than 2 is one
+    literal batch ([], values, (tuple,))."""
     n = filt.length
     pattern, target = filt.exact_occurrences or (None, 0)
     ends, begins = filt.ends_in_largest, filt.begins_with_smallest
@@ -162,17 +228,17 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
         floor[1] = 2
     # the unused values, increasing; the sentinel n + 1 ends every candidate scan
     free = [*range(1, n + 1), n + 1]
-    # both walks keep prefix[d], the value placed at depth d, resume[d], its index
-    # in free, and top[d], depth d's upper bound
+    # the nodes at depth leaf take their candidates and the k entries after each from a table
+    # keyed by (free[k] == n), n unused: ends_in_largest's ceil n - 1 keeps n unused. Both
+    # walks keep prefix[d], the value placed at depth d, resume[d], its index in free, and
+    # top[d], depth d's upper bound
+    k = min(_TAIL, n - 1)
+    leaf = n - k - 1
+    prefix, resume, top = [0] * leaf, [0] * leaf, [ceil[1]] * (leaf + 1)
+    d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
     if pattern is None:
-        # the nodes at depth leaf take their candidates and the k entries after each from
-        # tables[n unused]; ends_in_largest's ceil n - 1 keeps n unused
-        k = min(_TAIL, n - 1)
-        leaf = n - k - 1
         zigzag = _zigzag_table()
         tables = (zigzag[k, rise[leaf + 2], None], zigzag[k, rise[leaf + 2], ends])
-        prefix, resume, top = [0] * leaf, [0] * leaf, [ceil[1]] * (leaf + 1)
-        d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
         while True:
             v = free[i]
             if v > hi:  # no candidate left at this depth: backtrack
@@ -202,70 +268,65 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
                 if getters:
                     yield prefix, free, getters
 
-    # the nodes at depth leaf fill position last; of the two values left,
-    # rise[n] puts the smaller (index j = 0) or larger (j = 1) first
-    last, leaf = n - 2, n - 3
-    j = 0 if rise[n] else 1
-    # tails[i] reads (v, x, y) off free when v is at index i
-    tails = tuple(itemgetter(i, *(pair[::-1] if j else pair)) for i, pair in enumerate(((1, 2), (0, 2), (0, 1))))
-    # position n - 1 >= 2 needs no flag check of its own: begins_with_smallest
-    # bounds position 1 only, and ends_in_largest's ceil n - 1 holds once y = n
-    rise1, lo2, hi2 = rise[n - 1], floor[n], ceil[n]
     is321 = pattern == PATTERN_321  # else 123
-    # forced[d]: F of prefix[:d]
-    prefix, resume = [0] * leaf, [0] * leaf
-    forced, top = [0] * (leaf + 1), [ceil[1]] * (leaf + 1)
-    getters: list[itemgetter] = []
-    d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
+    # forced[d]: F of prefix[:d]. A tail adds at most C(k + 1, 3) occurrences inside it and
+    # leaf with each pair of its entries, so no score reaches cap or more, and every large
+    # target shares one set of tables per length
+    forced = [0] * (leaf + 1)
+    cap = min(target, comb(k + 1, 3) + comb(k + 1, 2) * leaf) + 1
+    heads = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)]
+    tables = [_SCORED_TABLE.setdefault(head, {}) for head in heads]
+    # vec[r] = A_r, the placed values above (for 123, below) the unused value of rank r,
+    # n - k + r - free[r] (free[r] - 1 - r), clipped at cap; each is at most leaf
+    operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
+    clip = (cap,) * (k + 1) if cap <= leaf else None
     while True:
         v = free[i]
-        while v <= hi:
-            # i unused values lie below v, so v - 1 - i placed ones do
-            if is321:
-                total = forced[d] + (d - v + 1 + i) * i
-            else:
-                total = forced[d] + (v - 1 - i) * (n - d - 1 - i)
-            if total <= target:
-                if d < leaf:
-                    break
-                a, b = free[i == 0], free[2 if i < 2 else 1]  # the two values left beside v
-                x, y = (b, a) if j else (a, b)
-                if (x > v) == rise1 and lo2 <= y <= hi2:
-                    # the node scores at depth last and index j; F through x
-                    # is the exact count, as y is the one value left
-                    if is321:
-                        total += (last - x + 1 + j) * j
-                    else:
-                        total += (x - 1 - j) * (n - last - 1 - j)
-                    if total == target:
-                        getters.append(tails[i])
-            i += 1
-            v = free[i]
-        else:  # no candidate left at this depth: hand over its tails, backtrack
-            if getters:
-                yield prefix, free, getters
-                getters = []
+        if v > hi:  # no candidate left at this depth: backtrack
             d -= 1
             if d < 0:
                 return
             free.insert(resume[d], prefix[d])
             i, hi = resume[d] + 1, top[d]
-            continue
-        # push v, then the child's window: the flags' bounds cut by the zigzag
-        resume[d] = i
-        del free[i]
-        prefix[d] = v
-        d += 1
-        forced[d] = total
-        t = d + 1
-        lo, hi = floor[t], ceil[t]
-        if rise[t]:
-            if lo <= v:
-                lo = v + 1
-        elif hi >= v:
-            hi = v - 1
-        top[d] = hi
-        i = bisect_left(free, lo)
+        elif d < leaf:
+            # i unused values lie below v, so v - 1 - i placed ones do
+            if is321:
+                total = forced[d] + (d - v + 1 + i) * i
+            else:
+                total = forced[d] + (v - 1 - i) * (n - d - 1 - i)
+            if total > target:
+                i += 1
+                continue
+            # push v, then the child's window: the flags' bounds cut by the zigzag
+            resume[d] = i
+            del free[i]
+            prefix[d] = v
+            d += 1
+            forced[d] = total
+            t = d + 1
+            lo, hi = floor[t], ceil[t]
+            if rise[t]:
+                if lo <= v:
+                    lo = v + 1
+            elif hi >= v:
+                hi = v - 1
+            top[d] = hi
+            i = bisect_left(free, lo)
+        else:  # every candidate in the window at once; the next scan starts past hi
+            first, i = i, bisect_right(free, hi, i)
+            vec = tuple(map(sub, *operands))
+            if clip:
+                vec = tuple(map(min, vec, clip))
+            which = free[k] == n
+            by_score = tables[which].get(vec)
+            if by_score is None:  # built whole, then published
+                by_score = tables[which][vec] = _orders_by_score(*heads[which], vec)
+            found = by_score.get(target - forced[d])
+            if found:
+                orders, start = found
+                getters = orders[start[first]:start[i]]
+                if getters:
+                    yield prefix, free, getters
 
 
 def generate(filt: GenerationFilter) -> Iterator[Perm]:

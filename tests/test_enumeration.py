@@ -2,7 +2,7 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from itertools import permutations, zip_longest
+from itertools import combinations, combinations_with_replacement, permutations, zip_longest
 
 import pytest
 
@@ -111,6 +111,10 @@ NAIVE_SCAN_CASES = [
     {"exact_occurrences": (PATTERN_321, 1), "ends_in_largest": False},
     {"exact_occurrences": (PATTERN_123, 4), "begins_with_smallest": True},
     {"exact_occurrences": (PATTERN_321, 6), "ends_in_largest": True},
+    # a target above a short walk's tail bound, C(k + 1, 3) + C(k + 1, 2)·(n - k - 1), and
+    # one above every length's: both read tables whose cap is the bound, not the target
+    {"exact_occurrences": (PATTERN_321, 9)},
+    {"exact_occurrences": (PATTERN_123, 10**6)},
 ]
 # every exact 321/123 count of 0..3, alone and under each boundary flag
 NAIVE_SCAN_CASES += [
@@ -228,24 +232,88 @@ def test_zigzag_table_lists_its_definition():
             assert [get(values) for get in orders[start[i]:start[i + 1]]] == expected, (k, rise, ends, i)
 
 
-def test_zigzag_table_cold_build_is_thread_safe():
-    # In each round the threads start one after another on an unbuilt table, and
-    # the short switch interval makes a later one start its walks inside an
-    # earlier one's build: a table published before it is whole would miss an
-    # order or a key, and shift a count or raise in that thread.
-    filters = [GenerationFilter(cls, n, ends_in_largest=ends) for cls in (UD, DU) for n in (4, 8)
-               for ends in (None, True, False)]
+def tail_counts(order, pattern):
+    """(inside, ends_on) for a tail `order` of the ranks 0..k: the occurrences of pattern inside
+    it, and the first rank of each pair of its entries that the pattern can end on. After a
+    prefix with vec[r] values above rank r (below it, for 123) the tail adds
+    inside + sum(vec[r] for r in ends_on) occurrences: one per prefix value before each pair."""
+    ends_on = [order[s] for s, u in combinations(range(len(order)), 2)
+               if (order[s] > order[u]) == (pattern[1] > pattern[2])]
+    return naive.occurrence_count(order, pattern), ends_on
+
+
+@pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
+def test_scored_table_lists_its_definition(pattern):
+    # For every table of zigzag orders and every vector a walk can meet with entries 0..3 (the
+    # placed values above an unused value shrink as the value grows, and those below it grow),
+    # _orders_by_score keeps, under each total below cap, the orders whose tail adds that
+    # total, lexicographically and sliced by first entry, and reuses that table's getters. At
+    # cap 3 an entry of 3 stands for any count from 3 up, so the orders kept must not change
+    # when it is raised to 7.
+    zigzag = enumeration._zigzag_table()
+    for k in range(1, enumeration._TAIL + 1):
+        ranks = tuple(range(k + 1))
+        for rise in (False, True):
+            for ends in (None, True, False):
+                getters = zigzag[k, rise, ends][0]
+                counts = [tail_counts(get(ranks), pattern) for get in getters]
+                for vec in combinations_with_replacement(range(4), k + 1):
+                    vec = vec[::-1] if pattern == PATTERN_321 else vec
+                    lifted = tuple(7 if a == 3 else a for a in vec)
+                    scores = [inside + sum(vec[r] for r in ends_on) for inside, ends_on in counts]
+                    unclipped = [inside + sum(lifted[r] for r in ends_on) for inside, ends_on in counts]
+                    assert [score if score < 3 else None for score in scores] == [
+                        score if score < 3 else None for score in unclipped]
+                    for cap in (3, 100):
+                        table = enumeration._orders_by_score(k, rise, ends, pattern, cap, vec)
+                        assert sorted(table) == sorted({score for score in scores if score < cap})
+                        for total, (orders, start) in table.items():
+                            assert len(start) == k + 2 and start[0] == 0 and start[k + 1] == len(orders)
+                            for i in range(k + 1):
+                                assert list(orders[start[i]:start[i + 1]]) == [
+                                    get for score, get in zip(scores, getters) if score == total and get(ranks)[0] == i
+                                ], (k, rise, ends, vec, cap, total, i)
+
+
+@pytest.mark.parametrize("cls, pattern", [(DU, PATTERN_321), (UD, PATTERN_123)])
+def test_targets_past_the_tail_bound_match_histogram(cls, pattern):
+    # At n = 10 a tail adds at most 20 + 15·4 = 80 occurrences, and these pairs reach 88: every
+    # target past 80 reads the tables capped at 81, where F must come mostly from the prefix
+    n, bound = 10, 80
+    histogram = Counter(count_occurrences(w, pattern) for w in generate(GenerationFilter(cls, n)))
+    assert max(histogram) > bound
+    for target in range(bound - 1, max(histogram) + 2):
+        filt = GenerationFilter(cls, n, exact_occurrences=(pattern, target))
+        assert count(filt) == histogram[target], target
+        assert all(count_occurrences(w, pattern) == target for w in generate(filt))
+
+
+def test_a_second_large_target_adds_no_scored_table(monkeypatch):
+    # every target past a length's tail bound reads the tables capped at that bound
+    monkeypatch.setattr(enumeration, "_SCORED_TABLE", {})
+    count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 10**6)))
+    keys = {(head, vec) for head, tables in enumeration._SCORED_TABLE.items() for vec in tables}
+    assert keys
+    for target in (96, 10**6 + 1, 10**20):
+        count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, target)))
+        assert {(head, vec) for head, tables in enumeration._SCORED_TABLE.items() for vec in tables} == keys
+
+
+def race_cold_builds(monkeypatch, filters, cold, check):
+    """Generate every filter from 8 threads at once in each of 10 rounds, after setting each
+    table that `cold` names in enumeration back to its unbuilt value; then check()."""
     expected = [list(generate(filt)) for filt in filters]
     rounds, workers = 10, 8
 
     def work(results):
         results.append([list(generate(filt)) for filt in filters])
 
-    saved_table, saved_interval = enumeration._ZIGZAG_TABLE, sys.getswitchinterval()
+    saved_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(rounds):
-            enumeration._ZIGZAG_TABLE = None
+            for name, unbuilt in cold.items():
+                monkeypatch.setattr(enumeration, name, unbuilt())
             results: list = []
             threads = [threading.Thread(target=work, args=(results,)) for _ in range(workers)]
             for thread in threads:
@@ -254,11 +322,46 @@ def test_zigzag_table_cold_build_is_thread_safe():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert results == [expected] * workers
-            # itemgetters compare by identity; their repr lists the indices they read
-            assert repr(enumeration._ZIGZAG_TABLE) == repr(saved_table)
+            check()
     finally:
         sys.setswitchinterval(saved_interval)
-        enumeration._ZIGZAG_TABLE = saved_table
+
+
+def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
+    # In each round the threads start one after another on an unbuilt table, and
+    # the short switch interval makes a later one start its walks inside an
+    # earlier one's build: a table published before it is whole would miss an
+    # order or a key, and shift a count or raise in that thread.
+    filters = [GenerationFilter(cls, n, ends_in_largest=ends) for cls in (UD, DU) for n in (4, 8)
+               for ends in (None, True, False)]
+    built = repr(enumeration._zigzag_table())
+
+    def check():
+        # itemgetters compare by identity; their repr lists the indices they read
+        assert repr(enumeration._ZIGZAG_TABLE) == built
+
+    race_cold_builds(monkeypatch, filters, {"_ZIGZAG_TABLE": lambda: None}, check)
+
+
+def test_scored_table_cold_build_is_thread_safe(monkeypatch):
+    # The same race on a scored walk's tables, each round from the table of zigzag orders up:
+    # an order's scores or a vector's orders by score published before they are whole would
+    # drop or shift a tail in some thread, and every published value must equal a new build.
+    filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, 2), ends_in_largest=ends)
+               for cls in (UD, DU) for n in (6, 9) for pattern in (PATTERN_321, PATTERN_123)
+               for ends in (None, False)]
+
+    def check():
+        assert enumeration._SCORED_TABLE
+        for key, scores in list(enumeration._ORDER_SCORES.items()):
+            enumeration._ORDER_SCORES.pop(key)
+            assert repr(enumeration._order_scores(*key)) == repr(scores)
+        for head, tables in enumeration._SCORED_TABLE.items():
+            for vec, by_score in tables.items():
+                assert repr(enumeration._orders_by_score(*head, vec)) == repr(by_score), (head, vec)
+
+    race_cold_builds(monkeypatch, filters, {"_ZIGZAG_TABLE": lambda: None, "_ORDER_SCORES": dict,
+                                            "_SCORED_TABLE": dict}, check)
 
 
 def test_zigzag_table_is_published_whole(monkeypatch):
