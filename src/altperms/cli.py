@@ -62,14 +62,14 @@ _IDENTITY_BOUND = 200
 #: The largest --n (count) or --n-max (the commands that loop over lengths) of each request,
 #: keyed by the argv words that select it: where the request's slowest (pattern, class) pair
 #: takes up to about 50 s as a CLI process on a 2-CPU x86 host (Python 3.11); README lists
-#: each time. The unrestricted oracle row, 14, counts all E_14 permutations in about 6 s
+#: each time. The unrestricted oracle row, 14, counts all E_14 permutations in 4-6 s
 #: without building one, and E_15 takes about a minute. Oracle targets 0-4 have a row each;
 #: every larger target shares the row "--exactly 5+", 14: its walk is a subtree of the
 #: unrestricted one, but scored node by node down to its last six entries, and takes
-#: 10-12 s at 14 when nothing prunes.
+#: 8.5-12 s at 14 when nothing prunes.
 _LIMITS = {
     "count --method oracle": 14,
-    **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((25, 24, 22, 20, 19))},
+    **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((25, 24, 22, 21, 20))},
     "count --method oracle --exactly 5+": 14,
     "count --method closed_form": 2_000_000, "count --method convolution": 60_000,
     "count --method decomposition_sum": 60_000, "count --method bijection": 22,

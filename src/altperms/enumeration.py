@@ -7,17 +7,18 @@ the boundary flags' bounds, so it never steps over a placed value; a candidate
 v at index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
 a node's candidate window is computed once, when it is pushed. A walk of length
-n >= 2 (n >= 3 when scored) pushes to depth leaf = n - k - 1, k = min(_TAIL,
-n - 1), only. There each candidate v and the k values left after it come from a
-table that lists the zigzag orders of k + 1 sorted values lexicographically, by
-whether the second rises and by whether the last is the largest, with the
-offset where each first entry starts; the orders of a node's candidate window
-are then one slice. The table is built once, by comparing entries in every
-order, and each order is one `operator.itemgetter` that reads the k + 1 unused
-values straight off their list. Each node at depth leaf hands the tails it
-accepts over as one batch (prefix, free, getters): `generate` joins get(free) to
-the prefix, `count` adds up the batches' lengths and calls no getter, so it
-builds no permutation.
+n >= 2 pushes to depth leaf = n - k - 1, k = min(_TAIL, n - 1), only. There each
+candidate v and the k values left after it come from a table that lists the
+zigzag orders of k + 1 sorted values lexicographically, by whether the second
+rises and by whether the last is the largest, with the offset where each first
+entry starts; the orders of a node's candidate window are then one slice. The
+table is built once, by comparing entries in every order, and each order is one
+`operator.itemgetter` that reads the k + 1 unused values straight off their
+list. Each node at depth leaf hands the tails it accepts over as one batch
+(prefix, free, getters): `generate` joins get(free) to the prefix, `count` adds
+up the batches' lengths and calls no getter, so it builds no permutation.
+One loop walks every filter; a 321 or 123 target changes only what a push
+prunes and which table a node at depth leaf reads.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
 each unused value, the prefix 21-pairs above it (12-pairs below it); placing v
 above b placed entries adds (d - b)(v - 1 - b) (for 123, b(n - v - d + b)), and
@@ -25,8 +26,8 @@ pruning on F > target never loses a solution, because every unused value closes
 a distinct occurrence with each such pair once placed, so F only grows and is
 the exact count at a leaf (the generating-tree lookahead of West, "Generating
 trees and forbidden subsequences", 1996).
-A scored walk's node at depth leaf reads its slice off a scored table instead,
-which keeps only the orders whose tail brings F exactly to the target. Counted
+A scored walk's node at depth leaf reads its slice off a scored table, which
+keeps only the orders whose tail brings F exactly to the target. Counted
 by middle entry, the tail of order σ of the ranks 0..k adds
 inner(σ) + Σ_r A_r·c_r(σ): c_r is the number of later tail entries below rank r
 (above it for 123), inner = Σ_r e_r·c_r with e_r the earlier tail entries above
@@ -198,18 +199,16 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     getters before it asks for the next batch. The nodes sit at depth n - k - 1,
     k = min(_TAIL, n - 1), and hand over one slice of a table, the orders that start in their
     candidate window: an unscored walk's of the table of zigzag orders, a scored walk's of the
-    orders that table lists under the score that brings F to the target. Shorter than 3 a
-    scored walk is an unscored one or empty, and an unscored walk shorter than 2 is one
-    literal batch ([], values, (tuple,))."""
+    orders that table lists under the score that brings F to the target. One loop serves both;
+    only a scored walk prunes a push or scores a node. A scored walk of length 2 needs no case
+    of its own: its cap is 1, so target 0 keeps both orders and a larger one finds none. A walk
+    shorter than 2 is one literal batch ([], values, (tuple,)) if its flags and target allow;
+    no 321 or 123 fits in it, so only target 0 does."""
     n = filt.length
     pattern, target = filt.exact_occurrences or (None, 0)
     ends, begins = filt.ends_in_largest, filt.begins_with_smallest
-    if n < 3 and pattern is not None:  # too short for a 321 or 123: unscored, or nothing
-        if target:
-            return
-        pattern = None
     if n < 2:  # () neither ends in its largest nor begins with its smallest entry; (1,) does both
-        if ends in (None, n == 1) and begins in (None, n == 1):
+        if not target and ends in (None, n == 1) and begins in (None, n == 1):
             yield [], range(1, n + 1), (tuple,)
         return
 
@@ -229,57 +228,31 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     # the unused values, increasing; the sentinel n + 1 ends every candidate scan
     free = [*range(1, n + 1), n + 1]
     # the nodes at depth leaf take their candidates and the k entries after each from a table
-    # keyed by (free[k] == n), n unused: ends_in_largest's ceil n - 1 keeps n unused. Both
-    # walks keep prefix[d], the value placed at depth d, resume[d], its index in free, and
-    # top[d], depth d's upper bound
+    # keyed by (free[k] == n), n unused: ends_in_largest's ceil n - 1 keeps n unused. The walk
+    # keeps prefix[d], the value placed at depth d, resume[d], its index in free, top[d], depth
+    # d's upper bound, and forced[d], F of prefix[:d] (0 when unscored)
     k = min(_TAIL, n - 1)
     leaf = n - k - 1
     prefix, resume, top = [0] * leaf, [0] * leaf, [ceil[1]] * (leaf + 1)
-    d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
-    if pattern is None:
+    forced = [0] * (leaf + 1)
+    scored = pattern is not None
+    if scored:
+        is321 = pattern == PATTERN_321  # else 123
+        # a tail adds at most C(k + 1, 3) occurrences inside it and leaf with each pair of its
+        # entries, so no score reaches cap or more, and every large target shares one set of
+        # tables per length
+        cap = min(target, comb(k + 1, 3) + comb(k + 1, 2) * leaf) + 1
+        heads = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)]
+        tables = [_SCORED_TABLE.setdefault(head, {}) for head in heads]
+        # vec[r] = A_r, the placed values above (for 123, below) the unused value of rank r,
+        # n - k + r - free[r] (free[r] - 1 - r), clipped at cap; each is at most leaf
+        operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
+        clip = (cap,) * (k + 1) if cap <= leaf else None
+    else:
         zigzag = _zigzag_table()
         tables = (zigzag[k, rise[leaf + 2], None], zigzag[k, rise[leaf + 2], ends])
-        while True:
-            v = free[i]
-            if v > hi:  # no candidate left at this depth: backtrack
-                d -= 1
-                if d < 0:
-                    return
-                free.insert(resume[d], prefix[d])
-                i, hi = resume[d] + 1, top[d]
-            elif d < leaf:  # push v, then the child's window: the flags' bounds cut by the zigzag
-                resume[d] = i
-                del free[i]
-                prefix[d] = v
-                d += 1
-                t = d + 1
-                lo, hi = floor[t], ceil[t]
-                if rise[t]:
-                    if lo <= v:
-                        lo = v + 1
-                elif hi >= v:
-                    hi = v - 1
-                top[d] = hi
-                i = bisect_left(free, lo)
-            else:  # every candidate in the window at once; the next scan starts past hi
-                orders, start = tables[free[k] == n]
-                first, i = i, bisect_right(free, hi, i)
-                getters = orders[start[first]:start[i]]
-                if getters:
-                    yield prefix, free, getters
-
-    is321 = pattern == PATTERN_321  # else 123
-    # forced[d]: F of prefix[:d]. A tail adds at most C(k + 1, 3) occurrences inside it and
-    # leaf with each pair of its entries, so no score reaches cap or more, and every large
-    # target shares one set of tables per length
-    forced = [0] * (leaf + 1)
-    cap = min(target, comb(k + 1, 3) + comb(k + 1, 2) * leaf) + 1
-    heads = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)]
-    tables = [_SCORED_TABLE.setdefault(head, {}) for head in heads]
-    # vec[r] = A_r, the placed values above (for 123, below) the unused value of rank r,
-    # n - k + r - free[r] (free[r] - 1 - r), clipped at cap; each is at most leaf
-    operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
-    clip = (cap,) * (k + 1) if cap <= leaf else None
+    total = 0  # F stays 0 on an unscored push
+    d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
     while True:
         v = free[i]
         if v > hi:  # no candidate left at this depth: backtrack
@@ -289,14 +262,14 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
             free.insert(resume[d], prefix[d])
             i, hi = resume[d] + 1, top[d]
         elif d < leaf:
-            # i unused values lie below v, so v - 1 - i placed ones do
-            if is321:
-                total = forced[d] + (d - v + 1 + i) * i
-            else:
-                total = forced[d] + (v - 1 - i) * (n - d - 1 - i)
-            if total > target:
-                i += 1
-                continue
+            if scored:  # i unused values lie below v, so v - 1 - i placed ones do
+                if is321:
+                    total = forced[d] + (d - v + 1 + i) * i
+                else:
+                    total = forced[d] + (v - 1 - i) * (n - d - 1 - i)
+                if total > target:
+                    i += 1
+                    continue
             # push v, then the child's window: the flags' bounds cut by the zigzag
             resume[d] = i
             del free[i]
@@ -314,19 +287,23 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
             i = bisect_left(free, lo)
         else:  # every candidate in the window at once; the next scan starts past hi
             first, i = i, bisect_right(free, hi, i)
-            vec = tuple(map(sub, *operands))
-            if clip:
-                vec = tuple(map(min, vec, clip))
             which = free[k] == n
-            by_score = tables[which].get(vec)
-            if by_score is None:  # built whole, then published
-                by_score = tables[which][vec] = _orders_by_score(*heads[which], vec)
-            found = by_score.get(target - forced[d])
-            if found:
+            if scored:
+                vec = tuple(map(sub, *operands))
+                if clip:
+                    vec = tuple(map(min, vec, clip))
+                by_score = tables[which].get(vec)
+                if by_score is None:  # built whole, then published
+                    by_score = tables[which][vec] = _orders_by_score(*heads[which], vec)
+                found = by_score.get(target - forced[d])
+                if not found:
+                    continue
                 orders, start = found
-                getters = orders[start[first]:start[i]]
-                if getters:
-                    yield prefix, free, getters
+            else:
+                orders, start = tables[which]
+            getters = orders[start[first]:start[i]]
+            if getters:
+                yield prefix, free, getters
 
 
 def generate(filt: GenerationFilter) -> Iterator[Perm]:

@@ -462,7 +462,7 @@ def test_cli_import_skips_heavy_modules():
 
 
 def test_cli_import_leaves_the_zigzag_table_unbuilt():
-    # the unscored walk builds its table on first use, so CLI start-up pays nothing for it
+    # the oracle walk builds its table on first use, so CLI start-up pays nothing for it
     probe = "import altperms.cli, altperms.enumeration as e; print(e._ZIGZAG_TABLE)"
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=60)

@@ -2,7 +2,7 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations, combinations_with_replacement, permutations, zip_longest
+from itertools import combinations, combinations_with_replacement, permutations, product, zip_longest
 
 import pytest
 
@@ -182,14 +182,19 @@ def test_count_matches_generate_one_past_naive_scan(cls):
         assert out == sorted(set(out)), constraints
 
 
+@pytest.mark.parametrize("ends, begins", list(product((None, True, False), repeat=2)))
 @pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
-def test_every_occurrence_target_matches_histogram(cls, pattern):
-    # every target from 0 to one past the largest count, not only 0..3
+def test_every_occurrence_target_matches_histogram(cls, pattern, ends, begins):
+    # every target from 0 to one past the largest count, not only 0..3, under every flag pair:
+    # the unscored walk's stream under the same flags gives the histogram, so the walk's two
+    # modes must agree wherever the flags cut its windows
+    flags = {"ends_in_largest": ends, "begins_with_smallest": begins}
     for n in range(0, 9):
-        histogram = Counter(count_occurrences(w, pattern) for w in generate(GenerationFilter(cls, n)))
-        for k in range(0, max(histogram) + 2):
-            assert count(GenerationFilter(cls, n, exact_occurrences=(pattern, k))) == histogram[k], (n, k)
+        histogram = Counter(count_occurrences(w, pattern) for w in generate(GenerationFilter(cls, n, **flags)))
+        for k in range(0, max(histogram, default=0) + 2):
+            filt = GenerationFilter(cls, n, exact_occurrences=(pattern, k), **flags)
+            assert count(filt) == histogram[k], (n, k)
 
 
 CONCURRENT_FILTERS = [
