@@ -7,16 +7,14 @@ the boundary flags' bounds, so it never steps over a placed value; a candidate
 v at index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
 a node's candidate window is computed once, when it is pushed. A walk of length
-n >= 2 pushes to depth leaf = n - k - 1, k = min(_TAIL, n - 1), only. There each
-candidate v and the k values left after it come from a table that lists the
-zigzag orders of k + 1 sorted values lexicographically, by whether the second
-rises and by whether the last is the largest, with the offset where each first
-entry starts; the orders of a node's candidate window are then one slice. The
-table is built once, by comparing entries in every order, and each order is one
-`operator.itemgetter` that reads the k + 1 unused values straight off their
-list. Each node at depth leaf hands the tails it accepts over as one batch
-(prefix, free, getters): `generate` joins get(free) to the prefix, `count` adds
-up the batches' lengths and calls no getter, so it builds no permutation.
+n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only.
+There each candidate and the k values left after it come from a table of the
+zigzag orders of k + 1 sorted values, one `operator.itemgetter` each, listed by
+first entry, so the orders of a node's candidate window are one slice. Each k's
+table is grown from the orders of fewer values by comparing and relabelling
+entries. A node hands the tails it accepts over as one batch (prefix, free,
+getters): `generate` joins get(free) to the prefix, `count` adds up the batches'
+lengths and calls no getter, so it builds no permutation.
 One loop walks every filter; a 321 or 123 target changes only what a push
 prunes and which table a node at depth leaf reads.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
@@ -32,10 +30,8 @@ by middle entry, the tail of order σ of the ranks 0..k adds
 inner(σ) + Σ_r A_r·c_r(σ): c_r is the number of later tail entries below rank r
 (above it for 123), inner = Σ_r e_r·c_r with e_r the earlier tail entries above
 it (below it), and A_r = n - k + r - free[r] the placed values above the unused
-value of rank r (for 123 below it, free[r] - 1 - r). inner and c come from
-comparing the entries of σ, once per table of zigzag orders and pattern; the
-scored table groups the orders by their score under the vector A, clipped at
-cap, and keeps the scores below cap, so a node looks up target - F.
+value of rank r (for 123 below it, free[r] - 1 - r). The scored table groups
+the orders by this score, with A clipped at cap, and keeps the scores below cap.
 These are the only patterns a filter accepts (perm_core.check_pattern).
 """
 
@@ -43,9 +39,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from itertools import accumulate, chain, permutations
+from itertools import accumulate, chain, repeat
 from math import comb
-from operator import itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .perm_core import (
     AlternationClass,
@@ -102,9 +98,9 @@ class GenerationFilter(FrozenRecord):
 
 
 #: How many entries a walk takes from the table of zigzag orders after its last candidate
-_TAIL = 5
-_ZIGZAG_TABLE = None
-#: _ORDER_SCORES[k, rise, ends, pattern]: see _order_scores
+_TAIL = 7
+_ZIGZAG_TABLE: dict = {}
+#: _ORDER_SCORES[k, rise, ends, pattern, cap]: see _order_scores
 _ORDER_SCORES: dict = {}
 #: _SCORED_TABLE[k, rise, ends, pattern, cap][vec] = _orders_by_score(k, rise, ends, pattern, cap, vec)
 _SCORED_TABLE: dict = {}
@@ -117,48 +113,49 @@ def _sliced(lists: list[list[itemgetter]]) -> tuple[tuple[itemgetter, ...], tupl
     return tuple(chain.from_iterable(lists)), tuple(accumulate(map(len, lists), initial=0))
 
 
-def _zigzag_table() -> dict:
-    """table[k, rise, ends] = _sliced(lists), built on first use and published whole, so every
-    caller sees a full table.
-
-    For k = 1.._TAIL, lists[i] holds one itemgetter per zigzag order of k + 1 sorted values
-    that starts at index i, lexicographically; each reads the values, increasing, and returns
-    them in its order. The second entry exceeds the first exactly when `rise`. ends None keeps
-    every order; True keeps those that end on the largest value, False those that do not.
+def _zigzag_table(k: int) -> dict:
+    """table[rise, ends] = _sliced(lists), built on first use and published whole: lists[i]
+    holds one itemgetter per zigzag order of k + 1 sorted values that starts at index i,
+    lexicographically, and returns the values in its order. The second entry exceeds the first
+    exactly when `rise`; ends None keeps every order, True those that end on the largest value,
+    False the rest. An order of j + 1 ranks is a first entry i, then an order of j ranks that
+    starts on the far side of i, its ranks from i up raised by one.
     """
     global _ZIGZAG_TABLE
-    table = _ZIGZAG_TABLE
+    table = _ZIGZAG_TABLE.get(k)
     if table is None:
-        table = {(k, rise, ends): [[] for _ in range(k + 1)]
-                 for k in range(1, _TAIL + 1) for rise in (False, True) for ends in (None, True, False)}
-        for k in range(1, _TAIL + 1):
-            for order in permutations(range(k + 1)):  # lexicographic, so each list is too
-                if all((order[s] < order[s + 1]) != (order[s + 1] < order[s + 2]) for s in range(k - 1)):
-                    get, rise = itemgetter(*order), order[0] < order[1]
-                    for ends in (None, order[-1] == k):
-                        table[k, rise, ends][order[0]].append(get)
-        for key, lists in table.items():
-            table[key] = _sliced(lists)
-        _ZIGZAG_TABLE = table
+        table = {}
+        for rise in (False, True):
+            orders = [(0,)]
+            for j in range(1, k + 1):  # the orders of j + 1 ranks, which rise first when up
+                up = rise != (k - j) % 2
+                orders = [(i, *(r + (r >= i) for r in order)) for i in range(j + 1) for order in orders
+                          if (order[0] >= i) == up]
+            getters = [itemgetter(*order) for order in orders]
+            for ends in (None, True, False):
+                lists = [[] for _ in range(k + 1)]
+                for order, get in zip(orders, getters):
+                    if ends in (None, order[-1] == k):
+                        lists[order[0]].append(get)
+                table[rise, ends] = _sliced(lists)
+        _ZIGZAG_TABLE = {**_ZIGZAG_TABLE, k: table}
     return table
 
 
-def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern) -> tuple:
-    """One (first, get, inner, c) per order of _zigzag_table()[k, rise, ends], in its order,
-    worked out once by comparing entries and published whole.
+def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern, cap: int) -> tuple:
+    """Columns (firsts, getters, inners, c_0, ..., c_k) of the orders σ of
+    _zigzag_table(k)[rise, ends] with inner < cap, in its order, built once and published whole.
 
-    `get` reads the order σ of the ranks 0..k, first = σ[0]. For 321, c[r] is the number of
-    entries after rank r that lie below it, and inner = Σ_r e[r]·c[r], e[r] the number of
-    entries before rank r that lie above it: the 321s inside σ, counted by middle entry.
-    For 123 read below for above and above for below.
-    """
-    key = (k, rise, ends, pattern)
+    For 321, c_r(σ) is the number of entries after rank r that lie below it, and inner =
+    Σ_r e_r·c_r, e_r the number before rank r above it: the 321s inside σ, counted by middle
+    entry. For 123 read below for above and above for below."""
+    key = (k, rise, ends, pattern, cap)
     scores = _ORDER_SCORES.get(key)
     if scores is None:
         down = pattern == PATTERN_321
         ranks = range(k + 1)
-        scores = []
-        for get in _zigzag_table()[k, rise, ends][0]:
+        rows = []
+        for get in _zigzag_table(k)[rise, ends][0]:
             order = get(ranks)
             e, c = [0] * (k + 1), [0] * (k + 1)
             for s, r in enumerate(order):
@@ -166,42 +163,43 @@ def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern) -> tu
                     if (x < r) == down:  # r, then x below it (above it, for 123)
                         c[r] += 1
                         e[x] += 1
-            scores.append((order[0], get, sum(map(mul, e, c)), tuple(c)))
-        _ORDER_SCORES[key] = scores = tuple(scores)
+            inner = sum(map(mul, e, c))
+            if inner < cap:
+                rows.append((order[0], get, inner, *c))
+        _ORDER_SCORES[key] = scores = tuple(zip(*rows)) or ((),) * (k + 4)  # k + 4 columns, even empty
     return scores
 
 
 def _orders_by_score(k: int, rise: bool, ends: bool | None, pattern: Pattern, cap: int,
                      vec: tuple[int, ...]) -> dict:
-    """{total: _sliced(lists)} over the orders of _zigzag_table()[k, rise, ends] whose score,
-    inner + Σ_r vec[r]·c[r] (see _order_scores), is total < cap; lists[i] keeps the orders
-    that start at index i, lexicographically.
-
-    When vec[r] counts the placed values above the unused value of rank r (below it, for 123),
-    an order's score is the number of occurrences its tail adds, by middle entry. A walk clips
-    vec at cap: a clipped entry adds at least cap to every order with c[r] >= 1, which then
-    stays out, clipped or not.
-    """
-    totals: dict = {}
-    for first, get, inner, c in _order_scores(k, rise, ends, pattern):
-        total = inner + sum(map(mul, vec, c))
+    """{total: _sliced(lists)} over the orders of _zigzag_table(k)[rise, ends] whose score,
+    inner + Σ_r vec[r]·c_r (see _order_scores), is total < cap; lists[i] keeps the orders
+    that start at index i, lexicographically. When vec[r] counts the placed values above the
+    unused value of rank r (below it, for 123), the score is the occurrences a tail adds. A
+    walk clips vec at cap: a clipped entry adds at least cap to every order with c_r >= 1,
+    which then stays out, clipped or not."""
+    firsts, getters, totals, *columns = _order_scores(k, rise, ends, pattern, cap)
+    for a, column in zip(vec, columns):
+        if a:
+            totals = map(add, totals, map(mul, column, repeat(a)))
+    lists: dict = {}
+    for total, first, get in zip(totals, firsts, getters):
         if total < cap:
-            if total not in totals:
-                totals[total] = [[] for _ in range(k + 1)]
-            totals[total][first].append(get)
-    return {total: _sliced(lists) for total, lists in totals.items()}
+            if total not in lists:
+                lists[total] = [[] for _ in range(k + 1)]
+            lists[total][first].append(get)
+    return {total: _sliced(by_first) for total, by_first in lists.items()}
 
 
 def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Sequence[itemgetter]]]:
     """Yield (prefix, free, getters) per node at the last pushed depth that accepts a tail, in
     order: the node's permutations are prefix + get(free), one per getter. The prefix and free
     lists are reused, and free is valid only until the walk resumes, so a consumer applies the
-    getters before it asks for the next batch. The nodes sit at depth n - k - 1,
-    k = min(_TAIL, n - 1), and hand over one slice of a table, the orders that start in their
-    candidate window: an unscored walk's of the table of zigzag orders, a scored walk's of the
-    orders that table lists under the score that brings F to the target. One loop serves both;
-    only a scored walk prunes a push or scores a node. A scored walk of length 2 needs no case
-    of its own: its cap is 1, so target 0 keeps both orders and a larger one finds none. A walk
+    getters before it asks for the next batch. The nodes sit at depth n - k - 1 and hand over
+    the slice of a table that starts in their candidate window: an unscored walk's table of
+    zigzag orders, or a scored walk's orders of it under the score that brings F to the target;
+    a scored node that needs cap or more finds none. A scored walk of length 2 needs no case of
+    its own: its cap is 1, so target 0 keeps both orders and a larger one finds none. A walk
     shorter than 2 is one literal batch ([], values, (tuple,)) if its flags and target allow;
     no 321 or 123 fits in it, so only target 0 does."""
     n = filt.length
@@ -231,7 +229,7 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     # keyed by (free[k] == n), n unused: ends_in_largest's ceil n - 1 keeps n unused. The walk
     # keeps prefix[d], the value placed at depth d, resume[d], its index in free, top[d], depth
     # d's upper bound, and forced[d], F of prefix[:d] (0 when unscored)
-    k = min(_TAIL, n - 1)
+    k = max(1, min(_TAIL, n - 3))  # a short walk builds no table larger than its own work
     leaf = n - k - 1
     prefix, resume, top = [0] * leaf, [0] * leaf, [ceil[1]] * (leaf + 1)
     forced = [0] * (leaf + 1)
@@ -249,8 +247,8 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
         operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
         clip = (cap,) * (k + 1) if cap <= leaf else None
     else:
-        zigzag = _zigzag_table()
-        tables = (zigzag[k, rise[leaf + 2], None], zigzag[k, rise[leaf + 2], ends])
+        zigzag = _zigzag_table(k)
+        tables = (zigzag[rise[leaf + 2], None], zigzag[rise[leaf + 2], ends])
     total = 0  # F stays 0 on an unscored push
     d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
     while True:
@@ -289,13 +287,15 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
             first, i = i, bisect_right(free, hi, i)
             which = free[k] == n
             if scored:
+                if (rest := target - forced[d]) >= cap:  # no tail adds cap or more
+                    continue
                 vec = tuple(map(sub, *operands))
                 if clip:
                     vec = tuple(map(min, vec, clip))
                 by_score = tables[which].get(vec)
                 if by_score is None:  # built whole, then published
                     by_score = tables[which][vec] = _orders_by_score(*heads[which], vec)
-                found = by_score.get(target - forced[d])
+                found = by_score.get(rest)
                 if not found:
                     continue
                 orders, start = found

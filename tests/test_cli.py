@@ -143,7 +143,7 @@ def test_count_unrestricted_refused_above_limit(capsys, monkeypatch, n):
 
 
 def test_count_unrestricted_at_limit_reaches_the_oracle(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "count", lambda filt: filt.length)  # stands in for E_14's ~6 s
+    monkeypatch.setattr(cli, "count", lambda filt: filt.length)  # stands in for E_15's ~6-7 s
     limit = cli._LIMITS["count --method oracle"]
     code, lines, _ = run_lines(capsys, ["count", "--class", "UD", "--n", str(limit)])
     assert code == 0
@@ -280,7 +280,7 @@ def test_identity_families_keep_their_own_checks_when_built_up_front():
 
 
 def test_selftest_at_limit_runs_every_suite(capsys, monkeypatch):
-    def stub(n_max):  # stands in for the suites' ~30 s at the limit
+    def stub(n_max):  # stands in for the suites' ~11 s at the limit
         return iter([({"n": n_max}, n_max, n_max)])
 
     monkeypatch.setattr(cli, "_SUITES", [("first", "oracle", stub), ("second", "closed_form", stub)])
@@ -462,8 +462,8 @@ def test_cli_import_skips_heavy_modules():
 
 
 def test_cli_import_leaves_the_zigzag_table_unbuilt():
-    # the oracle walk builds its table on first use, so CLI start-up pays nothing for it
+    # the oracle walk builds the table of each k on first use, so CLI start-up pays nothing for it
     probe = "import altperms.cli, altperms.enumeration as e; print(e._ZIGZAG_TABLE)"
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=60)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "None\n", "")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "{}\n", "")

@@ -154,8 +154,8 @@ def test_generate_matches_naive_scan(cls, constraints):
     # 321 and 123 are scored by the forced-occurrence count F, whose lookahead
     # at n = 8 cuts prefixes with up to six entries still to place. The
     # unscored cases run to n = 9: from n = 2 the table of zigzag orders gives
-    # the last min(_TAIL, n - 1) + 1 entries, all of them up to n = _TAIL + 1,
-    # and ends_in_largest picks which of its orders are read
+    # the last k + 1 entries, k = max(1, min(_TAIL, n - 3)), so every k up to 6
+    # is read, and ends_in_largest picks which of its orders are read
     for n in range(0, 10 if constraints in UNSCORED_CASES else 9):
         filt = GenerationFilter(cls, n, **constraints)
         got = list(generate(filt))
@@ -218,23 +218,25 @@ def test_count_from_threads_matches_serial():
 
 
 def test_zigzag_table_lists_its_definition():
-    # table[k, rise, ends] is (orders, start): orders[start[i]:start[i + 1]], read off 1..k + 1,
-    # is every permutation of those values, lexicographically, that starts with i + 1, is UD
-    # when rise (DU otherwise), and ends on k + 1 when ends is True, not on k + 1 when it is
-    # False; start[k + 1] closes the last slice at the end of orders
-    table = enumeration._zigzag_table()
-    keys = [(k, rise, ends) for k in range(1, enumeration._TAIL + 1) for rise in (False, True)
-            for ends in (None, True, False)]
-    assert sorted(table, key=repr) == sorted(keys, key=repr)
-    for k, rise, ends in keys:
+    # _zigzag_table(k)[rise, ends] is (orders, start): orders[start[i]:start[i + 1]], read off
+    # 1..k + 1, is every permutation of those values, lexicographically, that starts with i + 1,
+    # is UD when rise (DU otherwise), and ends on k + 1 when ends is True, not on k + 1 when it
+    # is False; start[k + 1] closes the last slice at the end of orders. The table grows its
+    # orders rank by rank; here they are filtered from all (k + 1)! permutations.
+    keys = list(product((False, True), (None, True, False)))
+    for k in range(1, enumeration._TAIL + 1):
         values = tuple(range(1, k + 2))
-        orders, start = table[k, rise, ends]
-        assert type(orders) is tuple and len(start) == k + 2
-        assert start[0] == 0 and start[k + 1] == len(orders)
-        for i in range(k + 1):
-            expected = [w for w in permutations(values)
-                        if w[0] == i + 1 and (UD if rise else DU) in classify(w) and ends in (None, w[-1] == k + 1)]
-            assert [get(values) for get in orders[start[i]:start[i + 1]]] == expected, (k, rise, ends, i)
+        zigzags = [(w, classify(w)) for w in permutations(values)]
+        table = enumeration._zigzag_table(k)
+        assert sorted(table, key=repr) == sorted(keys, key=repr)
+        for rise, ends in keys:
+            orders, start = table[rise, ends]
+            assert type(orders) is tuple and len(start) == k + 2
+            assert start[0] == 0 and start[k + 1] == len(orders)
+            for i in range(k + 1):
+                expected = [w for w, classes in zigzags
+                            if w[0] == i + 1 and (UD if rise else DU) in classes and ends in (None, w[-1] == k + 1)]
+                assert [get(values) for get in orders[start[i]:start[i + 1]]] == expected, (k, rise, ends, i)
 
 
 def tail_counts(order, pattern):
@@ -247,43 +249,60 @@ def tail_counts(order, pattern):
     return naive.occurrence_count(order, pattern), ends_on
 
 
+def scored_vectors(k):
+    """The vectors test_scored_table_lists_its_definition checks for a table of k + 1 ranks: every
+    monotone one with entries 0..3 up to k = 5; from k = 6 on, those with at most two distinct
+    entries (40 and 46), which keep the check to about 2 s per pattern."""
+    vectors = combinations_with_replacement(range(4), k + 1)
+    return [vec for vec in vectors if k <= 5 or len(set(vec)) <= 2]
+
+
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_scored_table_lists_its_definition(pattern):
-    # For every table of zigzag orders and every vector a walk can meet with entries 0..3 (the
+    # For every table of zigzag orders and each vector a walk can meet with entries 0..3 (the
     # placed values above an unused value shrink as the value grows, and those below it grow),
     # _orders_by_score keeps, under each total below cap, the orders whose tail adds that
     # total, lexicographically and sliced by first entry, and reuses that table's getters. At
     # cap 3 an entry of 3 stands for any count from 3 up, so the orders kept must not change
     # when it is raised to 7.
-    zigzag = enumeration._zigzag_table()
     for k in range(1, enumeration._TAIL + 1):
+        zigzag = enumeration._zigzag_table(k)
         ranks = tuple(range(k + 1))
         for rise in (False, True):
+            # ends only picks orders, so each order's counts serve all three
+            known = {get(ranks): tail_counts(get(ranks), pattern) for get in zigzag[rise, None][0]}
             for ends in (None, True, False):
-                getters = zigzag[k, rise, ends][0]
-                counts = [tail_counts(get(ranks), pattern) for get in getters]
-                for vec in combinations_with_replacement(range(4), k + 1):
+                getters = zigzag[rise, ends][0]
+                firsts = [get(ranks)[0] for get in getters]
+                counts = [known[get(ranks)] for get in getters]
+                for vec in scored_vectors(k):
                     vec = vec[::-1] if pattern == PATTERN_321 else vec
                     lifted = tuple(7 if a == 3 else a for a in vec)
                     scores = [inside + sum(vec[r] for r in ends_on) for inside, ends_on in counts]
                     unclipped = [inside + sum(lifted[r] for r in ends_on) for inside, ends_on in counts]
                     assert [score if score < 3 else None for score in scores] == [
                         score if score < 3 else None for score in unclipped]
+                    # expected[score][i]: the getters of the orders with that score that start at i
+                    expected: dict = {}
+                    for score, first, get in zip(scores, firsts, getters):
+                        expected.setdefault(score, [[] for _ in ranks])[first].append(get)
                     for cap in (3, 100):
                         table = enumeration._orders_by_score(k, rise, ends, pattern, cap, vec)
-                        assert sorted(table) == sorted({score for score in scores if score < cap})
+                        assert sorted(table) == sorted(score for score in expected if score < cap)
                         for total, (orders, start) in table.items():
                             assert len(start) == k + 2 and start[0] == 0 and start[k + 1] == len(orders)
                             for i in range(k + 1):
-                                assert list(orders[start[i]:start[i + 1]]) == [
-                                    get for score, get in zip(scores, getters) if score == total and get(ranks)[0] == i
-                                ], (k, rise, ends, vec, cap, total, i)
+                                assert list(orders[start[i]:start[i + 1]]) == expected[total][i], (
+                                    k, rise, ends, vec, cap, total, i)
 
 
 @pytest.mark.parametrize("cls, pattern", [(DU, PATTERN_321), (UD, PATTERN_123)])
-def test_targets_past_the_tail_bound_match_histogram(cls, pattern):
-    # At n = 10 a tail adds at most 20 + 15·4 = 80 occurrences, and these pairs reach 88: every
-    # target past 80 reads the tables capped at 81, where F must come mostly from the prefix
+def test_targets_past_the_tail_bound_match_histogram(monkeypatch, cls, pattern):
+    # With tails of 5 + 1 entries, at n = 10 a tail adds at most 20 + 15·4 = 80 occurrences,
+    # and these pairs reach 88: every target past 80 reads the tables capped at 81, where F must
+    # come mostly from the prefix, or finds no tail when the prefix leaves 81 or more to add
+    # (the longest tail's bound at n = 10, 112, is past every count)
+    monkeypatch.setattr(enumeration, "_TAIL", 5)
     n, bound = 10, 80
     histogram = Counter(count_occurrences(w, pattern) for w in generate(GenerationFilter(cls, n)))
     assert max(histogram) > bound
@@ -293,15 +312,37 @@ def test_targets_past_the_tail_bound_match_histogram(cls, pattern):
         assert all(count_occurrences(w, pattern) == target for w in generate(filt))
 
 
-def test_a_second_large_target_adds_no_scored_table(monkeypatch):
-    # every target past a length's tail bound reads the tables capped at that bound
+def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
+    # At n = 11 the walk pushes 3 entries, whose F is at most 1 + 3·8 = 25, and a tail of the
+    # other 8 adds at most C(8, 3) + C(8, 2)·3 = 140: from target 166 on, every node finds no
+    # tail before it scores one, so no order is scored and no scored table is built
+    monkeypatch.setattr(enumeration, "_ORDER_SCORES", {})
     monkeypatch.setattr(enumeration, "_SCORED_TABLE", {})
-    count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 10**6)))
-    keys = {(head, vec) for head, tables in enumeration._SCORED_TABLE.items() for vec in tables}
-    assert keys
-    for target in (96, 10**6 + 1, 10**20):
-        count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, target)))
-        assert {(head, vec) for head, tables in enumeration._SCORED_TABLE.items() for vec in tables} == keys
+    for target in (166, 10**6, 10**20):
+        assert count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, target))) == 0
+    assert not enumeration._ORDER_SCORES
+    assert enumeration._SCORED_TABLE and not any(enumeration._SCORED_TABLE.values())
+    # a target the tails can reach fills them
+    count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 120)))
+    assert enumeration._ORDER_SCORES and any(enumeration._SCORED_TABLE.values())
+
+
+@pytest.mark.parametrize("cls", [UD, DU])
+@pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
+def test_longest_tail_matches_a_short_one(monkeypatch, cls, pattern):
+    # No naive scan reaches the longest tail, k = _TAIL, which needs n >= _TAIL + 3. At n = 11
+    # the walk pushes 3 entries and reads 8 off the tables; with _TAIL = 3 it pushes 7 and
+    # reads 4, so the two share no table. Targets 0..3 run under every ends_in_largest flag;
+    # 20 and 120 (the most any pair reaches at n = 11) fill tables with most or all orders.
+    # Every other target builds its own tables, 0.1-0.2 s each, so not all are run here.
+    n = 11
+    filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, target), ends_in_largest=ends)
+               for target in range(4) for ends in (None, True, False)]
+    filters += [GenerationFilter(cls, n, exact_occurrences=(pattern, target)) for target in (20, 120)]
+    counts = [count(filt) for filt in filters]
+    assert counts[0] and counts[-1]
+    monkeypatch.setattr(enumeration, "_TAIL", 3)
+    assert [count(filt) for filt in filters] == counts
 
 
 def race_cold_builds(monkeypatch, filters, cold, check):
@@ -339,13 +380,16 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
     # order or a key, and shift a count or raise in that thread.
     filters = [GenerationFilter(cls, n, ends_in_largest=ends) for cls in (UD, DU) for n in (4, 8)
                for ends in (None, True, False)]
-    built = repr(enumeration._zigzag_table())
+    built = {k: repr(enumeration._zigzag_table(k)) for k in (1, 5)}  # the k of n = 4 and of n = 8
 
     def check():
-        # itemgetters compare by identity; their repr lists the indices they read
-        assert repr(enumeration._ZIGZAG_TABLE) == built
+        # itemgetters compare by identity; their repr lists the indices they read. Publishing
+        # one k may drop another built at the same moment, which the next walk rebuilds
+        assert enumeration._ZIGZAG_TABLE
+        for k, table in enumeration._ZIGZAG_TABLE.items():
+            assert repr(table) == built[k], k
 
-    race_cold_builds(monkeypatch, filters, {"_ZIGZAG_TABLE": lambda: None}, check)
+    race_cold_builds(monkeypatch, filters, {"_ZIGZAG_TABLE": dict}, check)
 
 
 def test_scored_table_cold_build_is_thread_safe(monkeypatch):
@@ -365,15 +409,15 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
             for vec, by_score in tables.items():
                 assert repr(enumeration._orders_by_score(*head, vec)) == repr(by_score), (head, vec)
 
-    race_cold_builds(monkeypatch, filters, {"_ZIGZAG_TABLE": lambda: None, "_ORDER_SCORES": dict,
-                                            "_SCORED_TABLE": dict}, check)
+    race_cold_builds(monkeypatch, filters, {"_ZIGZAG_TABLE": dict, "_ORDER_SCORES": dict, "_SCORED_TABLE": dict},
+                     check)
 
 
 def test_zigzag_table_is_published_whole(monkeypatch):
-    # The first permutations() call (listing the candidate orders) and the first
-    # itemgetter() call (making the first order's getter) each run a walk in a new thread
-    # and wait for it, so that walk starts midway through the build of table[k, rise, ends]:
-    # it must find no table, and build its own.
+    # The first itemgetter() call (making the first order's getter) and the first _sliced()
+    # call (listing the first (rise, ends) key's orders) each run a walk in a new thread and
+    # wait for it, so that walk starts midway through the build of _zigzag_table(5): it must
+    # find no table for k = 5, and build its own. Publishing another k keeps the first.
     filt = GenerationFilter(DU, 8, ends_in_largest=False)
     expected = list(generate(filt))
     midway: list = []
@@ -389,11 +433,14 @@ def test_zigzag_table_is_published_whole(monkeypatch):
             return build_step(*args)
         return step
 
-    monkeypatch.setattr(enumeration, "permutations", read_midway(enumeration.permutations))
     monkeypatch.setattr(enumeration, "itemgetter", read_midway(enumeration.itemgetter))
-    monkeypatch.setattr(enumeration, "_ZIGZAG_TABLE", None)
+    monkeypatch.setattr(enumeration, "_sliced", read_midway(enumeration._sliced))
+    monkeypatch.setattr(enumeration, "_ZIGZAG_TABLE", {})
     assert list(generate(filt)) == expected
     assert midway == [expected, expected]
+    table = enumeration._ZIGZAG_TABLE[5]
+    enumeration._zigzag_table(2)
+    assert sorted(enumeration._ZIGZAG_TABLE) == [2, 5] and enumeration._ZIGZAG_TABLE[5] is table
 
 
 def test_streams_sorted_and_duplicate_free():
