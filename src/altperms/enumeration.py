@@ -38,7 +38,8 @@ These are the only patterns a filter accepts (perm_core.check_pattern).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from functools import cache, partial
 from itertools import accumulate, chain, repeat
 from math import comb
 from operator import add, itemgetter, mul, sub
@@ -99,11 +100,6 @@ class GenerationFilter(FrozenRecord):
 
 #: How many entries a walk takes from the table of zigzag orders after its last candidate
 _TAIL = 7
-_ZIGZAG_TABLE: dict = {}
-#: _ORDER_SCORES[k, rise, ends, pattern, cap]: see _order_scores
-_ORDER_SCORES: dict = {}
-#: _SCORED_TABLE[k, rise, ends, pattern, cap][vec] = _orders_by_score(k, rise, ends, pattern, cap, vec)
-_SCORED_TABLE: dict = {}
 
 
 def _sliced(lists: list[list[itemgetter]]) -> tuple[tuple[itemgetter, ...], tuple[int, ...]]:
@@ -113,61 +109,55 @@ def _sliced(lists: list[list[itemgetter]]) -> tuple[tuple[itemgetter, ...], tupl
     return tuple(chain.from_iterable(lists)), tuple(accumulate(map(len, lists), initial=0))
 
 
+@cache
 def _zigzag_table(k: int) -> dict:
-    """table[rise, ends] = _sliced(lists), built on first use and published whole: lists[i]
+    """table[rise, ends] = _sliced(lists), built on first use and cached: lists[i]
     holds one itemgetter per zigzag order of k + 1 sorted values that starts at index i,
     lexicographically, and returns the values in its order. The second entry exceeds the first
     exactly when `rise`; ends None keeps every order, True those that end on the largest value,
     False the rest. An order of j + 1 ranks is a first entry i, then an order of j ranks that
     starts on the far side of i, its ranks from i up raised by one.
     """
-    global _ZIGZAG_TABLE
-    table = _ZIGZAG_TABLE.get(k)
-    if table is None:
-        table = {}
-        for rise in (False, True):
-            orders = [(0,)]
-            for j in range(1, k + 1):  # the orders of j + 1 ranks, which rise first when up
-                up = rise != (k - j) % 2
-                orders = [(i, *(r + (r >= i) for r in order)) for i in range(j + 1) for order in orders
-                          if (order[0] >= i) == up]
-            getters = [itemgetter(*order) for order in orders]
-            for ends in (None, True, False):
-                lists = [[] for _ in range(k + 1)]
-                for order, get in zip(orders, getters):
-                    if ends in (None, order[-1] == k):
-                        lists[order[0]].append(get)
-                table[rise, ends] = _sliced(lists)
-        _ZIGZAG_TABLE = {**_ZIGZAG_TABLE, k: table}
+    table = {}
+    for rise in (False, True):
+        orders = [(0,)]
+        for j in range(1, k + 1):  # the orders of j + 1 ranks, which rise first when up
+            up = rise != (k - j) % 2
+            orders = [(i, *(r + (r >= i) for r in order)) for i in range(j + 1) for order in orders
+                      if (order[0] >= i) == up]
+        getters = [itemgetter(*order) for order in orders]
+        for ends in (None, True, False):
+            lists = [[] for _ in range(k + 1)]
+            for order, get in zip(orders, getters):
+                if ends in (None, order[-1] == k):
+                    lists[order[0]].append(get)
+            table[rise, ends] = _sliced(lists)
     return table
 
 
+@cache
 def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern, cap: int) -> tuple:
     """Columns (firsts, getters, inners, c_0, ..., c_k) of the orders σ of
-    _zigzag_table(k)[rise, ends] with inner < cap, in its order, built once and published whole.
+    _zigzag_table(k)[rise, ends] with inner < cap, in its order, built on first use and cached.
 
     For 321, c_r(σ) is the number of entries after rank r that lie below it, and inner =
     Σ_r e_r·c_r, e_r the number before rank r above it: the 321s inside σ, counted by middle
     entry. For 123 read below for above and above for below."""
-    key = (k, rise, ends, pattern, cap)
-    scores = _ORDER_SCORES.get(key)
-    if scores is None:
-        down = pattern == PATTERN_321
-        ranks = range(k + 1)
-        rows = []
-        for get in _zigzag_table(k)[rise, ends][0]:
-            order = get(ranks)
-            e, c = [0] * (k + 1), [0] * (k + 1)
-            for s, r in enumerate(order):
-                for x in order[s + 1:]:
-                    if (x < r) == down:  # r, then x below it (above it, for 123)
-                        c[r] += 1
-                        e[x] += 1
-            inner = sum(map(mul, e, c))
-            if inner < cap:
-                rows.append((order[0], get, inner, *c))
-        _ORDER_SCORES[key] = scores = tuple(zip(*rows)) or ((),) * (k + 4)  # k + 4 columns, even empty
-    return scores
+    down = pattern == PATTERN_321
+    ranks = range(k + 1)
+    rows = []
+    for get in _zigzag_table(k)[rise, ends][0]:
+        order = get(ranks)
+        e, c = [0] * (k + 1), [0] * (k + 1)
+        for s, r in enumerate(order):
+            for x in order[s + 1:]:
+                if (x < r) == down:  # r, then x below it (above it, for 123)
+                    c[r] += 1
+                    e[x] += 1
+        inner = sum(map(mul, e, c))
+        if inner < cap:
+            rows.append((order[0], get, inner, *c))
+    return tuple(zip(*rows)) or ((),) * (k + 4)  # k + 4 columns, even empty
 
 
 def _orders_by_score(k: int, rise: bool, ends: bool | None, pattern: Pattern, cap: int,
@@ -189,6 +179,14 @@ def _orders_by_score(k: int, rise: bool, ends: bool | None, pattern: Pattern, ca
                 lists[total] = [[] for _ in range(k + 1)]
             lists[total][first].append(get)
     return {total: _sliced(by_first) for total, by_first in lists.items()}
+
+
+@cache
+def _scored_table(k: int, rise: bool, ends: bool | None, pattern: Pattern,
+                  cap: int) -> Callable[[tuple[int, ...]], dict]:
+    """The scored table of one head: a cache that maps vec to
+    _orders_by_score(k, rise, ends, pattern, cap, vec), each built on first use."""
+    return cache(partial(_orders_by_score, k, rise, ends, pattern, cap))
 
 
 def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Sequence[itemgetter]]]:
@@ -240,8 +238,7 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
         # entries, so no score reaches cap or more, and every large target shares one set of
         # tables per length
         cap = min(target, comb(k + 1, 3) + comb(k + 1, 2) * leaf) + 1
-        heads = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)]
-        tables = [_SCORED_TABLE.setdefault(head, {}) for head in heads]
+        tables = [_scored_table(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)]
         # vec[r] = A_r, the placed values above (for 123, below) the unused value of rank r,
         # n - k + r - free[r] (free[r] - 1 - r), clipped at cap; each is at most leaf
         operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
@@ -292,10 +289,7 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
                 vec = tuple(map(sub, *operands))
                 if clip:
                     vec = tuple(map(min, vec, clip))
-                by_score = tables[which].get(vec)
-                if by_score is None:  # built whole, then published
-                    by_score = tables[which][vec] = _orders_by_score(*heads[which], vec)
-                found = by_score.get(rest)
+                found = tables[which](vec).get(rest)  # built on first use, stored once whole
                 if not found:
                     continue
                 orders, start = found

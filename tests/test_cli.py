@@ -462,8 +462,9 @@ def test_cli_import_skips_heavy_modules():
 
 
 def test_cli_import_leaves_the_zigzag_table_unbuilt():
-    # the oracle walk builds the table of each k on first use, so CLI start-up pays nothing for it
-    probe = "import altperms.cli, altperms.enumeration as e; print(e._ZIGZAG_TABLE)"
+    # the oracle walk builds each of its tables on first use, so CLI start-up pays nothing for them
+    probe = ("import altperms.cli, altperms.enumeration as e; "
+             "print([f.cache_info().currsize for f in (e._zigzag_table, e._order_scores, e._scored_table)])")
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=60)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "{}\n", "")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[0, 0, 0]\n", "")

@@ -2,6 +2,7 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product, zip_longest
 
 import pytest
@@ -312,19 +313,34 @@ def test_targets_past_the_tail_bound_match_histogram(monkeypatch, cls, pattern):
         assert all(count_occurrences(w, pattern) == target for w in generate(filt))
 
 
+def fresh_cache(builder, build=None):
+    """An empty cache with the parameters of the cached `builder`, around `build` or the
+    builder's own function."""
+    return lru_cache(**builder.cache_parameters())(build or builder.__wrapped__)
+
+
 def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
     # At n = 11 the walk pushes 3 entries, whose F is at most 1 + 3·8 = 25, and a tail of the
     # other 8 adds at most C(8, 3) + C(8, 2)·3 = 140: from target 166 on, every node finds no
-    # tail before it scores one, so no order is scored and no scored table is built
-    monkeypatch.setattr(enumeration, "_ORDER_SCORES", {})
-    monkeypatch.setattr(enumeration, "_SCORED_TABLE", {})
+    # tail before it scores one, so no order is scored and no vector is built. The three targets
+    # share one head (cap 141), whose cache of vectors the walk makes before any node looks.
+    build_head = enumeration._scored_table.__wrapped__
+    tables: list = []  # each head's cache of vectors, as it is made
+
+    def scored_table(*head):
+        tables.append(build_head(*head))
+        return tables[-1]
+
+    monkeypatch.setattr(enumeration, "_order_scores", fresh_cache(enumeration._order_scores))
+    monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table, scored_table))
     for target in (166, 10**6, 10**20):
         assert count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, target))) == 0
-    assert not enumeration._ORDER_SCORES
-    assert enumeration._SCORED_TABLE and not any(enumeration._SCORED_TABLE.values())
-    # a target the tails can reach fills them
+    assert enumeration._order_scores.cache_info().currsize == 0
+    assert [table.cache_info().currsize for table in tables] == [0]
+    # a target the tails can reach (cap 121) scores orders and builds vectors
     count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 120)))
-    assert enumeration._ORDER_SCORES and any(enumeration._SCORED_TABLE.values())
+    assert enumeration._order_scores.cache_info().currsize == 1
+    assert len(tables) == 2 and tables[0].cache_info().currsize == 0 and tables[1].cache_info().currsize
 
 
 @pytest.mark.parametrize("cls", [UD, DU])
@@ -346,9 +362,11 @@ def test_longest_tail_matches_a_short_one(monkeypatch, cls, pattern):
 
 
 def race_cold_builds(monkeypatch, filters, cold, check):
-    """Generate every filter from 8 threads at once in each of 10 rounds, after setting each
-    table that `cold` names in enumeration back to its unbuilt value; then check()."""
+    """Generate every filter from 8 threads at once in each of 10 rounds, after swapping a fresh,
+    empty cache in for each cached builder that `cold` names in enumeration; then check().
+    monkeypatch puts the warm caches back after the test."""
     expected = [list(generate(filt)) for filt in filters]
+    builders = {name: getattr(enumeration, name) for name in cold}
     rounds, workers = 10, 8
 
     def work(results):
@@ -358,8 +376,8 @@ def race_cold_builds(monkeypatch, filters, cold, check):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(rounds):
-            for name, unbuilt in cold.items():
-                monkeypatch.setattr(enumeration, name, unbuilt())
+            for name, builder in builders.items():
+                monkeypatch.setattr(enumeration, name, fresh_cache(builder))
             results: list = []
             threads = [threading.Thread(target=work, args=(results,)) for _ in range(workers)]
             for thread in threads:
@@ -374,50 +392,68 @@ def race_cold_builds(monkeypatch, filters, cold, check):
 
 
 def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
-    # In each round the threads start one after another on an unbuilt table, and
+    # In each round the threads start one after another on an empty cache, and
     # the short switch interval makes a later one start its walks inside an
-    # earlier one's build: a table published before it is whole would miss an
+    # earlier one's build: a table stored before it is whole would miss an
     # order or a key, and shift a count or raise in that thread.
     filters = [GenerationFilter(cls, n, ends_in_largest=ends) for cls in (UD, DU) for n in (4, 8)
                for ends in (None, True, False)]
-    built = {k: repr(enumeration._zigzag_table(k)) for k in (1, 5)}  # the k of n = 4 and of n = 8
+    # the k of n = 4 and of n = 8, each built afresh
+    built = {k: repr(enumeration._zigzag_table.__wrapped__(k)) for k in (1, 5)}
 
     def check():
-        # itemgetters compare by identity; their repr lists the indices they read. Publishing
-        # one k may drop another built at the same moment, which the next walk rebuilds
-        assert enumeration._ZIGZAG_TABLE
-        for k, table in enumeration._ZIGZAG_TABLE.items():
-            assert repr(table) == built[k], k
+        # both k are cached (read with no miss) and equal their fresh build: itemgetters
+        # compare by identity, and their repr lists the indices they read
+        info = enumeration._zigzag_table.cache_info()
+        assert info.currsize == 2
+        for k, table in built.items():
+            assert repr(enumeration._zigzag_table(k)) == table, k
+        assert enumeration._zigzag_table.cache_info().misses == info.misses
 
-    race_cold_builds(monkeypatch, filters, {"_ZIGZAG_TABLE": dict}, check)
+    race_cold_builds(monkeypatch, filters, ("_zigzag_table",), check)
 
 
 def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # The same race on a scored walk's tables, each round from the table of zigzag orders up:
-    # an order's scores or a vector's orders by score published before they are whole would
-    # drop or shift a tail in some thread, and every published value must equal a new build.
+    # an order's scores or a vector's orders by score stored before they are whole would drop
+    # or shift a tail in some thread, and every cached value must equal a fresh build. Each
+    # round records the (head, vec) of every vector built, which covers every value cached.
     filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, 2), ends_in_largest=ends)
                for cls in (UD, DU) for n in (6, 9) for pattern in (PATTERN_321, PATTERN_123)
                for ends in (None, False)]
+    orders_by_score = enumeration._orders_by_score
+    built: set = set()
+
+    def record(*args):
+        built.add(args)
+        return orders_by_score(*args)
+
+    monkeypatch.setattr(enumeration, "_orders_by_score", record)
+    cached = ("_zigzag_table", "_order_scores", "_scored_table")
 
     def check():
-        assert enumeration._SCORED_TABLE
-        for key, scores in list(enumeration._ORDER_SCORES.items()):
-            enumeration._ORDER_SCORES.pop(key)
-            assert repr(enumeration._order_scores(*key)) == repr(scores)
-        for head, tables in enumeration._SCORED_TABLE.items():
-            for vec, by_score in tables.items():
-                assert repr(enumeration._orders_by_score(*head, vec)) == repr(by_score), (head, vec)
+        builders = [getattr(enumeration, name) for name in cached]
+        misses = [builder.cache_info().misses for builder in builders]
+        assert built
+        zigzag_table, order_scores, scored_table = builders
+        heads = {args[:-1] for args in built}
+        for k in {head[0] for head in heads}:
+            assert repr(zigzag_table(k)) == repr(zigzag_table.__wrapped__(k)), k
+        for head in heads:
+            assert repr(order_scores(*head)) == repr(order_scores.__wrapped__(*head)), head
+        for *head, vec in list(built):
+            assert repr(scored_table(*head)(vec)) == repr(orders_by_score(*head, vec)), (head, vec)
+        assert [builder.cache_info().misses for builder in builders] == misses  # all were cached
+        built.clear()
 
-    race_cold_builds(monkeypatch, filters, {"_ZIGZAG_TABLE": dict, "_ORDER_SCORES": dict, "_SCORED_TABLE": dict},
-                     check)
+    race_cold_builds(monkeypatch, filters, cached, check)
 
 
 def test_zigzag_table_is_published_whole(monkeypatch):
     # The first itemgetter() call (making the first order's getter) and the first _sliced()
     # call (listing the first (rise, ends) key's orders) each run a walk in a new thread and
     # wait for it, so that walk starts midway through the build of _zigzag_table(5): it must
-    # find no table for k = 5, and build its own. Publishing another k keeps the first.
+    # find no table for k = 5 cached, and build its own. Building another k keeps the first.
     filt = GenerationFilter(DU, 8, ends_in_largest=False)
     expected = list(generate(filt))
     midway: list = []
@@ -435,12 +471,16 @@ def test_zigzag_table_is_published_whole(monkeypatch):
 
     monkeypatch.setattr(enumeration, "itemgetter", read_midway(enumeration.itemgetter))
     monkeypatch.setattr(enumeration, "_sliced", read_midway(enumeration._sliced))
-    monkeypatch.setattr(enumeration, "_ZIGZAG_TABLE", {})
+    monkeypatch.setattr(enumeration, "_zigzag_table", fresh_cache(enumeration._zigzag_table))
     assert list(generate(filt)) == expected
     assert midway == [expected, expected]
-    table = enumeration._ZIGZAG_TABLE[5]
+    # the first reader starts inside this walk's build and the second inside the first's: three
+    # misses, and one table stored
+    info = enumeration._zigzag_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
+    table = enumeration._zigzag_table(5)
     enumeration._zigzag_table(2)
-    assert sorted(enumeration._ZIGZAG_TABLE) == [2, 5] and enumeration._ZIGZAG_TABLE[5] is table
+    assert enumeration._zigzag_table.cache_info().currsize == 2 and enumeration._zigzag_table(5) is table
 
 
 def test_streams_sorted_and_duplicate_free():
