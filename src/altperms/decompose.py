@@ -9,11 +9,17 @@ formulas for w_i and w_k) are derived, not quoted, so each direction checks
 itself against the other once: `split` rebuilds its record, `reconstruct`
 reads the record back off its output, and either aborts loudly with
 InvariantViolation on any disagreement.
+
+Both 321 questions the bijection asks, where a host's only occurrence is and
+whether a block has none, are answered by one linear scan of the entries that
+lie below an earlier one (`_lower_fall`); perm_core.middle_counts is called
+only to give the exact count of a host outside the domain.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
+from math import inf
 
 from .enumeration import GenerationFilter, generate
 from .perm_core import (
@@ -89,19 +95,20 @@ def format_record(record: DecompositionRecord) -> str:
     )
 
 
+def _malformed(text: str) -> ValueError:
+    return ValueError(f"malformed record text {text!r}: expected fields n;class;j;U;V in that order")
+
+
 def parse_record(text: str) -> DecompositionRecord:
     """Inverse of format_record; raises ValueError on malformed text."""
-    malformed = ValueError(
-        f"malformed record text {text!r}: expected fields n;class;j;U;V in that order"
-    )
     parts = [part.split("=", 1) for part in text.strip().split(";")]
     if any(len(part) != 2 for part in parts) or [key for key, _ in parts] != ["n", "class", "j", "U", "V"]:
-        raise malformed
+        raise _malformed(text)
     fields = dict(parts)
     try:
         n, j = int(fields["n"]), int(fields["j"])
     except ValueError:
-        raise malformed from None
+        raise _malformed(text) from None
     return DecompositionRecord(
         n=n,
         cls=AlternationClass.from_code(fields["class"]),
@@ -111,25 +118,50 @@ def parse_record(text: str) -> DecompositionRecord:
     )
 
 
+def _lower_fall(w: Sequence[int]) -> tuple[int, int] | tuple[()] | None:
+    """Where the "lower entries" of w fall: those strictly below the largest entry before them.
+
+    A 321's middle and last entries are both lower, the last below the middle, so
+    w avoids 321 exactly when its lower entries never strictly fall, and None says
+    so.  When they fall once, from b to c, with the lower entry before b at most c
+    and the one after c at least b, (b, c) is their only inverted pair, and the
+    0-based positions of b and c are returned; w then has one 321 for each earlier
+    entry above b.  Any other fall gives ().  One pass, ties as in `middle_counts`.
+    """
+    top = low = before = -inf  # the largest entry so far, the latest lower entry, the one before it
+    at = fall = None
+    for t, x in enumerate(w):
+        if x >= top:
+            top = x
+        elif x >= low:
+            before, low, at = low, x, t
+        elif fall is None and before <= x:
+            fall = at, t  # `low` stays b: every later lower entry must be at least b
+        else:
+            return ()
+    return fall
+
+
 def locate_unique_321(w: Perm) -> Occurrence:
     """The (i, j, k) of the single 321 occurrence; NotExactlyOne otherwise.
 
-    Counts without listing, by the middle entries (perm_core.middle_counts: one
-    pass of binary searches over the entries seen so far), so this is O(n log n)
-    comparisons and O(n) memory however many occurrences there are.
+    One pass over the lower entries (`_lower_fall`) finds the only inverted pair
+    (w_j, w_k), and a second over w_1..w_{j-1} finds w_i, the only entry above
+    w_j: O(n) when w has exactly one 321.  Otherwise the exact count comes from
+    perm_core.middle_counts, O(n log n) comparisons and O(n) memory however
+    many occurrences there are.
 
     >>> locate_unique_321((1, 4, 3, 5, 2, 6))
     (2, 3, 5)
     """
-    middles = middle_counts(w, PATTERN_321)
-    total = sum(middles)
-    if total != 1:
-        raise NotExactlyOne(total)
-    middle = middles.index(1)
-    b = w[middle]
-    i = next(t for t in range(middle) if w[t] > b)
-    k = next(t for t in range(middle + 1, len(w)) if w[t] < b)
-    return i + 1, middle + 1, k + 1
+    fall = _lower_fall(w)
+    if fall:
+        j, k = fall
+        b = w[j]
+        above = [t for t in range(j) if w[t] > b]
+        if len(above) == 1:
+            return above[0] + 1, j + 1, k + 1
+    raise NotExactlyOne(sum(middle_counts(w, PATTERN_321)))
 
 
 def _block_problems(name: str, block: Perm, length: int, cls: AlternationClass, j: int) -> tuple[int, list[str]]:
@@ -148,7 +180,7 @@ def _block_problems(name: str, block: Perm, length: int, cls: AlternationClass, 
         expected = f"j={j}" if is_u else f"n-j+1={length}"
         return 1, [f"{name} has length {len(block)}, expected {expected}"]
     problems = []
-    if any(middle_counts(block, PATTERN_321)):
+    if _lower_fall(block) is not None:
         problems.append(f"{name} contains 321")
     if not is_alternating(block, cls):
         problems.append(f"{name} is not {cls.value}-alternating" + ("" if is_u else f" (required for j={j})"))

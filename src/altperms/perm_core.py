@@ -96,9 +96,12 @@ class AlternationClass(enum.Enum):
 
     @classmethod
     def from_code(cls, code: str) -> "AlternationClass":
-        for member in cls:
-            if member.value == code:
-                return member
+        """The member whose value is `code`, "UD" or "DU"; ValueError for anything else, a member included."""
+        if isinstance(code, str):  # looked up by value: calling the class with a member returns it
+            try:
+                return cls(code)
+            except ValueError:
+                pass
         raise ValueError(f"unknown alternation class code {code!r} (expected UD or DU)")
 
 

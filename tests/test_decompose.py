@@ -1,5 +1,8 @@
+import random
+from functools import cache
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import altperms.decompose as decompose_module
 from altperms.decompose import (
@@ -17,7 +20,7 @@ from altperms.decompose import (
     validate_record,
 )
 from altperms.enumeration import GenerationFilter, generate
-from altperms.perm_core import AlternationClass, PATTERN_321, standardize, suffix_class
+from altperms.perm_core import AlternationClass, PATTERN_321, middle_counts, standardize, suffix_class
 
 import naive
 
@@ -91,6 +94,73 @@ def test_locate_unique_321_matches_naive(w):
         with pytest.raises(NotExactlyOne) as info:
             locate_unique_321(w)
         assert info.value.count == len(occurrences)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.integers(-3, 5), max_size=12).map(tuple))
+# two 321s each, where one fall among the lower entries (those below an earlier entry) is not enough:
+@example((9, 3, 5, 2))  # lower entries 3, 5, 2: the 3 before the fall lies above its end
+@example((9, 5, 2, 3))  # lower entries 5, 2, 3: the 3 after the fall lies below its start
+@example((3, 2, 2, 1))  # lower entries 2, 2, 1: a tie before the fall
+@example((3, 3, 2, 2, 1))  # a tie with the largest entry, which is not a lower entry
+def test_scan_matches_middle_counts_with_ties(w):
+    # the reference is middle_counts, not naive: naive counts a tie as part of a 321
+    middles = middle_counts(w, PATTERN_321)
+    total = sum(middles)
+    assert (decompose_module._lower_fall(w) is None) == (total == 0)
+    if total == 1:
+        j = middles.index(1)
+        i = next(t for t in range(j) if w[t] > w[j])
+        k = next(t for t in range(j + 1, len(w)) if w[t] < w[j])
+        assert locate_unique_321(w) == (i + 1, j + 1, k + 1)
+    else:
+        with pytest.raises(NotExactlyOne) as info:
+            locate_unique_321(w)
+        assert info.value.count == total
+
+
+@cache
+def short_blocks(cls, length, ends_in_largest, begins_with_smallest):
+    return list(generate(GenerationFilter(cls, length, avoid=PATTERN_321, ends_in_largest=ends_in_largest,
+                                          begins_with_smallest=begins_with_smallest)))
+
+
+def summed_block(rng, cls, length, ends_in_largest=None, begins_with_smallest=None):
+    """A random 321-avoiding `cls` block: the direct sum of short ones, each of which ends
+    where `cls` rises, since a direct sum steps up from one summand to the next and adds no 321."""
+    while True:
+        block = []
+        while (done := len(block)) < length:
+            sizes = [m for m in range(1, min(6, length - done) + 1)
+                     if done + m == length or cls.rises_into(done + m + 1)]
+            m = rng.choice(sizes)
+            summands = short_blocks(suffix_class(cls, done + 1), m, ends_in_largest if done + m == length else None,
+                                    begins_with_smallest if done == 0 else None)
+            if not summands:
+                break  # a boundary flag no block of this length meets: draw the block again
+            block += [done + x for x in rng.choice(summands)]
+        else:
+            return tuple(block)
+
+
+def test_long_hosts_round_trip_against_naive():
+    # hosts of length 60-72, far past the exhaustive lengths, rebuilt from records
+    rng = random.Random(60)
+    for _ in range(6):
+        n, cls = rng.randint(60, 72), rng.choice((UD, DU))
+        j = rng.randint(n // 3, 2 * n // 3)
+        u = summed_block(rng, cls, j, ends_in_largest=False)
+        v = summed_block(rng, suffix_class(cls, j), n - j + 1, begins_with_smallest=False)
+        record = DecompositionRecord(n, cls, j, u, v)
+        w = reconstruct(parse_record(format_record(record)))
+        [(i, jj, k)] = naive.occurrence_positions(w, PATTERN_321)
+        assert jj == j
+        assert (naive.is_up_down if cls is UD else naive.is_down_up)(w)
+        assert naive.occurrence_count(u, PATTERN_321) == naive.occurrence_count(v, PATTERN_321) == 0
+        assert u == standardize(w[: j - 1] + (w[k - 1],))
+        assert v == standardize((w[i - 1],) + w[j:])
+        assert locate_unique_321(w) == (i, j, k)
+        assert split(w) == record
 
 
 def test_split_worked_example():

@@ -149,8 +149,10 @@ def test_classify_matches_naive_for_small_n():
 def test_alternation_codes():
     assert AlternationClass.from_code("UD") is UD
     assert AlternationClass.from_code("DU") is DU
-    with pytest.raises(ValueError):
-        AlternationClass.from_code("XX")
+    # only a code: the class itself would also take a member
+    for code in ("XX", "ud", UD, None):
+        with pytest.raises(ValueError, match=rf"^unknown alternation class code {code!r} \(expected UD or DU\)$"):
+            AlternationClass.from_code(code)
     assert UD.flipped is DU and DU.flipped is UD
 
 
