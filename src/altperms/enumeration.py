@@ -7,7 +7,8 @@ the boundary flags' bounds, so it never steps over a placed value; a candidate
 v at index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
 a node's candidate window is computed once, when it is pushed. A walk of length
-n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only.
+n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only,
+and a scored walk with a target of 0..2 to k = max(1, min(_TAIL + 1, n - 3)).
 There each candidate and the k values left after it come from a table of the
 zigzag orders of k + 1 sorted values, one `operator.itemgetter` each, listed by
 first entry, so the orders of a node's candidate window are one slice. Each k's
@@ -32,6 +33,11 @@ inner(σ) + Σ_r A_r·c_r(σ): c_r is the number of later tail entries below ran
 it (below it), and A_r = n - k + r - free[r] the placed values above the unused
 value of rank r (for 123 below it, free[r] - 1 - r). The scored table groups
 the orders by this score, with A clipped at cap, and keeps the scores below cap.
+Its orders are grown rank by rank like the zigzag table's, but each is dropped
+as soon as inner reaches cap, since a first entry only adds occurrences: at
+k = 8 a cap of 1, 2 or 3 keeps 42, 150 or 378 of 7,936 orders, so a target of
+0..2 (cap <= 3) reads one entry more than an unscored walk. A larger cap keeps
+k: there each vector's orders cost more to build than the pushes they save.
 These are the only patterns a filter accepts (perm_core.check_pattern).
 """
 
@@ -99,6 +105,7 @@ class GenerationFilter(FrozenRecord):
 
 
 #: How many entries a walk takes from the table of zigzag orders after its last candidate
+#: (one more for a scored walk with a target of 0..2)
 _TAIL = 7
 
 
@@ -142,21 +149,26 @@ def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern, cap: 
 
     For 321, c_r(σ) is the number of entries after rank r that lie below it, and inner =
     Σ_r e_r·c_r, e_r the number before rank r above it: the 321s inside σ, counted by middle
-    entry. For 123 read below for above and above for below."""
+    entry. For 123 read below for above and above for below. The orders grow rank by rank as
+    in _zigzag_table, but on their own: a first entry i among j + 1 ranks starts Σ c_r
+    occurrences over the ranks r below it (above it, for 123), and has c_i = i (j - i). An
+    order is dropped once its inner reaches cap; a first entry only adds occurrences, so none
+    of its extensions is kept, and a low cap keeps the orders of many ranks few."""
     down = pattern == PATTERN_321
-    ranks = range(k + 1)
-    rows = []
-    for get in _zigzag_table(k)[rise, ends][0]:
-        order = get(ranks)
-        e, c = [0] * (k + 1), [0] * (k + 1)
-        for s, r in enumerate(order):
-            for x in order[s + 1:]:
-                if (x < r) == down:  # r, then x below it (above it, for 123)
-                    c[r] += 1
-                    e[x] += 1
-        inner = sum(map(mul, e, c))
-        if inner < cap:
-            rows.append((order[0], get, inner, *c))
+    rows = [((0,), 0, (0,))]  # (order, inner, c) of the orders of j + 1 ranks, lexicographically
+    for j in range(1, k + 1):
+        up = rise != (k - j) % 2
+        grown = []
+        for i in range(j + 1):
+            for order, inner, c in rows:
+                if (order[0] >= i) == up:
+                    inner += sum(c[:i] if down else c[i:])
+                    if inner < cap:
+                        grown.append(((i, *(r + (r >= i) for r in order)), inner,
+                                      (*c[:i], i if down else j - i, *c[i:])))
+        rows = grown
+    rows = [(order[0], itemgetter(*order), inner, *c) for order, inner, c in rows
+            if ends in (None, order[-1] == k)]
     return tuple(zip(*rows)) or ((),) * (k + 4)  # k + 4 columns, even empty
 
 
@@ -227,11 +239,13 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     # keyed by (free[k] == n), n unused: ends_in_largest's ceil n - 1 keeps n unused. The walk
     # keeps prefix[d], the value placed at depth d, resume[d], its index in free, top[d], depth
     # d's upper bound, and forced[d], F of prefix[:d] (0 when unscored)
-    k = max(1, min(_TAIL, n - 3))  # a short walk builds no table larger than its own work
+    scored = pattern is not None
+    # a short walk builds no table larger than its own work; a target of 0-2 (cap <= 3) scores
+    # few orders of 9 entries below its cap, so its walk reads one more
+    k = max(1, min(_TAIL + (scored and target < 3), n - 3))
     leaf = n - k - 1
     prefix, resume, top = [0] * leaf, [0] * leaf, [ceil[1]] * (leaf + 1)
     forced = [0] * (leaf + 1)
-    scored = pattern is not None
     if scored:
         is321 = pattern == PATTERN_321  # else 123
         # a tail adds at most C(k + 1, 3) occurrences inside it and leaf with each pair of its

@@ -244,38 +244,49 @@ def tail_counts(order, pattern):
     """(inside, ends_on) for a tail `order` of the ranks 0..k: the occurrences of pattern inside
     it, and the first rank of each pair of its entries that the pattern can end on. After a
     prefix with vec[r] values above rank r (below it, for 123) the tail adds
-    inside + sum(vec[r] for r in ends_on) occurrences: one per prefix value before each pair."""
-    ends_on = [order[s] for s, u in combinations(range(len(order)), 2)
-               if (order[s] > order[u]) == (pattern[1] > pattern[2])]
-    return naive.occurrence_count(order, pattern), ends_on
+    inside + sum(vec[r] for r in ends_on) occurrences: one per prefix value before each pair.
+    Both come from a scan of every pair and triple of entries in order, which falls for 321 and
+    rises for 123."""
+    down = pattern[1] > pattern[2]
+    ends_on = [a for a, b in combinations(order, 2) if (a > b) == down]
+    return sum((a > b) == (b > c) == down for a, b, c in combinations(order, 3)), ends_on
 
 
 def scored_vectors(k):
     """The vectors test_scored_table_lists_its_definition checks for a table of k + 1 ranks: every
     monotone one with entries 0..3 up to k = 5; from k = 6 on, those with at most two distinct
-    entries (40 and 46), which keep the check to about 2 s per pattern."""
+    entries (40, 46 and 52), which keep the check to about 2 s per pattern."""
     vectors = combinations_with_replacement(range(4), k + 1)
     return [vec for vec in vectors if k <= 5 or len(set(vec)) <= 2]
 
 
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_scored_table_lists_its_definition(pattern):
-    # For every table of zigzag orders and each vector a walk can meet with entries 0..3 (the
-    # placed values above an unused value shrink as the value grows, and those below it grow),
-    # _orders_by_score keeps, under each total below cap, the orders whose tail adds that
-    # total, lexicographically and sliced by first entry, and reuses that table's getters. At
-    # cap 3 an entry of 3 stands for any count from 3 up, so the orders kept must not change
-    # when it is raised to 7.
-    for k in range(1, enumeration._TAIL + 1):
+    # For every table of zigzag orders up to the longest scored tail, k = _TAIL + 1, and each
+    # cap a walk reads it with: _order_scores, which grows its orders on its own, keeps those
+    # with fewer than cap occurrences inside, with their columns. For each vector a walk can
+    # meet with entries 0..3 (the placed values above an unused value shrink as the value
+    # grows, and those below it grow), _orders_by_score keeps, under each total below cap, the
+    # orders whose tail adds that total, lexicographically and sliced by first entry. Getters
+    # are compared by the orders they read off the ranks, as the scored tables make their own.
+    # At cap 3 an entry of 3 stands for any count from 3 up, so the orders kept must not change
+    # when it is raised to 7. Only caps up to 3 read tails of k + 1 = 9 entries, so that k
+    # checks cap 3 alone.
+    for k in range(1, enumeration._TAIL + 2):
         zigzag = enumeration._zigzag_table(k)
         ranks = tuple(range(k + 1))
+        caps = (3, 100) if k <= enumeration._TAIL else (3,)
         for rise in (False, True):
             # ends only picks orders, so each order's counts serve all three
-            known = {get(ranks): tail_counts(get(ranks), pattern) for get in zigzag[rise, None][0]}
-            for ends in (None, True, False):
-                getters = zigzag[rise, ends][0]
-                firsts = [get(ranks)[0] for get in getters]
-                counts = [known[get(ranks)] for get in getters]
+            known = {order: tail_counts(order, pattern) for order in (get(ranks) for get in zigzag[rise, None][0])}
+            for ends, cap in product((None, True, False), caps):
+                kept = [get(ranks) for get in zigzag[rise, ends][0] if known[get(ranks)][0] < cap]
+                counts = [known[order] for order in kept]
+                firsts, getters, inners, *columns = enumeration._order_scores(k, rise, ends, pattern, cap)
+                assert [get(ranks) for get in getters] == kept, (k, rise, ends, cap)
+                assert list(firsts) == [order[0] for order in kept]
+                assert list(inners) == [inside for inside, _ in counts]
+                assert list(zip(*columns)) == [tuple(map(ends_on.count, ranks)) for _, ends_on in counts]
                 for vec in scored_vectors(k):
                     vec = vec[::-1] if pattern == PATTERN_321 else vec
                     lifted = tuple(7 if a == 3 else a for a in vec)
@@ -283,18 +294,17 @@ def test_scored_table_lists_its_definition(pattern):
                     unclipped = [inside + sum(lifted[r] for r in ends_on) for inside, ends_on in counts]
                     assert [score if score < 3 else None for score in scores] == [
                         score if score < 3 else None for score in unclipped]
-                    # expected[score][i]: the getters of the orders with that score that start at i
+                    # expected[score][i]: the orders with that score that start at i
                     expected: dict = {}
-                    for score, first, get in zip(scores, firsts, getters):
-                        expected.setdefault(score, [[] for _ in ranks])[first].append(get)
-                    for cap in (3, 100):
-                        table = enumeration._orders_by_score(k, rise, ends, pattern, cap, vec)
-                        assert sorted(table) == sorted(score for score in expected if score < cap)
-                        for total, (orders, start) in table.items():
-                            assert len(start) == k + 2 and start[0] == 0 and start[k + 1] == len(orders)
-                            for i in range(k + 1):
-                                assert list(orders[start[i]:start[i + 1]]) == expected[total][i], (
-                                    k, rise, ends, vec, cap, total, i)
+                    for score, order in zip(scores, kept):
+                        expected.setdefault(score, [[] for _ in ranks])[order[0]].append(order)
+                    table = enumeration._orders_by_score(k, rise, ends, pattern, cap, vec)
+                    assert sorted(table) == sorted(score for score in expected if score < cap)
+                    for total, (orders, start) in table.items():
+                        assert len(start) == k + 2 and start[0] == 0 and start[k + 1] == len(orders)
+                        for i in range(k + 1):
+                            assert [get(ranks) for get in orders[start[i]:start[i + 1]]] == expected[total][i], (
+                                k, rise, ends, vec, cap, total, i)
 
 
 @pytest.mark.parametrize("cls, pattern", [(DU, PATTERN_321), (UD, PATTERN_123)])
@@ -346,19 +356,23 @@ def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
 @pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_longest_tail_matches_a_short_one(monkeypatch, cls, pattern):
-    # No naive scan reaches the longest tail, k = _TAIL, which needs n >= _TAIL + 3. At n = 11
-    # the walk pushes 3 entries and reads 8 off the tables; with _TAIL = 3 it pushes 7 and
-    # reads 4, so the two share no table. Targets 0..3 run under every ends_in_largest flag;
+    # No naive scan reaches the longest tails, k = _TAIL + 1 for targets 0..2 and k = _TAIL for
+    # the rest, which need n >= k + 3. At n = 11 a target of 0..2 pushes 2 entries and reads 9
+    # off the scored tables, a target of 3 pushes 3 and reads 8, and at n = 12 each pushes one
+    # more; with _TAIL = 3 each pushes 4 more and reads 5 or 4, so the two share no table.
+    # Targets 0..3 run under every ends_in_largest flag, and 0..2 compare whole streams;
     # 20 and 120 (the most any pair reaches at n = 11) fill tables with most or all orders.
     # Every other target builds its own tables, 0.1-0.2 s each, so not all are run here.
-    n = 11
     filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, target), ends_in_largest=ends)
-               for target in range(4) for ends in (None, True, False)]
-    filters += [GenerationFilter(cls, n, exact_occurrences=(pattern, target)) for target in (20, 120)]
+               for n in (11, 12) for target in range(4) for ends in (None, True, False)]
+    filters += [GenerationFilter(cls, 11, exact_occurrences=(pattern, target)) for target in (20, 120)]
+    streamed = [filt for filt in filters if filt.exact_occurrences[1] < 3]
     counts = [count(filt) for filt in filters]
+    streams = [list(generate(filt)) for filt in streamed]
     assert counts[0] and counts[-1]
     monkeypatch.setattr(enumeration, "_TAIL", 3)
     assert [count(filt) for filt in filters] == counts
+    assert [list(generate(filt)) for filt in streamed] == streams
 
 
 def race_cold_builds(monkeypatch, filters, cold, check):
@@ -414,13 +428,16 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
 
 
 def test_scored_table_cold_build_is_thread_safe(monkeypatch):
-    # The same race on a scored walk's tables, each round from the table of zigzag orders up:
-    # an order's scores or a vector's orders by score stored before they are whole would drop
-    # or shift a tail in some thread, and every cached value must equal a fresh build. Each
-    # round records the (head, vec) of every vector built, which covers every value cached.
+    # The same race on a scored walk's tables, each round from its orders' scores up, which it
+    # grows on its own: an order's scores or a vector's orders by score stored before they are
+    # whole would drop or shift a tail in some thread, and every cached value must equal a
+    # fresh build. Each round records the (head, vec) of every vector built, which covers every
+    # value cached. The filter at n = 11 reads tails of 9 entries (k = 8), whose orders are
+    # pruned as they grow.
     filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, 2), ends_in_largest=ends)
                for cls in (UD, DU) for n in (6, 9) for pattern in (PATTERN_321, PATTERN_123)
                for ends in (None, False)]
+    filters.append(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 2)))
     orders_by_score = enumeration._orders_by_score
     built: set = set()
 
@@ -429,16 +446,15 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
         return orders_by_score(*args)
 
     monkeypatch.setattr(enumeration, "_orders_by_score", record)
-    cached = ("_zigzag_table", "_order_scores", "_scored_table")
+    cached = ("_order_scores", "_scored_table")
 
     def check():
         builders = [getattr(enumeration, name) for name in cached]
         misses = [builder.cache_info().misses for builder in builders]
         assert built
-        zigzag_table, order_scores, scored_table = builders
+        order_scores, scored_table = builders
         heads = {args[:-1] for args in built}
-        for k in {head[0] for head in heads}:
-            assert repr(zigzag_table(k)) == repr(zigzag_table.__wrapped__(k)), k
+        assert 8 in {head[0] for head in heads}
         for head in heads:
             assert repr(order_scores(*head)) == repr(order_scores.__wrapped__(*head)), head
         for *head, vec in list(built):
