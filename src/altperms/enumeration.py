@@ -25,15 +25,16 @@ pruning on F > target never loses a solution, because every unused value closes
 a distinct occurrence with each such pair once placed, so F only grows and is
 the exact count at a leaf (the generating-tree lookahead of West, "Generating
 trees and forbidden subsequences", 1996).
-A scored walk's node at depth leaf reads its slice off a scored table, which
-keeps only the orders whose tail brings F exactly to the target. Counted
+A node at depth leaf reads its slice off a scored table, which keeps only the
+orders whose tail brings F exactly to the target; an unscored walk's is the
+table with no pattern, where every order scores 0 and target 0 keeps all. Counted
 by middle entry, the tail of order σ of the ranks 0..k adds
 inner(σ) + Σ_r A_r·c_r(σ): c_r is the number of later tail entries below rank r
 (above it for 123), inner = Σ_r e_r·c_r with e_r the earlier tail entries above
 it (below it), and A_r = n - k + r - free[r] the placed values above the unused
 value of rank r (for 123 below it, free[r] - 1 - r). The scored table groups
 the orders by this score, with A clipped at cap, and keeps the scores below cap.
-Its orders are grown rank by rank like the zigzag table's, but each is dropped
+Its orders are grown rank by rank, and each is dropped
 as soon as inner reaches cap, since a first entry only adds occurrences: at
 k = 8 a cap of 1, 2 or 3 keeps 42, 150 or 378 of 7,936 orders, so a target of
 0..2 (cap <= 3) reads one entry more than an unscored walk. A larger cap keeps
@@ -117,45 +118,23 @@ def _sliced(lists: list[list[itemgetter]]) -> tuple[tuple[itemgetter, ...], tupl
 
 
 @cache
-def _zigzag_table(k: int) -> dict:
-    """table[rise, ends] = _sliced(lists), built on first use and cached: lists[i]
-    holds one itemgetter per zigzag order of k + 1 sorted values that starts at index i,
-    lexicographically, and returns the values in its order. The second entry exceeds the first
-    exactly when `rise`; ends None keeps every order, True those that end on the largest value,
-    False the rest. An order of j + 1 ranks is a first entry i, then an order of j ranks that
-    starts on the far side of i, its ranks from i up raised by one.
-    """
-    table = {}
-    for rise in (False, True):
-        orders = [(0,)]
-        for j in range(1, k + 1):  # the orders of j + 1 ranks, which rise first when up
-            up = rise != (k - j) % 2
-            orders = [(i, *(r + (r >= i) for r in order)) for i in range(j + 1) for order in orders
-                      if (order[0] >= i) == up]
-        getters = [itemgetter(*order) for order in orders]
-        for ends in (None, True, False):
-            lists = [[] for _ in range(k + 1)]
-            for order, get in zip(orders, getters):
-                if ends in (None, order[-1] == k):
-                    lists[order[0]].append(get)
-            table[rise, ends] = _sliced(lists)
-    return table
-
-
-@cache
-def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern, cap: int) -> tuple:
-    """Columns (firsts, getters, inners, c_0, ..., c_k) of the orders σ of
-    _zigzag_table(k)[rise, ends] with inner < cap, in its order, built on first use and cached.
+def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None, cap: int) -> tuple:
+    """Columns (firsts, getters, inners, c_0, ..., c_k) of the zigzag orders σ of the ranks
+    0..k with inner < cap, lexicographically, built on first use and cached. The second entry
+    exceeds the first exactly when `rise`; ends None keeps every order, True those that end on
+    rank k, False the rest.
 
     For 321, c_r(σ) is the number of entries after rank r that lie below it, and inner =
     Σ_r e_r·c_r, e_r the number before rank r above it: the 321s inside σ, counted by middle
-    entry. For 123 read below for above and above for below. The orders grow rank by rank as
-    in _zigzag_table, but on their own: a first entry i among j + 1 ranks starts Σ c_r
+    entry. For 123 read below for above and above for below. With no pattern there are no c
+    columns and every inner is 0, so cap 1 keeps every zigzag order. The orders grow rank by
+    rank: an order of j + 1 ranks is a first entry i, then an order of j ranks that starts on
+    the far side of i, its ranks from i up raised by one. That first entry starts Σ c_r
     occurrences over the ranks r below it (above it, for 123), and has c_i = i (j - i). An
     order is dropped once its inner reaches cap; a first entry only adds occurrences, so none
     of its extensions is kept, and a low cap keeps the orders of many ranks few."""
     down = pattern == PATTERN_321
-    rows = [((0,), 0, (0,))]  # (order, inner, c) of the orders of j + 1 ranks, lexicographically
+    rows = [((0,), 0, (0,) if pattern else ())]  # (order, inner, c) of the orders of j + 1 ranks
     for j in range(1, k + 1):
         up = rise != (k - j) % 2
         grown = []
@@ -165,21 +144,22 @@ def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern, cap: 
                     inner += sum(c[:i] if down else c[i:])
                     if inner < cap:
                         grown.append(((i, *(r + (r >= i) for r in order)), inner,
-                                      (*c[:i], i if down else j - i, *c[i:])))
+                                      c and (*c[:i], i if down else j - i, *c[i:])))
         rows = grown
     rows = [(order[0], itemgetter(*order), inner, *c) for order, inner, c in rows
             if ends in (None, order[-1] == k)]
-    return tuple(zip(*rows)) or ((),) * (k + 4)  # k + 4 columns, even empty
+    return tuple(zip(*rows)) or ((),) * (k + 4)  # every column, even when no order is kept
 
 
-def _orders_by_score(k: int, rise: bool, ends: bool | None, pattern: Pattern, cap: int,
+def _orders_by_score(k: int, rise: bool, ends: bool | None, pattern: Pattern | None, cap: int,
                      vec: tuple[int, ...]) -> dict:
-    """{total: _sliced(lists)} over the orders of _zigzag_table(k)[rise, ends] whose score,
-    inner + Σ_r vec[r]·c_r (see _order_scores), is total < cap; lists[i] keeps the orders
-    that start at index i, lexicographically. When vec[r] counts the placed values above the
-    unused value of rank r (below it, for 123), the score is the occurrences a tail adds. A
-    walk clips vec at cap: a clipped entry adds at least cap to every order with c_r >= 1,
-    which then stays out, clipped or not."""
+    """{total: _sliced(lists)} over the orders of _order_scores(k, rise, ends, pattern, cap)
+    whose score, inner + Σ_r vec[r]·c_r, is total < cap; lists[i] keeps the orders that start
+    at index i, lexicographically. When vec[r] counts the placed values above the unused value
+    of rank r (below it, for 123), the score is the occurrences a tail adds. A walk clips vec
+    at cap: a clipped entry adds at least cap to every order with c_r >= 1, which then stays
+    out, clipped or not. With no pattern, cap 1 and vec all 0, total 0 lists every zigzag
+    order, and no total is listed when there is none."""
     firsts, getters, totals, *columns = _order_scores(k, rise, ends, pattern, cap)
     for a, column in zip(vec, columns):
         if a:
@@ -194,7 +174,7 @@ def _orders_by_score(k: int, rise: bool, ends: bool | None, pattern: Pattern, ca
 
 
 @cache
-def _scored_table(k: int, rise: bool, ends: bool | None, pattern: Pattern,
+def _scored_table(k: int, rise: bool, ends: bool | None, pattern: Pattern | None,
                   cap: int) -> Callable[[tuple[int, ...]], dict]:
     """The scored table of one head: a cache that maps vec to
     _orders_by_score(k, rise, ends, pattern, cap, vec), each built on first use."""
@@ -206,12 +186,13 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     order: the node's permutations are prefix + get(free), one per getter. The prefix and free
     lists are reused, and free is valid only until the walk resumes, so a consumer applies the
     getters before it asks for the next batch. The nodes sit at depth n - k - 1 and hand over
-    the slice of a table that starts in their candidate window: an unscored walk's table of
-    zigzag orders, or a scored walk's orders of it under the score that brings F to the target;
-    a scored node that needs cap or more finds none. A scored walk of length 2 needs no case of
-    its own: its cap is 1, so target 0 keeps both orders and a larger one finds none. A walk
-    shorter than 2 is one literal batch ([], values, (tuple,)) if its flags and target allow;
-    no 321 or 123 fits in it, so only target 0 does."""
+    the slice of a scored table that starts in their candidate window: an unscored walk reads
+    the pattern-free table's total 0, every zigzag order, and a scored walk the orders under
+    the score that brings F to the target. A node finds none where no order is listed, and a
+    scored node that needs cap or more finds none without a lookup. A scored walk of length 2
+    needs no case of its own: its cap is 1, so target 0 keeps both orders and a larger one
+    finds none. A walk shorter than 2 is one literal batch ([], values, (tuple,)) if its flags
+    and target allow; no 321 or 123 fits in it, so only target 0 does."""
     n = filt.length
     pattern, target = filt.exact_occurrences or (None, 0)
     ends, begins = filt.ends_in_largest, filt.begins_with_smallest
@@ -257,9 +238,8 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
         # n - k + r - free[r] (free[r] - 1 - r), clipped at cap; each is at most leaf
         operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
         clip = (cap,) * (k + 1) if cap <= leaf else None
-    else:
-        zigzag = _zigzag_table(k)
-        tables = (zigzag[rise[leaf + 2], None], zigzag[rise[leaf + 2], ends])
+    else:  # every zigzag order scores 0 < cap 1 with no pattern, whatever the placed values
+        tables = [_scored_table(k, rise[leaf + 2], flag, None, 1)((0,) * (k + 1)).get(0) for flag in (None, ends)]
     total = 0  # F stays 0 on an unscored push
     d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
     while True:
@@ -304,11 +284,11 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
                 if clip:
                     vec = tuple(map(min, vec, clip))
                 found = tables[which](vec).get(rest)  # built on first use, stored once whole
-                if not found:
-                    continue
-                orders, start = found
             else:
-                orders, start = tables[which]
+                found = tables[which]
+            if not found:
+                continue
+            orders, start = found
             getters = orders[start[first]:start[i]]
             if getters:
                 yield prefix, free, getters

@@ -218,26 +218,41 @@ def test_count_from_threads_matches_serial():
         assert list(pool.map(count, CONCURRENT_FILTERS * 2)) == serial * 2
 
 
+@lru_cache(maxsize=None)
+def zigzag_orders(k):
+    """{rise: the orders of the ranks 0..k that are UD when rise (DU otherwise),
+    lexicographically}, filtered by classify from all (k + 1)! permutations, with no growth
+    rule: the reference both kinds of table are checked against (about 0.6 s at k = 8)."""
+    orders = {False: [], True: []}
+    for w in permutations(range(k + 1)):
+        for cls in classify(w):
+            orders[cls is UD].append(w)
+    return orders
+
+
 def test_zigzag_table_lists_its_definition():
-    # _zigzag_table(k)[rise, ends] is (orders, start): orders[start[i]:start[i + 1]], read off
-    # 1..k + 1, is every permutation of those values, lexicographically, that starts with i + 1,
-    # is UD when rise (DU otherwise), and ends on k + 1 when ends is True, not on k + 1 when it
-    # is False; start[k + 1] closes the last slice at the end of orders. The table grows its
-    # orders rank by rank; here they are filtered from all (k + 1)! permutations.
-    keys = list(product((False, True), (None, True, False)))
+    # An unscored walk's table for (k, rise, ends) is total 0 of the pattern-free scored table
+    # at cap 1, _scored_table(k, rise, ends, None, 1)((0,) * (k + 1)): (orders, start), where
+    # orders[start[i]:start[i + 1]], read off the ranks 0..k, is every permutation of them,
+    # lexicographically, that starts with i, is UD when rise (DU otherwise), and ends on k
+    # when ends is True, not on k when it is False; start[k + 1] closes the last slice at the
+    # end of orders. Where no order qualifies (k = 1: DU with ends True, UD with ends False) no
+    # total is listed. The table grows its orders rank by rank; here they are filtered from all
+    # (k + 1)! permutations.
     for k in range(1, enumeration._TAIL + 1):
-        values = tuple(range(1, k + 2))
-        zigzags = [(w, classify(w)) for w in permutations(values)]
-        table = enumeration._zigzag_table(k)
-        assert sorted(table, key=repr) == sorted(keys, key=repr)
-        for rise, ends in keys:
-            orders, start = table[rise, ends]
+        ranks = tuple(range(k + 1))
+        for rise, ends in product((False, True), (None, True, False)):
+            expected = [w for w in zigzag_orders(k)[rise] if ends in (None, w[-1] == k)]
+            table = enumeration._scored_table(k, rise, ends, None, 1)((0,) * (k + 1))
+            assert list(table) == ([0] if expected else []), (k, rise, ends)
+            if not expected:
+                continue
+            orders, start = table[0]
             assert type(orders) is tuple and len(start) == k + 2
             assert start[0] == 0 and start[k + 1] == len(orders)
-            for i in range(k + 1):
-                expected = [w for w, classes in zigzags
-                            if w[0] == i + 1 and (UD if rise else DU) in classes and ends in (None, w[-1] == k + 1)]
-                assert [get(values) for get in orders[start[i]:start[i + 1]]] == expected, (k, rise, ends, i)
+            for i in ranks:
+                assert [get(ranks) for get in orders[start[i]:start[i + 1]]] == [
+                    w for w in expected if w[0] == i], (k, rise, ends, i)
 
 
 def tail_counts(order, pattern):
@@ -262,9 +277,10 @@ def scored_vectors(k):
 
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_scored_table_lists_its_definition(pattern):
-    # For every table of zigzag orders up to the longest scored tail, k = _TAIL + 1, and each
-    # cap a walk reads it with: _order_scores, which grows its orders on its own, keeps those
-    # with fewer than cap occurrences inside, with their columns. For each vector a walk can
+    # For the zigzag orders of every k up to the longest scored tail, k = _TAIL + 1, and each
+    # cap a walk reads them with: _order_scores, which grows its orders rank by rank, keeps
+    # those with fewer than cap occurrences inside, with their columns; the reference orders
+    # are filtered from all (k + 1)! permutations. For each vector a walk can
     # meet with entries 0..3 (the placed values above an unused value shrink as the value
     # grows, and those below it grow), _orders_by_score keeps, under each total below cap, the
     # orders whose tail adds that total, lexicographically and sliced by first entry. Getters
@@ -273,14 +289,14 @@ def test_scored_table_lists_its_definition(pattern):
     # when it is raised to 7. Only caps up to 3 read tails of k + 1 = 9 entries, so that k
     # checks cap 3 alone.
     for k in range(1, enumeration._TAIL + 2):
-        zigzag = enumeration._zigzag_table(k)
         ranks = tuple(range(k + 1))
         caps = (3, 100) if k <= enumeration._TAIL else (3,)
         for rise in (False, True):
             # ends only picks orders, so each order's counts serve all three
-            known = {order: tail_counts(order, pattern) for order in (get(ranks) for get in zigzag[rise, None][0])}
+            known = {order: tail_counts(order, pattern) for order in zigzag_orders(k)[rise]}
             for ends, cap in product((None, True, False), caps):
-                kept = [get(ranks) for get in zigzag[rise, ends][0] if known[get(ranks)][0] < cap]
+                kept = [order for order, (inside, _) in known.items()
+                        if ends in (None, order[-1] == k) and inside < cap]
                 counts = [known[order] for order in kept]
                 firsts, getters, inners, *columns = enumeration._order_scores(k, rise, ends, pattern, cap)
                 assert [get(ranks) for get in getters] == kept, (k, rise, ends, cap)
@@ -412,19 +428,29 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
     # order or a key, and shift a count or raise in that thread.
     filters = [GenerationFilter(cls, n, ends_in_largest=ends) for cls in (UD, DU) for n in (4, 8)
                for ends in (None, True, False)]
-    # the k of n = 4 and of n = 8, each built afresh
-    built = {k: repr(enumeration._zigzag_table.__wrapped__(k)) for k in (1, 5)}
+    # the pattern-free heads these walks read: n = 4 (k = 1) and n = 8 (k = 5) both push two
+    # entries, so UD rises into the table and DU falls, under every ends flag; each built afresh
+    heads = list(product((1, 5), (False, True), (None, True, False), (None,), (1,)))
+    built = {head: (repr(enumeration._order_scores.__wrapped__(*head)),
+                    repr(enumeration._orders_by_score(*head, (0,) * (head[0] + 1)))) for head in heads}
+    cached = ("_order_scores", "_scored_table")
 
     def check():
-        # both k are cached (read with no miss) and equal their fresh build: itemgetters
-        # compare by identity, and their repr lists the indices they read
-        info = enumeration._zigzag_table.cache_info()
-        assert info.currsize == 2
-        for k, table in built.items():
-            assert repr(enumeration._zigzag_table(k)) == table, k
-        assert enumeration._zigzag_table.cache_info().misses == info.misses
+        # every head and its one vector are cached (read with no miss) and equal their fresh
+        # build: itemgetters compare by identity, and their repr lists the indices they read
+        builders = [getattr(enumeration, name) for name in cached]
+        assert [builder.cache_info().currsize for builder in builders] == [len(heads)] * 2
+        misses = [builder.cache_info().misses for builder in builders]
+        order_scores, scored_table = builders
+        for head, (scores, table) in built.items():
+            assert repr(order_scores(*head)) == scores, head
+            vectors = scored_table(*head)
+            info = vectors.cache_info()
+            assert info.currsize == 1 and repr(vectors((0,) * (head[0] + 1))) == table, head
+            assert vectors.cache_info().misses == info.misses
+        assert [builder.cache_info().misses for builder in builders] == misses
 
-    race_cold_builds(monkeypatch, filters, ("_zigzag_table",), check)
+    race_cold_builds(monkeypatch, filters, cached, check)
 
 
 def test_scored_table_cold_build_is_thread_safe(monkeypatch):
@@ -466,10 +492,11 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
 
 
 def test_zigzag_table_is_published_whole(monkeypatch):
-    # The first itemgetter() call (making the first order's getter) and the first _sliced()
-    # call (listing the first (rise, ends) key's orders) each run a walk in a new thread and
-    # wait for it, so that walk starts midway through the build of _zigzag_table(5): it must
-    # find no table for k = 5 cached, and build its own. Building another k keeps the first.
+    # The first itemgetter() call (making the first order's getter in _order_scores) and the
+    # first _sliced() call (listing the orders by first entry in _orders_by_score) each run a
+    # walk in a new thread and wait for it, so that walk starts midway through the build of the
+    # pattern-free table it reads first, for k = 5: it must find nothing cached for it, and
+    # build its own. Building another k keeps the first.
     filt = GenerationFilter(DU, 8, ends_in_largest=False)
     expected = list(generate(filt))
     midway: list = []
@@ -487,16 +514,47 @@ def test_zigzag_table_is_published_whole(monkeypatch):
 
     monkeypatch.setattr(enumeration, "itemgetter", read_midway(enumeration.itemgetter))
     monkeypatch.setattr(enumeration, "_sliced", read_midway(enumeration._sliced))
-    monkeypatch.setattr(enumeration, "_zigzag_table", fresh_cache(enumeration._zigzag_table))
+    for name in ("_order_scores", "_scored_table"):
+        monkeypatch.setattr(enumeration, name, fresh_cache(getattr(enumeration, name)))
     assert list(generate(filt)) == expected
     assert midway == [expected, expected]
-    # the first reader starts inside this walk's build and the second inside the first's: three
-    # misses, and one table stored
-    info = enumeration._zigzag_table.cache_info()
+    # DU falls into position 4, where the table starts, and the walk reads the heads with ends
+    # None and then False. The first reader starts inside this walk's build of the first head's
+    # orders and the second inside the first reader's sliced table: three misses on its one
+    # vector, and one table stored
+    head, zeros = (5, False, None, None, 1), (0,) * 6
+    vectors = enumeration._scored_table(*head)
+    info = vectors.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
-    table = enumeration._zigzag_table(5)
-    enumeration._zigzag_table(2)
-    assert enumeration._zigzag_table.cache_info().currsize == 2 and enumeration._zigzag_table(5) is table
+    # and the orders: this walk and the first reader miss them, the second reader finds those
+    # the first stored, and builds the other head's, which the others then read whole
+    info = enumeration._order_scores.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
+    table = vectors(zeros)
+    enumeration._scored_table(2, False, None, None, 1)((0,) * 3)
+    assert enumeration._scored_table.cache_info().currsize == 3
+    assert enumeration._scored_table(*head)(zeros) is table
+
+
+@pytest.mark.parametrize("ends", [None, True, False])
+def test_a_cold_unscored_count_builds_only_the_heads_it_reads(monkeypatch, ends):
+    # A UD walk of n = 10 pushes two entries (k = 7) and rises into the table, so it reads the
+    # pattern-free head (7, True, None) and, with ends_in_largest set, (7, True, ends) too;
+    # no other rise or ends value is built
+    filt = GenerationFilter(UD, 10, ends_in_largest=ends)
+    expected = count(filt)
+    build_head = enumeration._scored_table.__wrapped__
+    heads: list = []
+
+    def scored_table(*head):
+        heads.append(head)
+        return build_head(*head)
+
+    monkeypatch.setattr(enumeration, "_order_scores", fresh_cache(enumeration._order_scores))
+    monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table, scored_table))
+    assert count(filt) == expected
+    assert heads == [(7, True, flag, None, 1) for flag in dict.fromkeys((None, ends))]
+    assert enumeration._order_scores.cache_info().currsize == len(heads)
 
 
 def test_streams_sorted_and_duplicate_free():
