@@ -17,16 +17,8 @@ from collections.abc import Iterator, Sequence
 from functools import partial
 from itertools import chain
 
-from .decompose import (
-    InvariantViolation,
-    NotExactlyOne,
-    enumerate_by_decomposition,
-    format_record,
-    parse_record,
-    reconstruct,
-    split,
-)
-from .enumeration import GenerationFilter, count, euler_zigzag, generate, table1_oracle
+# The oracle (enumeration) and the bijection (decompose) are imported where they are used,
+# so a formula command compiles neither.
 from .formulas import (
     OutOfValidityRange,
     SequenceSpec,
@@ -42,6 +34,7 @@ from .formulas import (
 from .perm_core import (
     STATISTICS,
     AlternationClass,
+    InvariantViolation,
     PATTERN_123,
     PATTERN_321,
     Pattern,
@@ -148,6 +141,8 @@ def _count(pattern: Pattern | None, cls: AlternationClass, n: int, exactly: int 
     of them if `pattern` is None), by `method`: the one place that decides
     which method may answer which request."""
     if method == "oracle":
+        from .enumeration import GenerationFilter, count
+
         target = None if pattern is None else (pattern, exactly)
         return count(GenerationFilter(cls=cls, length=n, exact_occurrences=target))
     if pattern is None:
@@ -167,6 +162,8 @@ def _count(pattern: Pattern | None, cls: AlternationClass, n: int, exactly: int 
     if method == "decomposition_sum":
         return decomposition_sum(n, host_class(pattern, cls))
     if method == "bijection":
+        from .decompose import enumerate_by_decomposition
+
         return sum(1 for _ in enumerate_by_decomposition(n, host_class(pattern, cls)))
     # argparse's choices leave only convolution
     return convolution_odd_321(m) if odd else convolution_even_321(m)
@@ -233,6 +230,8 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
+    from .decompose import NotExactlyOne, format_record, split
+
     started = time.perf_counter()
     w = parse_perm(args.perm)
     try:
@@ -251,6 +250,8 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
+    from .decompose import parse_record, reconstruct
+
     started = time.perf_counter()
     record = parse_record(args.record)
     w = reconstruct(record)
@@ -290,6 +291,8 @@ def _closed_form_vs_oracle_checks(n_max: int) -> Iterator[Check]:
 
 def _table1_checks(n_max: int) -> Iterator[Check]:
     """Every Table 1 cell up to n_max; cells below their validity bound expect None."""
+    from .enumeration import table1_oracle
+
     for n in range(0, n_max + 1):
         for cls in AlternationClass:
             for statistic in STATISTICS:
@@ -323,6 +326,9 @@ def _identity_suite(_n_max: int) -> Iterator[Check]:
 
 
 def _bijection_checks(n_max: int) -> Iterator[Check]:
+    from .decompose import enumerate_by_decomposition, format_record, reconstruct, split
+    from .enumeration import GenerationFilter, generate
+
     for n in range(3, n_max + 1):
         for cls in AlternationClass:
             oracle = set(generate(GenerationFilter(cls=cls, length=n, exact_occurrences=(PATTERN_321, 1))))
@@ -337,11 +343,15 @@ def _bijection_checks(n_max: int) -> Iterator[Check]:
 
 
 def _zigzag_checks(n_max: int) -> Iterator[Check]:
+    from .enumeration import GenerationFilter, count, euler_zigzag
+
     for n in range(0, n_max + 1):
         yield {"n": n}, euler_zigzag(n), count(GenerationFilter(cls=AlternationClass.UP_DOWN, length=n))
 
 
 def _symmetry_checks(n_max: int) -> Iterator[Check]:
+    from .enumeration import GenerationFilter, generate
+
     for n in range(3, n_max + 1):
         for cls in AlternationClass:
             image = cls if n % 2 else cls.flipped  # reversal keeps an odd-length zigzag's shape

@@ -25,6 +25,7 @@ from .enumeration import GenerationFilter, generate
 from .perm_core import (
     AlternationClass,
     FrozenRecord,
+    InvariantViolation,
     Occurrence,
     PATTERN_321,
     Perm,
@@ -55,14 +56,6 @@ class NotAlternating(ValueError):
 
 class InvalidRecord(ValueError):
     """A decomposition record violates the characterization's constraints."""
-
-
-class InvariantViolation(RuntimeError):
-    """The two directions of the bijection disagree on a host or a valid record.
-
-    Never recoverable: it would falsify the decomposition characterization (or expose a
-    transcription bug), so callers must not catch and continue.
-    """
 
 
 class DecompositionRecord(FrozenRecord):

@@ -1,5 +1,7 @@
 """Core permutation values: alternation shape, 321/123 occurrences, symmetries,
-and FrozenRecord, the immutable base of the package's records.
+FrozenRecord, the immutable base of the package's records, and
+InvariantViolation, the bijection's failure, which the CLI catches without
+loading the bijection.
 
 The two patterns, 321 and 123, are counted one way, by middle entries
 (`middle_counts`); `check_pattern` rejects every other pattern.
@@ -264,3 +266,11 @@ def check_statistic(statistic: str) -> None:
     """ValueError unless `statistic` names a STATISTICS column."""
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}: expected one of {', '.join(STATISTICS)}")
+
+
+class InvariantViolation(RuntimeError):
+    """The two directions of the bijection disagree on a host or a valid record.
+
+    Never recoverable: it would falsify the decomposition characterization (or expose a
+    transcription bug), so callers must not catch and continue.
+    """

@@ -89,19 +89,20 @@ OTHERS = [
     ["verify-table", "--n-max", "ten"],
 ]
 
-#: (name in altperms.cli, wrong replacement, argv): every suite fails at least once.
+#: (module.name under altperms where the CLI reads the function, wrong replacement, argv): every suite
+#: fails at least once.
 SABOTAGES = [
-    ("a_n", lambda spec, n: -1, ["selftest", "--n-max", "4"]),
-    ("table1_formula", lambda cls, n, statistic: -1, ["selftest", "--n-max", "4"]),
-    ("table1_formula", lambda cls, n, statistic: -1, ["verify-table", "--n-max", "4"]),
-    ("closed_form_even_321", lambda m: -1, ["selftest", "--n-max", "4"]),
-    ("closed_form_even_321", lambda m: -1, ["verify-identity", "--n-max", "10"]),
-    ("closed_form_odd", lambda m: -1, ["verify-identity", "--n-max", "10"]),
-    ("a_n", lambda spec, n: -1, ["verify-identity", "--n-max", "10"]),
-    ("reconstruct", lambda record: (), ["selftest", "--n-max", "4"]),
-    ("enumerate_by_decomposition", lambda n, cls: iter(()), ["selftest", "--n-max", "4"]),
-    ("euler_zigzag", lambda n: 7, ["selftest", "--n-max", "4"]),
-    ("reverse", lambda w: tuple(w), ["selftest", "--n-max", "4"]),
+    ("cli.a_n", lambda spec, n: -1, ["selftest", "--n-max", "4"]),
+    ("cli.table1_formula", lambda cls, n, statistic: -1, ["selftest", "--n-max", "4"]),
+    ("cli.table1_formula", lambda cls, n, statistic: -1, ["verify-table", "--n-max", "4"]),
+    ("cli.closed_form_even_321", lambda m: -1, ["selftest", "--n-max", "4"]),
+    ("cli.closed_form_even_321", lambda m: -1, ["verify-identity", "--n-max", "10"]),
+    ("cli.closed_form_odd", lambda m: -1, ["verify-identity", "--n-max", "10"]),
+    ("cli.a_n", lambda spec, n: -1, ["verify-identity", "--n-max", "10"]),
+    ("decompose.reconstruct", lambda record: (), ["selftest", "--n-max", "4"]),
+    ("decompose.enumerate_by_decomposition", lambda n, cls: iter(()), ["selftest", "--n-max", "4"]),
+    ("enumeration.euler_zigzag", lambda n: 7, ["selftest", "--n-max", "4"]),
+    ("cli.reverse", lambda w: tuple(w), ["selftest", "--n-max", "4"]),
 ]
 
 _ELAPSED = re.compile(r'"(elapsed_\w+)": [0-9.]+')
@@ -118,9 +119,9 @@ def run_masked(argv: list[str]) -> str:
 
 def transcript() -> str:
     entries = [run_masked(argv) for argv in README + METHOD_GRID + OTHERS]
-    for name, fake, argv in SABOTAGES:
-        with mock.patch.object(cli, name, fake):
-            entries.append(f"# with altperms.cli.{name} replaced\n" + run_masked(argv))
+    for target, fake, argv in SABOTAGES:
+        with mock.patch(f"altperms.{target}", fake):
+            entries.append(f"# with altperms.{target} replaced\n" + run_masked(argv))
     return "\n".join(entries)
 
 

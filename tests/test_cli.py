@@ -9,6 +9,7 @@ import pytest
 
 import altperms.cli as cli
 import altperms.decompose as decompose_module
+import altperms.enumeration as enumeration_module
 from altperms.enumeration import GenerationFilter, count
 from altperms.formulas import OutOfValidityRange
 from altperms.perm_core import AlternationClass, PATTERN_321
@@ -100,8 +101,9 @@ def test_refused_past_limit(capsys, monkeypatch, key):
     def never(*args):
         raise AssertionError(f"{key} ran past its limit")
 
-    for name in ("_count", "_identity_families", "table1_oracle"):
+    for name in ("_count", "_identity_families"):
         monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(enumeration_module, "table1_oracle", never)
     monkeypatch.setattr(cli, "_SUITES", [("never", "oracle", never)])
     limit = cli._LIMITS[key]
     for size in (limit + 1, 10**20):
@@ -118,7 +120,7 @@ def test_refused_past_limit(capsys, monkeypatch, key):
 def test_count_oracle_targets_past_the_table_share_one_row(capsys, monkeypatch, target):
     # every target from 5 on reads the row "--exactly 5+", no higher than the unrestricted row: a
     # scored walk is a subtree of the unrestricted one, but scores every node above its tail
-    monkeypatch.setattr(cli, "count", lambda filt: filt.length)
+    monkeypatch.setattr(enumeration_module, "count", lambda filt: filt.length)
     argv = ["count", "--pattern", "123", "--method", "oracle", "--exactly", str(target), "--n"]
     limit = cli._LIMITS["count --method oracle --exactly 5+"]
     assert limit <= cli._LIMITS["count --method oracle"]
@@ -134,7 +136,7 @@ def test_count_unrestricted_refused_above_limit(capsys, monkeypatch, n):
     def never(filt):
         raise AssertionError(f"the oracle ran at n = {filt.length}")
 
-    monkeypatch.setattr(cli, "count", never)
+    monkeypatch.setattr(enumeration_module, "count", never)
     code, lines, err = run_lines(capsys, ["count", "--class", "UD", "--n", str(n)])
     assert code == 1
     assert lines == []
@@ -143,7 +145,7 @@ def test_count_unrestricted_refused_above_limit(capsys, monkeypatch, n):
 
 
 def test_count_unrestricted_at_limit_reaches_the_oracle(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "count", lambda filt: filt.length)  # stands in for E_15's ~6-7 s
+    monkeypatch.setattr(enumeration_module, "count", lambda filt: filt.length)  # stands in for E_15's ~6-7 s
     limit = cli._LIMITS["count --method oracle"]
     code, lines, _ = run_lines(capsys, ["count", "--class", "UD", "--n", str(limit)])
     assert code == 0
@@ -158,8 +160,8 @@ def test_count_at_limit_runs(capsys, monkeypatch, key):
     # each stands in for up to about a minute at the limit
     for name in ("a_n", "decomposition_sum", "convolution_odd_321", "convolution_even_321"):
         monkeypatch.setattr(cli, name, lambda *args: 7)
-    monkeypatch.setattr(cli, "enumerate_by_decomposition", lambda *args: range(7))
-    monkeypatch.setattr(cli, "count", lambda filt: 7)
+    monkeypatch.setattr(decompose_module, "enumerate_by_decomposition", lambda *args: range(7))
+    monkeypatch.setattr(enumeration_module, "count", lambda filt: 7)
     argv, _ = limit_request(key, cli._LIMITS[key])
     code, lines, _ = run_lines(capsys, argv)
     assert code == 0
@@ -311,7 +313,7 @@ def test_verify_table_at_limit_checks_every_cell(capsys, monkeypatch):
         except OutOfValidityRange:
             return 0
 
-    monkeypatch.setattr(cli, "table1_oracle", formula_or_zero)
+    monkeypatch.setattr(enumeration_module, "table1_oracle", formula_or_zero)
     limit = cli._LIMITS["verify-table"]
     code, lines, _ = run_lines(capsys, ["verify-table", "--n-max", str(limit)])
     assert code == 0
@@ -398,28 +400,29 @@ def test_selftest_small_bound(capsys):
     assert all(line["checks"] > 0 for line in lines)
 
 
-# (name in cli, wrong replacement, failing suite, mismatch inputs, expected, actual)
+# (the dotted name where cli reads the function, wrong replacement, failing suite, mismatch inputs,
+# expected, actual)
 SELFTEST_SABOTAGES = [
-    ("a_n", lambda spec, n: -1, "closed_form_vs_oracle", {"pattern": "321", "class": "UD", "n": 3}, "-1", "0"),
-    ("table1_formula", lambda cls, n, statistic: -1, "table1", {"class": "UD", "n": 0, "statistic": "total"}, "-1", "1"),
-    ("closed_form_even_321", lambda m: -1, "identities", {"family": "even_321", "m": 2}, "-1", "0"),
-    ("reconstruct", lambda record: (), "bijection", {"class": "DU", "perm": "3,2,4,1"},
+    ("altperms.cli.a_n", lambda spec, n: -1, "closed_form_vs_oracle", {"pattern": "321", "class": "UD", "n": 3}, "-1", "0"),
+    ("altperms.cli.table1_formula", lambda cls, n, statistic: -1, "table1", {"class": "UD", "n": 0, "statistic": "total"}, "-1", "1"),
+    ("altperms.cli.closed_form_even_321", lambda m: -1, "identities", {"family": "even_321", "m": 2}, "-1", "0"),
+    ("altperms.decompose.reconstruct", lambda record: (), "bijection", {"class": "DU", "perm": "3,2,4,1"},
      "3,2,4,1", "n=4;class=DU;j=2;U=2,1;V=2,3,1"),
-    ("euler_zigzag", lambda n: 7, "zigzag", {"n": 0}, "7", "1"),
-    ("reverse", lambda w: tuple(w), "symmetry", {"class": "UD", "n": 4},
+    ("altperms.enumeration.euler_zigzag", lambda n: 7, "zigzag", {"n": 0}, "7", "1"),
+    ("altperms.cli.reverse", lambda w: tuple(w), "symmetry", {"class": "UD", "n": 4},
      "reversal maps UD one-123 onto DU one-321", "sets differ"),
     # only the odd lengths, where reversal keeps the class
-    ("reverse", lambda w: tuple(w) if len(w) % 2 else tuple(reversed(w)), "symmetry", {"class": "UD", "n": 5},
+    ("altperms.cli.reverse", lambda w: tuple(w) if len(w) % 2 else tuple(reversed(w)), "symmetry", {"class": "UD", "n": 5},
      "reversal maps UD one-123 onto UD one-321", "sets differ"),
 ]
 
 
 def test_selftest_reports_first_counterexample(capsys, monkeypatch):
-    for name, fake, suite, where, expected, actual in SELFTEST_SABOTAGES:
+    for target, fake, suite, where, expected, actual in SELFTEST_SABOTAGES:
         with monkeypatch.context() as patch:
-            patch.setattr(cli, name, fake)
+            patch.setattr(target, fake)
             code, lines, err = run_lines(capsys, ["selftest", "--n-max", "5"])
-        assert code == 2, name
+        assert code == 2, target
         (mismatch,) = [line for line in lines if line.get("error") == "mismatch"]
         assert mismatch["inputs"] == {"suite": suite, **where}
         assert (mismatch["expected"], mismatch["actual"]) == (expected, actual)
@@ -459,6 +462,26 @@ def test_cli_import_skips_heavy_modules():
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=60)
     assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(("argv", "loaded"), [
+    ([], []),  # the import alone
+    (["count", "--pattern", "321", "--n", "8", "--exactly", "1", "--method", "closed_form"], []),
+    (["sequence", "--pattern", "123", "--n-max", "10"], []),
+    (["verify-identity", "--n-max", "20"], []),
+    (["count", "--pattern", "321", "--n", "8", "--exactly", "1", "--method", "oracle"], ["altperms.enumeration"]),
+    (["decompose", "--perm", "1,4,3,5,2,6"], ["altperms.decompose", "altperms.enumeration"]),
+], ids=["import", "count closed_form", "sequence", "verify-identity", "count oracle", "decompose"])
+def test_cli_commands_load_only_the_layers_they_run(argv, loaded):
+    # a fresh process compiles every module it imports: a formula command pays for neither the
+    # oracle nor the bijection, an oracle count for the oracle alone
+    run = f"assert cli.run({argv!r}) == 0; " if argv else ""
+    probe = (f"import sys, altperms.cli as cli; {run}"
+             "print(sorted({'altperms.enumeration', 'altperms.decompose'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_cli_import_leaves_the_zigzag_table_unbuilt():
