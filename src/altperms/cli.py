@@ -22,6 +22,7 @@ from itertools import chain
 from .formulas import (
     OutOfValidityRange,
     SequenceSpec,
+    _closed_forms,
     a_n,
     closed_form_even_321,
     closed_form_odd,
@@ -61,7 +62,7 @@ _IDENTITY_BOUND = 200
 #: every larger target shares the row "--exactly 5+", 15: its walk is a subtree of the
 #: unrestricted one, but scored node by node down to its last eight entries, and a target
 #: amid the counts builds a scored table per vector of placed values it meets: up to 19 s
-#: and 222 MiB at 15.
+#: and 222 MiB at 15. sequence --method closed_form spends most of its 35-46 s printing.
 _LIMITS = {
     "count --method oracle": 15,
     **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((26, 25, 24, 22, 21))},
@@ -69,7 +70,7 @@ _LIMITS = {
     "count --method closed_form": 2_000_000, "count --method convolution": 60_000,
     "count --method decomposition_sum": 60_000, "count --method bijection": 22,
     "verify-identity": 2200, "verify-table": 24, "selftest": 15,
-    "sequence --method oracle": 24, "sequence --method closed_form": 18_000,
+    "sequence --method oracle": 24, "sequence --method closed_form": 40_000,
 }
 
 
@@ -193,9 +194,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_sequence(args: argparse.Namespace) -> int:
     cls = AlternationClass.from_code(args.cls)
     pattern = _PATTERNS[args.pattern]
+    # closed_form reads one stream per parity of n, even from 4 and odd from 3, each stepping C_m
+    streams = [_closed_forms(host_class(pattern, cls), range(first, args.n_max + 1, 2)) for first in (4, 3)]
     for n in range(3, args.n_max + 1):
         started = time.perf_counter()
-        value = _count(pattern, cls, n, 1, args.method)
+        value = _count(pattern, cls, n, 1, "oracle") if args.method == "oracle" else next(streams[n % 2])
         inputs = {"pattern": args.pattern, "class": args.cls, "n": n}
         _emit("sequence", inputs, value, args.method, started)
     return OK

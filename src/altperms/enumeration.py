@@ -47,9 +47,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from functools import cache, partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import comb
-from operator import add, itemgetter, mul, sub
+from operator import add, eq, itemgetter, mul, sub
 
 from .perm_core import (
     AlternationClass,
@@ -118,11 +118,11 @@ def _sliced(lists: list[list[itemgetter]]) -> tuple[tuple[itemgetter, ...], tupl
 
 
 @cache
-def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None, cap: int) -> tuple:
-    """Columns (firsts, getters, inners, c_0, ..., c_k) of the zigzag orders σ of the ranks
-    0..k with inner < cap, lexicographically, built on first use and cached. The second entry
-    exceeds the first exactly when `rise`; ends None keeps every order, True those that end on
-    rank k, False the rest.
+def _order_scores(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tuple:
+    """Columns (ends_on_k, firsts, getters, inners, c_0, ..., c_k) of the zigzag orders σ of
+    the ranks 0..k with inner < cap, lexicographically, built on first use and cached. The
+    second entry exceeds the first exactly when `rise`; ends_on_k says whether an order ends
+    on rank k, and firsts is its first entry.
 
     For 321, c_r(σ) is the number of entries after rank r that lie below it, and inner =
     Σ_r e_r·c_r, e_r the number before rank r above it: the 321s inside σ, counted by middle
@@ -146,21 +146,19 @@ def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None
                         grown.append(((i, *(r + (r >= i) for r in order)), inner,
                                       c and (*c[:i], i if down else j - i, *c[i:])))
         rows = grown
-    rows = [(order[0], itemgetter(*order), inner, *c) for order, inner, c in rows
-            if ends in (None, order[-1] == k)]
-    return tuple(zip(*rows)) or ((),) * (k + 4)  # every column, even when no order is kept
+    rows = [(order[-1] == k, order[0], itemgetter(*order), inner, *c) for order, inner, c in rows]
+    return tuple(zip(*rows)) or ((),) * (k + 5)  # every column, even when no order is kept
 
 
-def _orders_by_score(k: int, rise: bool, ends: bool | None, pattern: Pattern | None, cap: int,
-                     vec: tuple[int, ...]) -> dict:
-    """{total: _sliced(lists)} over the orders of _order_scores(k, rise, ends, pattern, cap)
-    whose score, inner + Σ_r vec[r]·c_r, is total < cap; lists[i] keeps the orders that start
-    at index i, lexicographically. When vec[r] counts the placed values above the unused value
-    of rank r (below it, for 123), the score is the occurrences a tail adds. A walk clips vec
-    at cap: a clipped entry adds at least cap to every order with c_r >= 1, which then stays
-    out, clipped or not. With no pattern, cap 1 and vec all 0, total 0 lists every zigzag
-    order, and no total is listed when there is none."""
-    firsts, getters, totals, *columns = _order_scores(k, rise, ends, pattern, cap)
+def _orders_by_score(k: int, cap: int, columns: Sequence[tuple], vec: tuple[int, ...]) -> dict:
+    """{total: _sliced(lists)} over the orders of `columns`, (firsts, getters, inners, c_0, ...,
+    c_k) as _order_scores lists them, whose score, inner + Σ_r vec[r]·c_r, is total < cap;
+    lists[i] keeps the orders that start at index i, in the order of the columns. When vec[r]
+    counts the placed values above the unused value of rank r (below it, for 123), the score
+    is the occurrences a tail adds. A walk clips vec at cap: a clipped entry adds at least cap
+    to every order with c_r >= 1, which then stays out, clipped or not. With no pattern, cap 1
+    and vec all 0, total 0 lists every order, and no total is listed when there is none."""
+    firsts, getters, totals, *columns = columns
     for a, column in zip(vec, columns):
         if a:
             totals = map(add, totals, map(mul, column, repeat(a)))
@@ -176,9 +174,13 @@ def _orders_by_score(k: int, rise: bool, ends: bool | None, pattern: Pattern | N
 @cache
 def _scored_table(k: int, rise: bool, ends: bool | None, pattern: Pattern | None,
                   cap: int) -> Callable[[tuple[int, ...]], dict]:
-    """The scored table of one head: a cache that maps vec to
-    _orders_by_score(k, rise, ends, pattern, cap, vec), each built on first use."""
-    return cache(partial(_orders_by_score, k, rise, ends, pattern, cap))
+    """The scored table of one head: a cache that maps vec to _orders_by_score(k, cap, columns,
+    vec), each built on first use, where columns are _order_scores(k, rise, pattern, cap) cut
+    once to the orders `ends` keeps: None every order, True those ending on rank k, False the rest."""
+    ends_on_k, *columns = _order_scores(k, rise, pattern, cap)
+    if ends is not None:
+        columns = [tuple(compress(column, map(eq, ends_on_k, repeat(ends)))) for column in columns]
+    return cache(partial(_orders_by_score, k, cap, columns))
 
 
 def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Sequence[itemgetter]]]:
@@ -231,9 +233,9 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
         is321 = pattern == PATTERN_321  # else 123
         # a tail adds at most C(k + 1, 3) occurrences inside it and leaf with each pair of its
         # entries, so no score reaches cap or more, and every large target shares one set of
-        # tables per length
+        # tables per length; a head is made when a node first reads it
         cap = min(target, comb(k + 1, 3) + comb(k + 1, 2) * leaf) + 1
-        tables = [_scored_table(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)]
+        heads, tables = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)], [None, None]
         # vec[r] = A_r, the placed values above (for 123, below) the unused value of rank r,
         # n - k + r - free[r] (free[r] - 1 - r), clipped at cap; each is at most leaf
         operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
@@ -283,7 +285,9 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
                 vec = tuple(map(sub, *operands))
                 if clip:
                     vec = tuple(map(min, vec, clip))
-                found = tables[which](vec).get(rest)  # built on first use, stored once whole
+                if (table := tables[which]) is None:
+                    table = tables[which] = _scored_table(*heads[which])
+                found = table(vec).get(rest)  # built on first use, stored once whole
             else:
                 found = tables[which]
             if not found:

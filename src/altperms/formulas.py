@@ -6,10 +6,10 @@ list, which the sums index directly), Table 1's counts of 321-avoiding
 alternating permutations (one table of Catalan offsets and validity bounds
 keyed by (class, n odd), whose rows one evaluator reads for table1_formula,
 boundary_count and decomposition_sum), the exactly-one closed forms (one table
-of rows P(m)*C(2m,m)/((m+1)...(m+K)), read by one evaluator on math.comb), the
-two convolution identities, and the position-indexed decomposition sum that
-counts hosts by splitting them at the middle entry of their unique 321
-occurrence.
+of rows P(m)*C(2m,m)/((m+1)...(m+K)), read by one evaluator that steps C_m from
+one math.comb per range of lengths), the two convolution identities, and the
+position-indexed decomposition sum that counts hosts by splitting them at the
+middle entry of their unique 321 occurrence.
 """
 
 from __future__ import annotations
@@ -62,15 +62,19 @@ def _catalans(top: int) -> list[int]:
     if len(cache) <= top:
         # Extend a private copy and publish it with one assignment: a published
         # list is never mutated, so concurrent callers only see complete ones.
-        cache = cache.copy()
-        while len(cache) <= top:
-            k = len(cache)
-            cache.append(cache[-1] * 2 * (2 * k - 1) // (k + 1))  # exact: multiply first
+        cache = [*cache[:-1], *_catalan_steps(len(cache) - 1, cache[-1], top + 1)]
         _CATALAN = cache
     return cache
 
 
 _CATALAN = [1]
+
+
+def _catalan_steps(k: int, c_k: int, stop: int) -> Iterator[int]:
+    """C_k = c_k, C_{k+1}, ..., C_{stop-1} by C_{j+1} = C_j * 2(2j+1) / (j+2), exact: multiply first."""
+    for j in range(k, stop):
+        yield c_k
+        c_k = c_k * 2 * (2 * j + 1) // (j + 2)
 
 
 #: Table 1, the counts of 321-avoiding alternating permutations, keyed by
@@ -164,16 +168,21 @@ _CLOSED_FORMS = {
 }
 
 
-def _closed_form(cls: AlternationClass, odd: bool, m: int) -> int:
-    """Row (cls, odd) of _CLOSED_FORMS evaluated at m."""
+def _closed_forms(cls: AlternationClass, lengths: range) -> Iterator[int]:
+    """The exactly-one count of `cls` hosts at each n of `lengths`, a range of one parity
+    stepping up by 2; the only reader of _CLOSED_FORMS.  C(2m,m) is (m+1)*C_m, and C_m is
+    math.comb at the first m only, then stepped, so a term is P(m)*C_m/((m+2)...(m+K))."""
+    first, odd = lengths.start // 2, lengths.start % 2 == 1
     coefficients, k, valid_from = _CLOSED_FORMS[(cls, odd)]
-    if m < valid_from:
+    if first < valid_from:  # m only grows along the range
         raise ValueError(f"m must be >= {valid_from}")
-    p = sum(c * m**i for i, c in enumerate(coefficients))
-    quotient, remainder = divmod(p * comb(2 * m, m), prod(range(m + 1, m + k + 1)))
-    if remainder:
-        raise ArithmeticError(f"row {(cls.value, odd)} is not an integer at m = {m}; it was transcribed wrong")
-    return quotient
+    catalans = _catalan_steps(first, comb(2 * first, first) // (first + 1), first + len(lengths))
+    for m, c_m in enumerate(catalans, first):
+        p = sum(c * m**i for i, c in enumerate(coefficients))
+        quotient, remainder = divmod(p * c_m, prod(range(m + 2, m + k + 1)))
+        if remainder:
+            raise ArithmeticError(f"row {(cls.value, odd)} is not an integer at m = {m}; it was transcribed wrong")
+        yield quotient
 
 
 def closed_form_even_321(m: int) -> int:
@@ -182,7 +191,7 @@ def closed_form_even_321(m: int) -> int:
     >>> [closed_form_even_321(m) for m in (2, 3, 4, 5)]
     [0, 12, 66, 286]
     """
-    return _closed_form(AlternationClass.UP_DOWN, False, m)
+    return next(_closed_forms(AlternationClass.UP_DOWN, range(2 * m, 2 * m + 1)))
 
 
 def closed_form_even_123(m: int) -> int:
@@ -191,7 +200,7 @@ def closed_form_even_123(m: int) -> int:
     >>> [closed_form_even_123(m) for m in (2, 3, 4)]
     [2, 10, 40]
     """
-    return _closed_form(AlternationClass.DOWN_UP, False, m)
+    return next(_closed_forms(AlternationClass.DOWN_UP, range(2 * m, 2 * m + 1)))
 
 
 def closed_form_odd(m: int) -> int:
@@ -201,7 +210,7 @@ def closed_form_odd(m: int) -> int:
     >>> [closed_form_odd(m) for m in (1, 2, 3, 4)]
     [0, 5, 26, 108]
     """
-    return _closed_form(AlternationClass.UP_DOWN, True, m)
+    return next(_closed_forms(AlternationClass.UP_DOWN, range(2 * m + 1, 2 * m + 2)))
 
 
 def convolution_even_321(m: int) -> int:
@@ -297,5 +306,4 @@ def a_n(spec: SequenceSpec, n: int) -> int:
         raise ValueError("n must be >= 1")
     if n < 3:
         return 0
-    m, rem = divmod(n, 2)
-    return _closed_form(host_class(spec.pattern, spec.cls), rem == 1, m)
+    return next(_closed_forms(host_class(spec.pattern, spec.cls), range(n, n + 1)))

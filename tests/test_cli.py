@@ -297,7 +297,9 @@ def test_selftest_at_limit_runs_every_suite(capsys, monkeypatch):
 
 @pytest.mark.parametrize("method", ["closed_form", "oracle"])
 def test_sequence_at_limit_counts_every_length(capsys, monkeypatch, method):
-    # stands in for up to a minute of counts at the limit
+    # stands in for up to a minute of counts at the limit: closed_form reads one stream per
+    # parity of n, which here yields its lengths, and the oracle counts each length
+    monkeypatch.setattr(cli, "_closed_forms", lambda cls, lengths: iter(lengths))
     monkeypatch.setattr(cli, "_count", lambda pattern, cls, n, exactly, method: n)
     limit = cli._LIMITS[f"sequence --method {method}"]
     code, lines, _ = run_lines(capsys, ["sequence", "--pattern", "321", "--method", method, "--n-max", str(limit)])

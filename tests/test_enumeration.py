@@ -280,7 +280,8 @@ def test_scored_table_lists_its_definition(pattern):
     # For the zigzag orders of every k up to the longest scored tail, k = _TAIL + 1, and each
     # cap a walk reads them with: _order_scores, which grows its orders rank by rank, keeps
     # those with fewer than cap occurrences inside, with their columns; the reference orders
-    # are filtered from all (k + 1)! permutations. For each vector a walk can
+    # are filtered from all (k + 1)! permutations. Each head's scored table keeps the orders
+    # its ends flag picks. For each vector a walk can
     # meet with entries 0..3 (the placed values above an unused value shrink as the value
     # grows, and those below it grow), _orders_by_score keeps, under each total below cap, the
     # orders whose tail adds that total, lexicographically and sliced by first entry. Getters
@@ -292,17 +293,22 @@ def test_scored_table_lists_its_definition(pattern):
         ranks = tuple(range(k + 1))
         caps = (3, 100) if k <= enumeration._TAIL else (3,)
         for rise in (False, True):
-            # ends only picks orders, so each order's counts serve all three
             known = {order: tail_counts(order, pattern) for order in zigzag_orders(k)[rise]}
-            for ends, cap in product((None, True, False), caps):
-                kept = [order for order, (inside, _) in known.items()
-                        if ends in (None, order[-1] == k) and inside < cap]
+            for cap in caps:
+                kept = [order for order, (inside, _) in known.items() if inside < cap]
                 counts = [known[order] for order in kept]
-                firsts, getters, inners, *columns = enumeration._order_scores(k, rise, ends, pattern, cap)
-                assert [get(ranks) for get in getters] == kept, (k, rise, ends, cap)
+                ends_on_k, firsts, getters, inners, *columns = enumeration._order_scores(k, rise, pattern, cap)
+                assert [get(ranks) for get in getters] == kept, (k, rise, cap)
+                assert list(ends_on_k) == [order[-1] == k for order in kept]
                 assert list(firsts) == [order[0] for order in kept]
                 assert list(inners) == [inside for inside, _ in counts]
                 assert list(zip(*columns)) == [tuple(map(ends_on.count, ranks)) for _, ends_on in counts]
+            for ends, cap in product((None, True, False), caps):
+                # ends only picks orders, so each order's counts serve all three
+                kept = [order for order, (inside, _) in known.items()
+                        if ends in (None, order[-1] == k) and inside < cap]
+                counts = [known[order] for order in kept]
+                vectors = enumeration._scored_table.__wrapped__(k, rise, ends, pattern, cap)  # uncached
                 for vec in scored_vectors(k):
                     vec = vec[::-1] if pattern == PATTERN_321 else vec
                     lifted = tuple(7 if a == 3 else a for a in vec)
@@ -314,7 +320,7 @@ def test_scored_table_lists_its_definition(pattern):
                     expected: dict = {}
                     for score, order in zip(scores, kept):
                         expected.setdefault(score, [[] for _ in ranks])[order[0]].append(order)
-                    table = enumeration._orders_by_score(k, rise, ends, pattern, cap, vec)
+                    table = vectors(vec)
                     assert sorted(table) == sorted(score for score in expected if score < cap)
                     for total, (orders, start) in table.items():
                         assert len(start) == k + 2 and start[0] == 0 and start[k + 1] == len(orders)
@@ -348,8 +354,8 @@ def fresh_cache(builder, build=None):
 def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
     # At n = 11 the walk pushes 3 entries, whose F is at most 1 + 3·8 = 25, and a tail of the
     # other 8 adds at most C(8, 3) + C(8, 2)·3 = 140: from target 166 on, every node finds no
-    # tail before it scores one, so no order is scored and no vector is built. The three targets
-    # share one head (cap 141), whose cache of vectors the walk makes before any node looks.
+    # tail before it scores one, so no order is scored, no vector is built and no head is made:
+    # a walk makes a head (here all three targets would share cap 141) when a node first reads it.
     build_head = enumeration._scored_table.__wrapped__
     tables: list = []  # each head's cache of vectors, as it is made
 
@@ -362,11 +368,11 @@ def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
     for target in (166, 10**6, 10**20):
         assert count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, target))) == 0
     assert enumeration._order_scores.cache_info().currsize == 0
-    assert [table.cache_info().currsize for table in tables] == [0]
+    assert tables == []
     # a target the tails can reach (cap 121) scores orders and builds vectors
     count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 120)))
     assert enumeration._order_scores.cache_info().currsize == 1
-    assert len(tables) == 2 and tables[0].cache_info().currsize == 0 and tables[1].cache_info().currsize
+    assert len(tables) == 1 and tables[0].cache_info().currsize
 
 
 @pytest.mark.parametrize("cls", [UD, DU])
@@ -430,20 +436,27 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
                for ends in (None, True, False)]
     # the pattern-free heads these walks read: n = 4 (k = 1) and n = 8 (k = 5) both push two
     # entries, so UD rises into the table and DU falls, under every ends flag; each built afresh
+    # and one set of orders per (k, rise), which the three ends flags share
     heads = list(product((1, 5), (False, True), (None, True, False), (None,), (1,)))
-    built = {head: (repr(enumeration._order_scores.__wrapped__(*head)),
-                    repr(enumeration._orders_by_score(*head, (0,) * (head[0] + 1)))) for head in heads}
+
+    def fresh(head):
+        k, rise, _, pattern, cap = head
+        return (repr(enumeration._order_scores.__wrapped__(k, rise, pattern, cap)),
+                repr(enumeration._scored_table.__wrapped__(*head)((0,) * (k + 1))))
+
+    built = {head: fresh(head) for head in heads}
     cached = ("_order_scores", "_scored_table")
 
     def check():
         # every head and its one vector are cached (read with no miss) and equal their fresh
         # build: itemgetters compare by identity, and their repr lists the indices they read
         builders = [getattr(enumeration, name) for name in cached]
-        assert [builder.cache_info().currsize for builder in builders] == [len(heads)] * 2
+        assert [builder.cache_info().currsize for builder in builders] == [len(heads) // 3, len(heads)]
         misses = [builder.cache_info().misses for builder in builders]
         order_scores, scored_table = builders
         for head, (scores, table) in built.items():
-            assert repr(order_scores(*head)) == scores, head
+            k, rise, _, pattern, cap = head
+            assert repr(order_scores(k, rise, pattern, cap)) == scores, head
             vectors = scored_table(*head)
             info = vectors.cache_info()
             assert info.currsize == 1 and repr(vectors((0,) * (head[0] + 1))) == table, head
@@ -457,21 +470,27 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # The same race on a scored walk's tables, each round from its orders' scores up, which it
     # grows on its own: an order's scores or a vector's orders by score stored before they are
     # whole would drop or shift a tail in some thread, and every cached value must equal a
-    # fresh build. Each round records the (head, vec) of every vector built, which covers every
-    # value cached. The filter at n = 11 reads tails of 9 entries (k = 8), whose orders are
-    # pruned as they grow.
+    # fresh build. Each round records every head built and, by the columns its ends flag cut,
+    # every vector built, which covers every value cached. The filter at n = 11 reads tails of
+    # 9 entries (k = 8), whose orders are pruned as they grow.
     filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, 2), ends_in_largest=ends)
                for cls in (UD, DU) for n in (6, 9) for pattern in (PATTERN_321, PATTERN_123)
                for ends in (None, False)]
     filters.append(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 2)))
-    orders_by_score = enumeration._orders_by_score
-    built: set = set()
+    orders_by_score, build_head = enumeration._orders_by_score, enumeration._scored_table.__wrapped__
+    heads: set = set()
+    built: list = []  # (the head's columns, vec), which keeps each column list alive
 
-    def record(*args):
-        built.add(args)
-        return orders_by_score(*args)
+    def scored_table(*head):
+        heads.add(head)
+        return build_head(*head)
+
+    def record(k, cap, columns, vec):
+        built.append((columns, vec))
+        return orders_by_score(k, cap, columns, vec)
 
     monkeypatch.setattr(enumeration, "_orders_by_score", record)
+    monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table, scored_table))
     cached = ("_order_scores", "_scored_table")
 
     def check():
@@ -479,13 +498,17 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
         misses = [builder.cache_info().misses for builder in builders]
         assert built
         order_scores, scored_table = builders
-        heads = {args[:-1] for args in built}
         assert 8 in {head[0] for head in heads}
         for head in heads:
-            assert repr(order_scores(*head)) == repr(order_scores.__wrapped__(*head)), head
-        for *head, vec in list(built):
-            assert repr(scored_table(*head)(vec)) == repr(orders_by_score(*head, vec)), (head, vec)
+            k, rise, _, pattern, cap = head
+            assert repr(order_scores(k, rise, pattern, cap)) == repr(order_scores.__wrapped__(k, rise, pattern, cap))
+            vectors = scored_table(*head)
+            columns = vectors.__wrapped__.args[2]  # the orders the head's ends flag keeps
+            assert repr(columns) == repr(build_head(*head).__wrapped__.args[2]), head
+            for vec in [vec for cut, vec in built if cut is columns]:
+                assert repr(vectors(vec)) == repr(orders_by_score(k, cap, columns, vec)), (head, vec)
         assert [builder.cache_info().misses for builder in builders] == misses  # all were cached
+        heads.clear()
         built.clear()
 
     race_cold_builds(monkeypatch, filters, cached, check)
@@ -519,17 +542,20 @@ def test_zigzag_table_is_published_whole(monkeypatch):
     assert list(generate(filt)) == expected
     assert midway == [expected, expected]
     # DU falls into position 4, where the table starts, and the walk reads the heads with ends
-    # None and then False. The first reader starts inside this walk's build of the first head's
-    # orders and the second inside the first reader's sliced table: three misses on its one
-    # vector, and one table stored
+    # None and then False, which share one set of orders. The first reader starts inside this
+    # walk's build of those orders, so both miss the orders and the first head; the second
+    # reader starts inside the first reader's sliced table, finds the first head the first
+    # reader stored but not its vector, and builds the head with ends False, reading the
+    # orders the first reader stored; the others then read that head whole. This walk stores
+    # the first head last, and builds its one vector: one miss
+    info = enumeration._order_scores.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
+    info = enumeration._scored_table.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 3, 2)
     head, zeros = (5, False, None, None, 1), (0,) * 6
     vectors = enumeration._scored_table(*head)
     info = vectors.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 3, 1)
-    # and the orders: this walk and the first reader miss them, the second reader finds those
-    # the first stored, and builds the other head's, which the others then read whole
-    info = enumeration._order_scores.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 3, 2)
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
     table = vectors(zeros)
     enumeration._scored_table(2, False, None, None, 1)((0,) * 3)
     assert enumeration._scored_table.cache_info().currsize == 3
@@ -540,7 +566,7 @@ def test_zigzag_table_is_published_whole(monkeypatch):
 def test_a_cold_unscored_count_builds_only_the_heads_it_reads(monkeypatch, ends):
     # A UD walk of n = 10 pushes two entries (k = 7) and rises into the table, so it reads the
     # pattern-free head (7, True, None) and, with ends_in_largest set, (7, True, ends) too;
-    # no other rise or ends value is built
+    # no other rise or ends value is built, and both heads cut one set of orders
     filt = GenerationFilter(UD, 10, ends_in_largest=ends)
     expected = count(filt)
     build_head = enumeration._scored_table.__wrapped__
@@ -554,7 +580,25 @@ def test_a_cold_unscored_count_builds_only_the_heads_it_reads(monkeypatch, ends)
     monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table, scored_table))
     assert count(filt) == expected
     assert heads == [(7, True, flag, None, 1) for flag in dict.fromkeys((None, ends))]
-    assert enumeration._order_scores.cache_info().currsize == len(heads)
+    assert enumeration._order_scores.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("pattern", [None, PATTERN_321])
+def test_ends_flags_share_one_set_of_orders(monkeypatch, pattern):
+    # Cold counts of UD n = 10 under ends_in_largest None, True and False push two entries and
+    # rise into tails of k = 7 (unscored, cap 1; exactly one 321, cap 2). Together they read
+    # the heads of all three flags, and each head keeps the orders its flag picks from one set
+    # grown once: one _order_scores entry per (k, rise, pattern, cap), not one per flag
+    target = None if pattern is None else (pattern, 1)
+    filters = [GenerationFilter(UD, 10, exact_occurrences=target, ends_in_largest=ends)
+               for ends in (None, True, False)]
+    expected = [count(filt) for filt in filters]
+    for name in ("_order_scores", "_scored_table"):
+        monkeypatch.setattr(enumeration, name, fresh_cache(getattr(enumeration, name)))
+    assert [count(filt) for filt in filters] == expected
+    assert expected[0] == expected[1] + expected[2]
+    assert enumeration._scored_table.cache_info().currsize == 3
+    assert enumeration._order_scores.cache_info().currsize == 1
 
 
 def test_streams_sorted_and_duplicate_free():

@@ -1,7 +1,7 @@
 import ast
 import sys
 import threading
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -254,6 +254,62 @@ def test_a_corrupted_closed_form_row_raises(monkeypatch):
     monkeypatch.setitem(formulas._CLOSED_FORMS, (UD, False), corrupted)
     with pytest.raises(ArithmeticError, match="transcribed wrong"):
         closed_form_even_321(5)
+
+
+def closed_form_term(key, m):
+    """One term of row `key` of _CLOSED_FORMS: a stream of one length, whose C_m comes from math.comb afresh."""
+    cls, odd = key
+    return next(formulas._closed_forms(cls, range(2 * m + odd, 2 * m + odd + 1)))
+
+
+def closed_form_stream(key, first_m, last_m):
+    """Row `key` of _CLOSED_FORMS at m = first_m..last_m, read off one stream that steps C_m."""
+    cls, odd = key
+    return list(formulas._closed_forms(cls, range(2 * first_m + odd, 2 * last_m + odd + 1, 2)))
+
+
+@pytest.mark.parametrize("key", list(formulas._CLOSED_FORMS))
+def test_a_closed_form_stream_equals_single_terms(key):
+    # The stream from valid_from steps its Catalan numbers up to m = 3000; a single term
+    # calls math.comb at its own m, so the two share no Catalan number
+    valid_from = formulas._CLOSED_FORMS[key][2]
+    stream = closed_form_stream(key, valid_from, 3000)
+    assert len(stream) == 3001 - valid_from
+    for m in (valid_from, valid_from + 1, 3, 10, 57, 100, 999, 1024, 2047, 2999, 3000):
+        assert stream[m - valid_from] == closed_form_term(key, m), (key, m)
+
+
+@pytest.mark.parametrize("key", list(formulas._CLOSED_FORMS))
+def test_a_closed_form_stream_started_past_valid_from_gives_the_same_terms(key):
+    valid_from = formulas._CLOSED_FORMS[key][2]
+    stream = closed_form_stream(key, valid_from, 3000)
+    for first in (valid_from + 1, 57, 2999, 3000):
+        assert closed_form_stream(key, first, 3000) == stream[first - valid_from:], (key, first)
+    cls, odd = key
+    with pytest.raises(ValueError, match=f"m must be >= {valid_from}"):
+        next(formulas._closed_forms(cls, range(2 * valid_from + odd - 2, 100, 2)))
+    assert list(formulas._closed_forms(cls, range(2 * valid_from + odd, 0))) == []
+
+
+@pytest.mark.parametrize("key, power, added, first_bad", [
+    ((UD, False), 3, 210, 5), ((DU, False), 0, 210, 5), ((UD, True), 0, 420, 4), ((DU, True), 0, 420, 4)])
+def test_a_corrupted_closed_form_row_raises_at_the_first_bad_term_of_a_stream(monkeypatch, key, power, added, first_bad):
+    # `added` on P's coefficient of m**power leaves the terms before first_bad integers (found
+    # from math.comb at each m), so a stream from valid_from yields them and then raises
+    coefficients, k, valid_from = formulas._CLOSED_FORMS[key]
+    corrupted = tuple(c + added * (i == power) for i, c in enumerate(coefficients))
+
+    def reference(m):
+        return divmod(sum(c * m**i for i, c in enumerate(corrupted)) * comb(2 * m, m), prod(range(m + 1, m + k + 1)))
+
+    assert [m for m in range(valid_from, first_bad + 1) if reference(m)[1]] == [first_bad]
+    monkeypatch.setitem(formulas._CLOSED_FORMS, key, (corrupted, k, valid_from))
+    cls, odd = key
+    stream = formulas._closed_forms(cls, range(2 * valid_from + odd, 2 * first_bad + 11, 2))
+    assert [next(stream) for _ in range(valid_from, first_bad)] == [
+        reference(m)[0] for m in range(valid_from, first_bad)]
+    with pytest.raises(ArithmeticError, match=f"at m = {first_bad}; it was transcribed wrong"):
+        next(stream)
 
 
 def test_convolution_examples():
