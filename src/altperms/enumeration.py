@@ -2,9 +2,11 @@
 
 One pruned, lexicographic backtracker is the single oracle every formula in
 this package is checked against. It keeps the unused values in a sorted list
-and draws each entry from the part of that list inside the zigzag range cut to
-the boundary flags' bounds, so it never steps over a placed value; a candidate
-v at index i of the list lies above b = v - 1 - i placed values. Its stack is
+and draws each entry from the window of that list the zigzag fixes, the values
+above the last entry after a rise and below it after a fall, so it never steps
+over a placed value; begins_with_smallest bounds only the first entry, and
+ends_in_largest keeps n out of every window for the tail. A candidate v at
+index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
 a node's candidate window is computed once, when it is pushed. A walk of length
 n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only,
@@ -44,7 +46,7 @@ These are the only patterns a filter accepts (perm_core.check_pattern).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from functools import cache, partial
 from itertools import accumulate, chain, compress, repeat
@@ -147,7 +149,7 @@ def _order_scores(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tupl
                                       c and (*c[:i], i if down else j - i, *c[i:])))
         rows = grown
     rows = [(order[-1] == k, order[0], itemgetter(*order), inner, *c) for order, inner, c in rows]
-    return tuple(zip(*rows)) or ((),) * (k + 5)  # every column, even when no order is kept
+    return tuple(zip(*rows))
 
 
 def _orders_by_score(k: int, cap: int, columns: Sequence[tuple], vec: tuple[int, ...]) -> dict:
@@ -205,29 +207,22 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
 
     # rise[t] (1-based position t >= 2): entry at t must exceed entry at t-1
     rise = [t >= 2 and filt.cls.rises_into(t) for t in range(n + 1)]
-    # floor[t]..ceil[t]: the values the boundary flags leave at position t
-    floor, ceil = [1] * (n + 1), [n] * (n + 1)
-    if ends is True:
-        ceil = [n - 1] * n + [n]  # n must stay available for the last slot
-        floor[n] = n
-    elif ends is False:
-        ceil[n] = n - 1
-    if begins is True:
-        ceil[1] = 1
-    elif begins is False:
-        floor[1] = 2
+    # the largest value a pushed entry may take: ends_in_largest keeps n for the tail
+    most = n - 1 if ends else n
     # the unused values, increasing; the sentinel n + 1 ends every candidate scan
     free = [*range(1, n + 1), n + 1]
     # the nodes at depth leaf take their candidates and the k entries after each from a table
-    # keyed by (free[k] == n), n unused: ends_in_largest's ceil n - 1 keeps n unused. The walk
-    # keeps prefix[d], the value placed at depth d, resume[d], its index in free, top[d], depth
-    # d's upper bound, and forced[d], F of prefix[:d] (0 when unscored)
+    # keyed by (free[k] == n), n unused. The walk keeps prefix[d], the value placed at depth d,
+    # resume[d], its index in free, top[d], depth d's upper bound, and forced[d], F of
+    # prefix[:d] (0 when unscored)
     scored = pattern is not None
     # a short walk builds no table larger than its own work; a target of 0-2 (cap <= 3) scores
     # few orders of 9 entries below its cap, so its walk reads one more
     k = max(1, min(_TAIL + (scored and target < 3), n - 3))
     leaf = n - k - 1
-    prefix, resume, top = [0] * leaf, [0] * leaf, [ceil[1]] * (leaf + 1)
+    # the root's window: begins_with_smallest True allows only 1, False starts past it
+    d, i, hi = 0, 1 if begins is False else 0, 1 if begins else most
+    prefix, resume, top = [0] * leaf, [0] * leaf, [hi] * (leaf + 1)
     forced = [0] * (leaf + 1)
     if scored:
         is321 = pattern == PATTERN_321  # else 123
@@ -243,7 +238,6 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     else:  # every zigzag order scores 0 < cap 1 with no pattern, whatever the placed values
         tables = [_scored_table(k, rise[leaf + 2], flag, None, 1)((0,) * (k + 1)).get(0) for flag in (None, ends)]
     total = 0  # F stays 0 on an unscored push
-    d, hi, i = 0, top[0], bisect_left(free, floor[1])  # the root's window
     while True:
         v = free[i]
         if v > hi:  # no candidate left at this depth: backtrack
@@ -261,21 +255,18 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
                 if total > target:
                     i += 1
                     continue
-            # push v, then the child's window: the flags' bounds cut by the zigzag
+            # push v, then the child's window: after a rise, i stays, as free[i] is then the next
+            # larger unused value, up to most; after a fall, the unused values below v
             resume[d] = i
             del free[i]
             prefix[d] = v
             d += 1
             forced[d] = total
-            t = d + 1
-            lo, hi = floor[t], ceil[t]
-            if rise[t]:
-                if lo <= v:
-                    lo = v + 1
-            elif hi >= v:
-                hi = v - 1
+            if rise[d + 1]:
+                hi = most
+            else:
+                i, hi = 0, v - 1
             top[d] = hi
-            i = bisect_left(free, lo)
         else:  # every candidate in the window at once; the next scan starts past hi
             first, i = i, bisect_right(free, hi, i)
             which = free[k] == n

@@ -198,6 +198,22 @@ def test_every_occurrence_target_matches_histogram(cls, pattern, ends, begins):
             assert count(filt) == histogram[k], (n, k)
 
 
+@pytest.mark.parametrize("cls", [UD, DU])
+@pytest.mark.parametrize("target", [None, (PATTERN_321, 1)])
+def test_flag_counts_past_naive_scan_match_the_flag_free_stream(cls, target):
+    # The naive scan stops at n = 9, where a walk pushes at most two entries. At n = 10 and 11
+    # an unscored walk pushes three and a scored one two, so each flag pair's windows are set
+    # on pushes no other check reaches; the flag-free stream, tallied by (last entry is n,
+    # first entry is 1), gives all nine counts
+    for n in (10, 11):
+        tally = Counter((w[-1] == n, w[0] == 1) for w in generate(GenerationFilter(cls, n, exact_occurrences=target)))
+        for ends, begins in product((None, True, False), repeat=2):
+            expected = sum(m for (last, first), m in tally.items()
+                           if ends in (None, last) and begins in (None, first))
+            filt = GenerationFilter(cls, n, exact_occurrences=target, ends_in_largest=ends, begins_with_smallest=begins)
+            assert count(filt) == expected, (n, ends, begins)
+
+
 CONCURRENT_FILTERS = [
     GenerationFilter(UD, 9),
     GenerationFilter(DU, 10, exact_occurrences=(PATTERN_321, 2)),
