@@ -16,8 +16,9 @@ zigzag orders of k + 1 sorted values, one `operator.itemgetter` each, listed by
 first entry, so the orders of a node's candidate window are one slice. Each k's
 table is grown from the orders of fewer values by comparing and relabelling
 entries. A node hands the tails it accepts over as one batch (prefix, free,
-getters): `generate` joins get(free) to the prefix, `count` adds up the batches'
-lengths and calls no getter, so it builds no permutation.
+orders, lo, hi), its window orders[lo:hi] of the table: `generate` joins get(free)
+to the prefix for each getter there, `count` sums hi - lo and touches no getter,
+so it builds no permutation.
 One loop walks every filter; a 321 or 123 target changes only what a push
 prunes and which table a node at depth leaf reads.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
@@ -35,7 +36,8 @@ inner(σ) + Σ_r A_r·c_r(σ): c_r is the number of later tail entries below ran
 (above it for 123), inner = Σ_r e_r·c_r with e_r the earlier tail entries above
 it (below it), and A_r = n - k + r - free[r] the placed values above the unused
 value of rank r (for 123 below it, free[r] - 1 - r). The scored table groups
-the orders by this score, with A clipped at cap, and keeps the scores below cap.
+the orders by this score, with A clipped at cap by a lookup built once per walk,
+and keeps the scores below cap.
 Its orders are grown rank by rank, and each is dropped
 as soon as inner reaches cap, since a first entry only adds occurrences: at
 k = 8 a cap of 1, 2 or 3 keeps 42, 150 or 378 of 7,936 orders, so a target of
@@ -185,24 +187,25 @@ def _scored_table(k: int, rise: bool, ends: bool | None, pattern: Pattern | None
     return cache(partial(_orders_by_score, k, cap, columns))
 
 
-def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Sequence[itemgetter]]]:
-    """Yield (prefix, free, getters) per node at the last pushed depth that accepts a tail, in
-    order: the node's permutations are prefix + get(free), one per getter. The prefix and free
-    lists are reused, and free is valid only until the walk resumes, so a consumer applies the
-    getters before it asks for the next batch. The nodes sit at depth n - k - 1 and hand over
-    the slice of a scored table that starts in their candidate window: an unscored walk reads
+def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Sequence[itemgetter], int, int]]:
+    """Yield (prefix, free, orders, lo, hi) per node at the last pushed depth that accepts a
+    tail, in order: the node's permutations are prefix + get(free), one per getter in
+    orders[lo:hi], and it has hi - lo of them. The prefix and free lists are reused, and free is
+    valid only until the walk resumes, so a consumer applies the getters before it asks for the
+    next batch. The nodes sit at depth n - k - 1 and hand over the bounds of the orders of a
+    scored table that start in their candidate window: an unscored walk reads
     the pattern-free table's total 0, every zigzag order, and a scored walk the orders under
     the score that brings F to the target. A node finds none where no order is listed, and a
     scored node that needs cap or more finds none without a lookup. A scored walk of length 2
     needs no case of its own: its cap is 1, so target 0 keeps both orders and a larger one
-    finds none. A walk shorter than 2 is one literal batch ([], values, (tuple,)) if its flags
+    finds none. A walk shorter than 2 is one literal batch ([], values, (tuple,), 0, 1) if its flags
     and target allow; no 321 or 123 fits in it, so only target 0 does."""
     n = filt.length
     pattern, target = filt.exact_occurrences or (None, 0)
     ends, begins = filt.ends_in_largest, filt.begins_with_smallest
     if n < 2:  # () neither ends in its largest nor begins with its smallest entry; (1,) does both
         if not target and ends in (None, n == 1) and begins in (None, n == 1):
-            yield [], range(1, n + 1), (tuple,)
+            yield [], range(1, n + 1), (tuple,), 0, 1
         return
 
     # rise[t] (1-based position t >= 2): entry at t must exceed entry at t-1
@@ -232,9 +235,9 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
         cap = min(target, comb(k + 1, 3) + comb(k + 1, 2) * leaf) + 1
         heads, tables = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)], [None, None]
         # vec[r] = A_r, the placed values above (for 123, below) the unused value of rank r,
-        # n - k + r - free[r] (free[r] - 1 - r), clipped at cap; each is at most leaf
+        # n - k + r - free[r] (free[r] - 1 - r), each 0..leaf, clipped at cap by one lookup
         operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
-        clip = (cap,) * (k + 1) if cap <= leaf else None
+        clip = tuple(map(min, range(leaf + 1), repeat(cap))).__getitem__
     else:  # every zigzag order scores 0 < cap 1 with no pattern, whatever the placed values
         tables = [_scored_table(k, rise[leaf + 2], flag, None, 1)((0,) * (k + 1)).get(0) for flag in (None, ends)]
     total = 0  # F stays 0 on an unscored push
@@ -273,9 +276,7 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
             if scored:
                 if (rest := target - forced[d]) >= cap:  # no tail adds cap or more
                     continue
-                vec = tuple(map(sub, *operands))
-                if clip:
-                    vec = tuple(map(min, vec, clip))
+                vec = tuple(map(clip, map(sub, *operands)))
                 if (table := tables[which]) is None:
                     table = tables[which] = _scored_table(*heads[which])
                 found = table(vec).get(rest)  # built on first use, stored once whole
@@ -284,22 +285,21 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
             if not found:
                 continue
             orders, start = found
-            getters = orders[start[first]:start[i]]
-            if getters:
-                yield prefix, free, getters
+            if start[first] < start[i]:
+                yield prefix, free, orders, start[first], start[i]
 
 
 def generate(filt: GenerationFilter) -> Iterator[Perm]:
     """Yield every permutation matching `filt`, lexicographically, each once: a prefix plus one of its tails."""
-    for prefix, free, getters in _walk(filt):
+    for prefix, free, orders, lo, hi in _walk(filt):
         head = tuple(prefix)
-        for get in getters:
+        for get in orders[lo:hi]:
             yield head + get(free)
 
 
 def count(filt: GenerationFilter) -> int:
-    """Cardinality of generate(filt): the sum of the batches' lengths, with no getter called."""
-    return sum(len(getters) for _, _, getters in _walk(filt))
+    """Cardinality of generate(filt): the sum of the batches' hi - lo, with no getter called."""
+    return sum(hi - lo for _, _, _, lo, hi in _walk(filt))
 
 
 def euler_zigzag(n: int) -> int:

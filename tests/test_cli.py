@@ -145,7 +145,7 @@ def test_count_unrestricted_refused_above_limit(capsys, monkeypatch, n):
 
 
 def test_count_unrestricted_at_limit_reaches_the_oracle(capsys, monkeypatch):
-    monkeypatch.setattr(enumeration_module, "count", lambda filt: filt.length)  # stands in for E_15's ~6-7 s
+    monkeypatch.setattr(enumeration_module, "count", lambda filt: filt.length)  # stands in for E_16's ~17-19 s
     limit = cli._LIMITS["count --method oracle"]
     code, lines, _ = run_lines(capsys, ["count", "--class", "UD", "--n", str(limit)])
     assert code == 0

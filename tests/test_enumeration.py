@@ -413,6 +413,34 @@ def test_longest_tail_matches_a_short_one(monkeypatch, cls, pattern):
     assert [list(generate(filt)) for filt in streamed] == streams
 
 
+@pytest.mark.parametrize(("cls", "pattern", "counts"), [
+    (UD, PATTERN_321, [429, 1144, 3449]), (UD, PATTERN_123, [132, 550, 1613]),
+    (DU, PATTERN_321, [132, 550, 1613]), (DU, PATTERN_123, [429, 1144, 3449]),
+])
+def test_leaf_depth_that_clips_the_placed_value_counts(monkeypatch, cls, pattern, counts):
+    # A scored leaf clips each A_r, a count of placed values in 0..leaf, at cap = target + 1
+    # before it looks its vector up. Clipped or not, an order with c_r >= 1 then scores cap or
+    # more, so the outputs cannot tell; the vectors the tables are built for can. At n <= 11
+    # only targets 0 and 1 have cap <= leaf = 2; at n = 12, leaf 3, targets 0..2 all do.
+    build = enumeration._orders_by_score
+    looked_up = []
+
+    def orders_by_score(k, cap, columns, vec):
+        looked_up.append((cap, vec))
+        return build(k, cap, columns, vec)
+
+    monkeypatch.setattr(enumeration, "_orders_by_score", orders_by_score)
+    monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table))
+    for target, expected in enumerate(counts):
+        filt = GenerationFilter(cls, 12, exact_occurrences=(pattern, target))
+        out = list(generate(filt))
+        assert count(filt) == len(out) == expected
+        assert out == sorted(set(out))
+        assert all(count_occurrences(w, pattern) == target for w in out)
+    assert {cap for cap, _ in looked_up} == {1, 2, 3}
+    assert all(max(vec) <= cap for cap, vec in looked_up)
+
+
 def race_cold_builds(monkeypatch, filters, cold, check):
     """Generate every filter from 8 threads at once in each of 10 rounds, after swapping a fresh,
     empty cache in for each cached builder that `cold` names in enumeration; then check().
