@@ -58,19 +58,20 @@ _IDENTITY_BOUND = 200
 #: takes up to about 50 s as a CLI process on a 2-CPU x86 host (Python 3.11); README lists
 #: each time. The unrestricted oracle row, 16, counts all E_16 permutations in 17-19 s
 #: without building one, and E_17 is ten times as many. Oracle targets 0-4 have a row each
-#: (targets 0-2, and so verify-table and sequence, read their last nine entries off a table);
-#: every larger target shares the row "--exactly 5+", 15: its walk is a subtree of the
-#: unrestricted one, but scored node by node down to its last eight entries, and a target
-#: amid the counts builds a scored table per vector of placed values it meets: up to 19 s
-#: and 222 MiB at 15. sequence --method closed_form spends most of its 35-46 s printing.
+#: (targets 0-2, and so verify-table and sequence, read their last ten entries off tables
+#: the three share); every larger target shares the row "--exactly 5+", 15: its walk is a
+#: subtree of the unrestricted one, but scored node by node down to its last eight entries,
+#: and a target amid the counts builds a scored table per vector of placed values it meets:
+#: up to 19 s and 222 MiB at 15. sequence --method closed_form spends most of its 35-46 s
+#: printing.
 _LIMITS = {
     "count --method oracle": 16,
-    **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((26, 25, 24, 22, 21))},
+    **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((27, 26, 24, 22, 21))},
     "count --method oracle --exactly 5+": 15,
     "count --method closed_form": 2_000_000, "count --method convolution": 60_000,
     "count --method decomposition_sum": 60_000, "count --method bijection": 22,
-    "verify-identity": 2200, "verify-table": 24, "selftest": 15,
-    "sequence --method oracle": 24, "sequence --method closed_form": 40_000,
+    "verify-identity": 2200, "verify-table": 25, "selftest": 16,
+    "sequence --method oracle": 25, "sequence --method closed_form": 40_000,
 }
 
 

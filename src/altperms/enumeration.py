@@ -10,7 +10,7 @@ index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
 a node's candidate window is computed once, when it is pushed. A walk of length
 n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only,
-and a scored walk with a target of 0..2 to k = max(1, min(_TAIL + 1, n - 3)).
+and a scored walk with a target of 0..2 to k = max(1, min(_TAIL + 2, n - 3)).
 There each candidate and the k values left after it come from a table of the
 zigzag orders of k + 1 sorted values, one `operator.itemgetter` each, listed by
 first entry, so the orders of a node's candidate window are one slice. Each k's
@@ -37,11 +37,12 @@ inner(σ) + Σ_r A_r·c_r(σ): c_r is the number of later tail entries below ran
 it (below it), and A_r = n - k + r - free[r] the placed values above the unused
 value of rank r (for 123 below it, free[r] - 1 - r). The scored table groups
 the orders by this score, with A clipped at cap by a lookup built once per walk,
-and keeps the scores below cap.
+and keeps the scores below cap. Targets 0..2 share cap 3, and so one table per
+head: it lists every total below 3, and each walk reads the one it needs.
 Its orders are grown rank by rank, and each is dropped
 as soon as inner reaches cap, since a first entry only adds occurrences: at
-k = 8 a cap of 1, 2 or 3 keeps 42, 150 or 378 of 7,936 orders, so a target of
-0..2 (cap <= 3) reads one entry more than an unscored walk. A larger cap keeps
+k = 9 cap 3 keeps 556 or 1,147 of 50,521 orders (k = 8: 378 of 7,936), so a
+target of 0..2 reads two entries more than an unscored walk. A larger cap keeps
 k: there each vector's orders cost more to build than the pushes they save.
 These are the only patterns a filter accepts (perm_core.check_pattern).
 """
@@ -110,7 +111,7 @@ class GenerationFilter(FrozenRecord):
 
 
 #: How many entries a walk takes from the table of zigzag orders after its last candidate
-#: (one more for a scored walk with a target of 0..2)
+#: (two more for a scored walk with a target of 0..2)
 _TAIL = 7
 
 
@@ -219,9 +220,9 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     # resume[d], its index in free, top[d], depth d's upper bound, and forced[d], F of
     # prefix[:d] (0 when unscored)
     scored = pattern is not None
-    # a short walk builds no table larger than its own work; a target of 0-2 (cap <= 3) scores
-    # few orders of 9 entries below its cap, so its walk reads one more
-    k = max(1, min(_TAIL + (scored and target < 3), n - 3))
+    # a short walk builds no table larger than its own work; targets 0-2 (cap 3) score few
+    # orders of 10 entries below their cap, so their walks read two more
+    k = max(1, min(_TAIL + 2 * (scored and target < 3), n - 3))
     leaf = n - k - 1
     # the root's window: begins_with_smallest True allows only 1, False starts past it
     d, i, hi = 0, 1 if begins is False else 0, 1 if begins else most
@@ -231,8 +232,9 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
         is321 = pattern == PATTERN_321  # else 123
         # a tail adds at most C(k + 1, 3) occurrences inside it and leaf with each pair of its
         # entries, so no score reaches cap or more, and every large target shares one set of
-        # tables per length; a head is made when a node first reads it
-        cap = min(target, comb(k + 1, 3) + comb(k + 1, 2) * leaf) + 1
+        # tables per length; targets 0-2 share cap 3 (their tables list totals 0-2, and a node
+        # reads the one it needs), so one set per head; a head is made when a node first reads it
+        cap = min(max(target, 2), comb(k + 1, 3) + comb(k + 1, 2) * leaf) + 1
         heads, tables = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)], [None, None]
         # vec[r] = A_r, the placed values above (for 123, below) the unused value of rank r,
         # n - k + r - free[r] (free[r] - 1 - r), each 0..leaf, clipped at cap by one lookup

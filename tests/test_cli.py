@@ -282,7 +282,7 @@ def test_identity_families_keep_their_own_checks_when_built_up_front():
 
 
 def test_selftest_at_limit_runs_every_suite(capsys, monkeypatch):
-    def stub(n_max):  # stands in for the suites' ~11 s at the limit
+    def stub(n_max):  # stands in for the suites' ~24 s at the limit
         return iter([({"n": n_max}, n_max, n_max)])
 
     monkeypatch.setattr(cli, "_SUITES", [("first", "oracle", stub), ("second", "closed_form", stub)])
@@ -309,7 +309,7 @@ def test_sequence_at_limit_counts_every_length(capsys, monkeypatch, method):
 
 
 def test_verify_table_at_limit_checks_every_cell(capsys, monkeypatch):
-    def formula_or_zero(cls, n, statistic):  # stands in for the oracle's ~37 s at the limit
+    def formula_or_zero(cls, n, statistic):  # stands in for the oracle's ~41 s at the limit
         try:
             return cli.table1_formula(cls, n, statistic)
         except OutOfValidityRange:

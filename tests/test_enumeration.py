@@ -4,6 +4,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product, zip_longest
+from math import comb, factorial
 
 import pytest
 
@@ -238,7 +239,8 @@ def test_count_from_threads_matches_serial():
 def zigzag_orders(k):
     """{rise: the orders of the ranks 0..k that are UD when rise (DU otherwise),
     lexicographically}, filtered by classify from all (k + 1)! permutations, with no growth
-    rule: the reference both kinds of table are checked against (about 0.6 s at k = 8)."""
+    rule: the reference the pattern-free tables, and orders_below where it keeps every order,
+    are checked against (about 0.06 s at k = 7)."""
     orders = {False: [], True: []}
     for w in permutations(range(k + 1)):
         for cls in classify(w):
@@ -283,33 +285,61 @@ def tail_counts(order, pattern):
     return sum((a > b) == (b > c) == down for a, b, c in combinations(order, 3)), ends_on
 
 
+def orders_below(k, rise, pattern, cap):
+    """The orders of the ranks 0..k that are UD when rise (DU otherwise) and hold fewer than cap
+    occurrences of pattern, lexicographically: placed left to right, each entry tried from the
+    smallest up, a prefix dropped once it stops alternating or holds cap occurrences, which an
+    appended entry never lowers. No growth rule; cheap where the kept orders are few (about
+    0.3 s at k = 9, cap 3), unlike a filter of all (k + 1)! permutations."""
+    down = pattern[1] > pattern[2]
+    found = []
+
+    def extend(prefix, inside):
+        if len(prefix) == k + 1:
+            found.append(prefix)
+            return
+        up = (len(prefix) % 2 == 1) == rise
+        for x in range(k + 1):
+            if x in prefix or prefix and (x > prefix[-1]) != up:
+                continue
+            inside_x = inside + sum((a > b > x) if down else (a < b < x) for a, b in combinations(prefix, 2))
+            if inside_x < cap:
+                extend((*prefix, x), inside_x)
+
+    extend((), 0)
+    return found
+
+
 def scored_vectors(k):
     """The vectors test_scored_table_lists_its_definition checks for a table of k + 1 ranks: every
     monotone one with entries 0..3 up to k = 5; from k = 6 on, those with at most two distinct
-    entries (40, 46 and 52), which keep the check to about 2 s per pattern."""
+    entries (40, 46, 52 and 58), which keep the check to about 3 s per pattern."""
     vectors = combinations_with_replacement(range(4), k + 1)
     return [vec for vec in vectors if k <= 5 or len(set(vec)) <= 2]
 
 
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_scored_table_lists_its_definition(pattern):
-    # For the zigzag orders of every k up to the longest scored tail, k = _TAIL + 1, and each
+    # For the zigzag orders of every k up to the longest scored tail, k = _TAIL + 2, and each
     # cap a walk reads them with: _order_scores, which grows its orders rank by rank, keeps
     # those with fewer than cap occurrences inside, with their columns; the reference orders
-    # are filtered from all (k + 1)! permutations. Each head's scored table keeps the orders
-    # its ends flag picks. For each vector a walk can
+    # are placed left to right by orders_below, and where every zigzag order is kept (k <=
+    # _TAIL) they are also those filtered from all (k + 1)! permutations. Each head's scored
+    # table keeps the orders its ends flag picks. For each vector a walk can
     # meet with entries 0..3 (the placed values above an unused value shrink as the value
     # grows, and those below it grow), _orders_by_score keeps, under each total below cap, the
     # orders whose tail adds that total, lexicographically and sliced by first entry. Getters
     # are compared by the orders they read off the ranks, as the scored tables make their own.
     # At cap 3 an entry of 3 stands for any count from 3 up, so the orders kept must not change
-    # when it is raised to 7. Only caps up to 3 read tails of k + 1 = 9 entries, so that k
-    # checks cap 3 alone.
-    for k in range(1, enumeration._TAIL + 2):
+    # when it is raised to 7. Only cap 3 (targets 0..2) reads tails of k + 1 = 9 or 10
+    # entries, so those k check cap 3 alone.
+    for k in range(1, enumeration._TAIL + 3):
         ranks = tuple(range(k + 1))
         caps = (3, 100) if k <= enumeration._TAIL else (3,)
         for rise in (False, True):
-            known = {order: tail_counts(order, pattern) for order in zigzag_orders(k)[rise]}
+            known = {order: tail_counts(order, pattern) for order in orders_below(k, rise, pattern, max(caps))}
+            if k <= enumeration._TAIL:
+                assert list(known) == zigzag_orders(k)[rise], (k, rise)
             for cap in caps:
                 kept = [order for order, (inside, _) in known.items() if inside < cap]
                 counts = [known[order] for order in kept]
@@ -394,10 +424,11 @@ def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
 @pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_longest_tail_matches_a_short_one(monkeypatch, cls, pattern):
-    # No naive scan reaches the longest tails, k = _TAIL + 1 for targets 0..2 and k = _TAIL for
+    # No naive scan reaches the longest tails, k = _TAIL + 2 for targets 0..2 and k = _TAIL for
     # the rest, which need n >= k + 3. At n = 11 a target of 0..2 pushes 2 entries and reads 9
-    # off the scored tables, a target of 3 pushes 3 and reads 8, and at n = 12 each pushes one
-    # more; with _TAIL = 3 each pushes 4 more and reads 5 or 4, so the two share no table.
+    # off the scored tables, and a target of 3 pushes 3 and reads 8; at n = 12 a target of 0..2
+    # pushes 2 and reads 10, and a target of 3 pushes 4. With _TAIL = 3 targets 0..2 read 6
+    # and a target of 3 reads 4, so the two share no table.
     # Targets 0..3 run under every ends_in_largest flag, and 0..2 compare whole streams;
     # 20 and 120 (the most any pair reaches at n = 11) fill tables with most or all orders.
     # Every other target builds its own tables, 0.1-0.2 s each, so not all are run here.
@@ -414,14 +445,15 @@ def test_longest_tail_matches_a_short_one(monkeypatch, cls, pattern):
 
 
 @pytest.mark.parametrize(("cls", "pattern", "counts"), [
-    (UD, PATTERN_321, [429, 1144, 3449]), (UD, PATTERN_123, [132, 550, 1613]),
-    (DU, PATTERN_321, [132, 550, 1613]), (DU, PATTERN_123, [429, 1144, 3449]),
+    (UD, PATTERN_321, [1430, 4420, 15154]), (UD, PATTERN_123, [429, 2002, 6760]),
+    (DU, PATTERN_321, [429, 2002, 6760]), (DU, PATTERN_123, [1430, 4420, 15154]),
 ])
 def test_leaf_depth_that_clips_the_placed_value_counts(monkeypatch, cls, pattern, counts):
-    # A scored leaf clips each A_r, a count of placed values in 0..leaf, at cap = target + 1
-    # before it looks its vector up. Clipped or not, an order with c_r >= 1 then scores cap or
-    # more, so the outputs cannot tell; the vectors the tables are built for can. At n <= 11
-    # only targets 0 and 1 have cap <= leaf = 2; at n = 12, leaf 3, targets 0..2 all do.
+    # A scored leaf clips each A_r, a count of placed values in 0..leaf, at cap before it looks
+    # its vector up; targets 0..2 share cap 3. Clipped or not, an order with c_r >= 1 then
+    # scores cap or more, so the outputs cannot tell; the vectors the tables are built for can.
+    # Targets 0..2 read tails of k + 1 = 10 entries from n = 12 on, so leaf = n - 10 exceeds 3
+    # only from n = 14 on.
     build = enumeration._orders_by_score
     looked_up = []
 
@@ -432,13 +464,42 @@ def test_leaf_depth_that_clips_the_placed_value_counts(monkeypatch, cls, pattern
     monkeypatch.setattr(enumeration, "_orders_by_score", orders_by_score)
     monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table))
     for target, expected in enumerate(counts):
-        filt = GenerationFilter(cls, 12, exact_occurrences=(pattern, target))
+        filt = GenerationFilter(cls, 14, exact_occurrences=(pattern, target))
         out = list(generate(filt))
         assert count(filt) == len(out) == expected
         assert out == sorted(set(out))
         assert all(count_occurrences(w, pattern) == target for w in out)
-    assert {cap for cap, _ in looked_up} == {1, 2, 3}
+    assert {cap for cap, _ in looked_up} == {3}
     assert all(max(vec) <= cap for cap, vec in looked_up)
+
+
+def exactly_two_321(cls, n):
+    """The conjectured count of length-n `cls` permutations with exactly two 321s, n >= 3, m =
+    n // 2: a row per class for even n and one for odd n, each P(m)·C(2m, m)·m!/(m + k)!, fitted
+    to counts made by another method than the oracle. Nothing in the package derives them, and
+    the UD even row, fitted from m = 3 on, gives 1 at n = 4."""
+    m, odd = divmod(n, 2)
+    if odd:
+        p, k = (m - 1) * (337 * m**4 + 1221 * m**3 + 308 * m**2 - 1116 * m - 720), 6
+    elif cls is UD:
+        p, k = 2 * (151 * m**5 + 239 * m**4 - 1063 * m**3 - 629 * m**2 + 1482 * m + 1080), 6
+    else:
+        p, k = 2 * (m - 1) * (47 * m**3 + 6 * m**2 - 125 * m + 60), 5
+    value, rest = divmod(p * comb(2 * m, m) * factorial(m), factorial(m + k))
+    assert not rest, (cls, n)
+    return value
+
+
+@pytest.mark.parametrize("cls", [UD, DU])
+def test_exactly_two_counts_match_the_conjectured_rows(cls):
+    # Target-2 walks past the naive scans against a count from another method: 321 in cls and
+    # 123 in the other class (its complement) at n = 3..16, where targets 0..2 read tails of up
+    # to 10 entries (from n = 12) and push up to 6 first. UD n = 4 is below the UD row's range:
+    # no UD permutation of length 4 (1324, 1423, 2314, 2413, 3412) holds a 321.
+    for n in range(3, 17):
+        expected = 0 if (cls, n) == (UD, 4) else exactly_two_321(cls, n)
+        for pattern, host in ((PATTERN_321, cls), (PATTERN_123, cls.flipped)):
+            assert count(GenerationFilter(host, n, exact_occurrences=(pattern, 2))) == expected, (n, pattern)
 
 
 def race_cold_builds(monkeypatch, filters, cold, check):
@@ -516,11 +577,15 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # whole would drop or shift a tail in some thread, and every cached value must equal a
     # fresh build. Each round records every head built and, by the columns its ends flag cut,
     # every vector built, which covers every value cached. The filter at n = 11 reads tails of
-    # 9 entries (k = 8), whose orders are pruned as they grow.
+    # 9 entries (k = 8), whose orders are pruned as they grow; the three at n = 12, targets
+    # 0..2, read tails of 10 (k = 9) off one head, capped at 3 for all three (they begin with
+    # 1, which keeps them to 10 vectors, each about 1 ms to build).
     filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, 2), ends_in_largest=ends)
                for cls in (UD, DU) for n in (6, 9) for pattern in (PATTERN_321, PATTERN_123)
                for ends in (None, False)]
     filters.append(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 2)))
+    filters += [GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, target), begins_with_smallest=True)
+                for target in range(3)]
     orders_by_score, build_head = enumeration._orders_by_score, enumeration._scored_table.__wrapped__
     heads: set = set()
     built: list = []  # (the head's columns, vec), which keeps each column list alive
@@ -542,14 +607,15 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
         misses = [builder.cache_info().misses for builder in builders]
         assert built
         order_scores, scored_table = builders
-        assert 8 in {head[0] for head in heads}
+        assert {8, 9} <= {head[0] for head in heads}
+        assert [head for head in heads if head[0] == 9] == [(9, True, None, PATTERN_321, 3)]
         for head in heads:
             k, rise, _, pattern, cap = head
             assert repr(order_scores(k, rise, pattern, cap)) == repr(order_scores.__wrapped__(k, rise, pattern, cap))
             vectors = scored_table(*head)
             columns = vectors.__wrapped__.args[2]  # the orders the head's ends flag keeps
             assert repr(columns) == repr(build_head(*head).__wrapped__.args[2]), head
-            for vec in [vec for cut, vec in built if cut is columns]:
+            for vec in {vec for cut, vec in built if cut is columns}:
                 assert repr(vectors(vec)) == repr(orders_by_score(k, cap, columns, vec)), (head, vec)
         assert [builder.cache_info().misses for builder in builders] == misses  # all were cached
         heads.clear()
