@@ -10,7 +10,7 @@ index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
 a node's candidate window is computed once, when it is pushed. A walk of length
 n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only,
-and a scored walk with a target of 0..2 to k = max(1, min(_TAIL + 2, n - 3)).
+and a scored walk with a target of 0..2 to k = max(1, min(_TAIL + 2, n - 2)).
 There each candidate and the k values left after it come from a table of the
 zigzag orders of k + 1 sorted values, one `operator.itemgetter` each, listed by
 first entry, so the orders of a node's candidate window are one slice. Each k's
@@ -42,8 +42,11 @@ head: it lists every total below 3, and each walk reads the one it needs.
 Its orders are grown rank by rank, and each is dropped
 as soon as inner reaches cap, since a first entry only adds occurrences: at
 k = 9 cap 3 keeps 556 or 1,147 of 50,521 orders (k = 8: 378 of 7,936), so a
-target of 0..2 reads two entries more than an unscored walk. A larger cap keeps
-k: there each vector's orders cost more to build than the pushes they save.
+target of 0..2 reads two entries more than an unscored walk, or, up to n = 11,
+one more and pushes one entry only. One placed value makes A a step in r, so a
+head then meets at most k + 2 vectors. A larger cap keeps k: there each
+vector's orders cost more to build than the pushes they save. The columns of
+counts up to k are bytes, which keeps the tables small.
 These are the only patterns a filter accepts (perm_core.check_pattern).
 """
 
@@ -111,7 +114,7 @@ class GenerationFilter(FrozenRecord):
 
 
 #: How many entries a walk takes from the table of zigzag orders after its last candidate
-#: (two more for a scored walk with a target of 0..2)
+#: (two more for a scored walk with a target of 0..2, which up to n = 11 pushes one entry only)
 _TAIL = 7
 
 
@@ -127,7 +130,8 @@ def _order_scores(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tupl
     """Columns (ends_on_k, firsts, getters, inners, c_0, ..., c_k) of the zigzag orders σ of
     the ranks 0..k with inner < cap, lexicographically, built on first use and cached. The
     second entry exceeds the first exactly when `rise`; ends_on_k says whether an order ends
-    on rank k, and firsts is its first entry.
+    on rank k, and firsts is its first entry. Those columns and the c_r, each at most k, are
+    bytes; getters and inners, which can pass 255, are tuples.
 
     For 321, c_r(σ) is the number of entries after rank r that lie below it, and inner =
     Σ_r e_r·c_r, e_r the number before rank r above it: the 321s inside σ, counted by middle
@@ -152,10 +156,11 @@ def _order_scores(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tupl
                                       c and (*c[:i], i if down else j - i, *c[i:])))
         rows = grown
     rows = [(order[-1] == k, order[0], itemgetter(*order), inner, *c) for order, inner, c in rows]
-    return tuple(zip(*rows))
+    ends_on_k, firsts, getters, inners, *counts = zip(*rows)
+    return (bytes(ends_on_k), bytes(firsts), getters, inners, *map(bytes, counts))
 
 
-def _orders_by_score(k: int, cap: int, columns: Sequence[tuple], vec: tuple[int, ...]) -> dict:
+def _orders_by_score(k: int, cap: int, columns: Sequence[Sequence], vec: tuple[int, ...]) -> dict:
     """{total: _sliced(lists)} over the orders of `columns`, (firsts, getters, inners, c_0, ...,
     c_k) as _order_scores lists them, whose score, inner + Σ_r vec[r]·c_r, is total < cap;
     lists[i] keeps the orders that start at index i, in the order of the columns. When vec[r]
@@ -184,7 +189,7 @@ def _scored_table(k: int, rise: bool, ends: bool | None, pattern: Pattern | None
     once to the orders `ends` keeps: None every order, True those ending on rank k, False the rest."""
     ends_on_k, *columns = _order_scores(k, rise, pattern, cap)
     if ends is not None:
-        columns = [tuple(compress(column, map(eq, ends_on_k, repeat(ends)))) for column in columns]
+        columns = [type(column)(compress(column, map(eq, ends_on_k, repeat(ends)))) for column in columns]
     return cache(partial(_orders_by_score, k, cap, columns))
 
 
@@ -221,8 +226,11 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     # prefix[:d] (0 when unscored)
     scored = pattern is not None
     # a short walk builds no table larger than its own work; targets 0-2 (cap 3) score few
-    # orders of 10 entries below their cap, so their walks read two more
-    k = max(1, min(_TAIL + 2 * (scored and target < 3), n - 3))
+    # orders of up to 10 entries below their cap, so their walks read two more, or one more up
+    # to n = 11, where they push one entry: with one placed value, A_r is a step in r, so a
+    # head meets at most k + 2 vectors
+    small = scored and target < 3
+    k = max(1, min(_TAIL + 2 * small, n - 3 + small))
     leaf = n - k - 1
     # the root's window: begins_with_smallest True allows only 1, False starts past it
     d, i, hi = 0, 1 if begins is False else 0, 1 if begins else most

@@ -10,6 +10,7 @@ import pytest
 
 from altperms import enumeration
 from altperms.enumeration import GenerationFilter, count, euler_zigzag, generate, table1_oracle
+from altperms.formulas import SequenceSpec, a_n, table1_formula
 from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321, classify, count_occurrences
 
 import naive
@@ -203,8 +204,9 @@ def test_every_occurrence_target_matches_histogram(cls, pattern, ends, begins):
 @pytest.mark.parametrize("target", [None, (PATTERN_321, 1)])
 def test_flag_counts_past_naive_scan_match_the_flag_free_stream(cls, target):
     # The naive scan stops at n = 9, where a walk pushes at most two entries. At n = 10 and 11
-    # an unscored walk pushes three and a scored one two, so each flag pair's windows are set
-    # on pushes no other check reaches; the flag-free stream, tallied by (last entry is n,
+    # an unscored walk pushes three, so each flag pair's windows are set on pushes no other
+    # check reaches, and a walk for one 321 pushes one and reads the rest off tails of 9 and
+    # 10 entries under each ends flag; the flag-free stream, tallied by (last entry is n,
     # first entry is 1), gives all nine counts
     for n in (10, 11):
         tally = Counter((w[-1] == n, w[0] == 1) for w in generate(GenerationFilter(cls, n, exact_occurrences=target)))
@@ -424,11 +426,11 @@ def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
 @pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_longest_tail_matches_a_short_one(monkeypatch, cls, pattern):
-    # No naive scan reaches the longest tails, k = _TAIL + 2 for targets 0..2 and k = _TAIL for
-    # the rest, which need n >= k + 3. At n = 11 a target of 0..2 pushes 2 entries and reads 9
-    # off the scored tables, and a target of 3 pushes 3 and reads 8; at n = 12 a target of 0..2
-    # pushes 2 and reads 10, and a target of 3 pushes 4. With _TAIL = 3 targets 0..2 read 6
-    # and a target of 3 reads 4, so the two share no table.
+    # No naive scan reaches the longest tails, k = _TAIL + 2 for targets 0..2 from n = k + 2
+    # and k = _TAIL for the rest from n = k + 3. At n = 11 a target of 0..2 pushes 1 entry and
+    # reads 10 off the scored tables, and a target of 3 pushes 3 and reads 8; at n = 12 a
+    # target of 0..2 pushes 2 and reads 10, and a target of 3 pushes 4. With _TAIL = 3 targets
+    # 0..2 read 6 and a target of 3 reads 4, so the two share no table.
     # Targets 0..3 run under every ends_in_largest flag, and 0..2 compare whole streams;
     # 20 and 120 (the most any pair reaches at n = 11) fill tables with most or all orders.
     # Every other target builds its own tables, 0.1-0.2 s each, so not all are run here.
@@ -452,7 +454,7 @@ def test_leaf_depth_that_clips_the_placed_value_counts(monkeypatch, cls, pattern
     # A scored leaf clips each A_r, a count of placed values in 0..leaf, at cap before it looks
     # its vector up; targets 0..2 share cap 3. Clipped or not, an order with c_r >= 1 then
     # scores cap or more, so the outputs cannot tell; the vectors the tables are built for can.
-    # Targets 0..2 read tails of k + 1 = 10 entries from n = 12 on, so leaf = n - 10 exceeds 3
+    # Targets 0..2 read tails of k + 1 = 10 entries from n = 11 on, so leaf = n - 10 exceeds 3
     # only from n = 14 on.
     build = enumeration._orders_by_score
     looked_up = []
@@ -494,12 +496,39 @@ def exactly_two_321(cls, n):
 def test_exactly_two_counts_match_the_conjectured_rows(cls):
     # Target-2 walks past the naive scans against a count from another method: 321 in cls and
     # 123 in the other class (its complement) at n = 3..16, where targets 0..2 read tails of up
-    # to 10 entries (from n = 12) and push up to 6 first. UD n = 4 is below the UD row's range:
+    # to 10 entries (from n = 11) and push up to 6 first. UD n = 4 is below the UD row's range:
     # no UD permutation of length 4 (1324, 1423, 2314, 2413, 3412) holds a 321.
     for n in range(3, 17):
         expected = 0 if (cls, n) == (UD, 4) else exactly_two_321(cls, n)
         for pattern, host in ((PATTERN_321, cls), (PATTERN_123, cls.flipped)):
             assert count(GenerationFilter(host, n, exact_occurrences=(pattern, 2))) == expected, (n, pattern)
+
+
+@pytest.mark.parametrize("cls", [UD, DU])
+@pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
+def test_one_push_walks_match_the_closed_forms(monkeypatch, cls, pattern):
+    # A walk for a target of 0..2 of length n = 4..11 pushes one entry and reads the other
+    # n - 1 off the scored tables, so every head it reads has k = n - 2, and the counts follow
+    # from other methods: Table 1 for target 0 (123 in cls is 321 in the other class, its
+    # complement), a_n for target 1 and the conjectured rows for target 2. The caches start
+    # empty, so each length builds its heads and orders afresh.
+    read: list = []  # the heads the walks read, each time a walk asks for one
+    cold = fresh_cache(enumeration._scored_table)
+
+    def scored_table(*head):
+        read.append(head)
+        return cold(*head)
+
+    monkeypatch.setattr(enumeration, "_order_scores", fresh_cache(enumeration._order_scores))
+    monkeypatch.setattr(enumeration, "_scored_table", scored_table)
+    host = cls if pattern == PATTERN_321 else cls.flipped  # the class whose 321s these are
+    for n in range(4, 12):
+        two = 0 if (host, n) == (UD, 4) else exactly_two_321(host, n)
+        expected = [table1_formula(host, n, "total"), a_n(SequenceSpec(pattern, cls), n), two]
+        for target in range(3):
+            read.clear()
+            assert count(GenerationFilter(cls, n, exact_occurrences=(pattern, target))) == expected[target], (n, target)
+            assert read and {head[0] for head in read} == {n - 2}, (n, target)
 
 
 def race_cold_builds(monkeypatch, filters, cold, check):
@@ -576,14 +605,16 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # grows on its own: an order's scores or a vector's orders by score stored before they are
     # whole would drop or shift a tail in some thread, and every cached value must equal a
     # fresh build. Each round records every head built and, by the columns its ends flag cut,
-    # every vector built, which covers every value cached. The filter at n = 11 reads tails of
-    # 9 entries (k = 8), whose orders are pruned as they grow; the three at n = 12, targets
-    # 0..2, read tails of 10 (k = 9) off one head, capped at 3 for all three (they begin with
-    # 1, which keeps them to 10 vectors, each about 1 ms to build).
+    # every vector built, which covers every value cached. The walks at n = 6 and 9 push one
+    # entry and read tails of 5 and 8 entries (k = 4 and 7), the one at n = 10 one and 9 (k =
+    # 8), and the one at n = 11 one and 10 (k = 9), falling into its table, whose orders are
+    # pruned as they grow; the three at n = 12, targets 0..2, push two and rise into tails of
+    # 10 off one other head, capped at 3 for all three (they begin with 1, which keeps them to
+    # 10 vectors, each about 1 ms to build).
     filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, 2), ends_in_largest=ends)
                for cls in (UD, DU) for n in (6, 9) for pattern in (PATTERN_321, PATTERN_123)
                for ends in (None, False)]
-    filters.append(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 2)))
+    filters += [GenerationFilter(UD, n, exact_occurrences=(PATTERN_321, 2)) for n in (10, 11)]
     filters += [GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, target), begins_with_smallest=True)
                 for target in range(3)]
     orders_by_score, build_head = enumeration._orders_by_score, enumeration._scored_table.__wrapped__
@@ -607,8 +638,9 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
         misses = [builder.cache_info().misses for builder in builders]
         assert built
         order_scores, scored_table = builders
-        assert {8, 9} <= {head[0] for head in heads}
-        assert [head for head in heads if head[0] == 9] == [(9, True, None, PATTERN_321, 3)]
+        assert {head[0] for head in heads} == {4, 7, 8, 9}
+        assert [head for head in heads if head[0] == 8] == [(8, False, None, PATTERN_321, 3)]
+        assert {head for head in heads if head[0] == 9} == {(9, rise, None, PATTERN_321, 3) for rise in (False, True)}
         for head in heads:
             k, rise, _, pattern, cap = head
             assert repr(order_scores(k, rise, pattern, cap)) == repr(order_scores.__wrapped__(k, rise, pattern, cap))
@@ -695,10 +727,11 @@ def test_a_cold_unscored_count_builds_only_the_heads_it_reads(monkeypatch, ends)
 
 @pytest.mark.parametrize("pattern", [None, PATTERN_321])
 def test_ends_flags_share_one_set_of_orders(monkeypatch, pattern):
-    # Cold counts of UD n = 10 under ends_in_largest None, True and False push two entries and
-    # rise into tails of k = 7 (unscored, cap 1; exactly one 321, cap 2). Together they read
-    # the heads of all three flags, and each head keeps the orders its flag picks from one set
-    # grown once: one _order_scores entry per (k, rise, pattern, cap), not one per flag
+    # Cold counts of UD n = 10 under ends_in_largest None, True and False read tails of k = 7
+    # after two pushes, rising into them (unscored, cap 1), or of k = 8 after one, falling into
+    # them (exactly one 321, cap 3). Together they read the heads of all three flags, and
+    # each head keeps the orders its flag picks from one set grown once: one _order_scores
+    # entry per (k, rise, pattern, cap), not one per flag
     target = None if pattern is None else (pattern, 1)
     filters = [GenerationFilter(UD, 10, exact_occurrences=target, ends_in_largest=ends)
                for ends in (None, True, False)]

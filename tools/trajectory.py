@@ -3,9 +3,11 @@
 
     python tools/trajectory.py PR
 
-Each case below is timed REPEATS times, in rounds that time every case once,
-and reported by its median, in seconds. The five layers are the occurrence counter (`perm_core`), the oracle
-(`enumeration`: one pass over a fixed grid of counts, warm and cold), the
+Each case below is measured REPEATS times, in rounds that measure every case
+once, and reported by its median, in its unit: seconds, or MiB for the one
+memory case. The five layers are the occurrence counter (`perm_core`), the oracle
+(`enumeration`: one pass over a fixed grid of counts, warm and cold, and the
+peak memory of a longer loop of counts), the
 closed forms (`formulas`, cold and warm, at large n), the bijection
 (`decompose`: split and reconstruct) and the CLI as a process. A cold case
 runs each repetition in a fresh interpreter, which times its one call inside;
@@ -14,9 +16,11 @@ package that holds no bytecode, so every run compiles the package afresh.
 
 The script reads the package from the `src` directory next to its own
 directory, writes BENCH_<PR>.json to the root of that checkout (with the
-environment it ran in), and prints each median with its ratio to the same
-case in the newest BENCH_<n>.json there with n < PR. It uses the standard
-library only, and runs in about half a minute on a 2-CPU x86 host.
+environment it ran in), and prints each median with the min-max of its runs
+and its ratio to the same case in the newest BENCH_<n>.json there with
+n < PR. A ratio marked `~` lies inside this run's own spread, min/median to
+max/median, so it tells no change from noise. It uses the standard library
+only, and runs in about a minute on a 2-CPU x86 host.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ REPEATS = 5
 GRID = [(target, n, pattern, cls) for target in (0, 1, 2) for n in range(9, 13)
         for pattern in ("321", "123") for cls in ("UD", "DU")]
 GRID += [(None, n, None, cls) for n in range(9, 12) for cls in ("UD", "DU")]
+
+#: The memory case's loop: (n, target) of every oracle count it makes, for both patterns and classes
+LOOP = [(n, target) for n in range(6, 14) for target in (*range(8), 10**6)]
 
 #: CLI cases: argv after `altperms`
 CLI = {
@@ -76,6 +83,29 @@ def oracle_grid():
     for filt in filters:
         count(filt)
     return time.perf_counter() - start
+
+
+def peak_mib():
+    """This process's peak resident memory in MiB: VmHWM from /proc where there is one, as
+    ru_maxrss of a child started by fork also counts its parent's pages; else ru_maxrss (KiB)."""
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        import resource
+
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def loop_peak():
+    """Peak MiB of a fresh process after the oracle counts of LOOP, whose tables it keeps."""
+    from altperms import PATTERN_123, PATTERN_321, AlternationClass, GenerationFilter, count
+
+    for n, target in LOOP:
+        for pattern in (PATTERN_321, PATTERN_123):
+            for cls in AlternationClass:
+                count(GenerationFilter(cls, n, exact_occurrences=(pattern, target)))
+    return peak_mib()
 
 
 def formula(call):
@@ -115,13 +145,16 @@ def bijection(which):
     return timed
 
 
-#: name: (layer, input, in-process timer or None for a CLI case, cold)
+#: name: (layer, input, in-process measure or None for a CLI case, cold); each measure returns
+#: seconds, or the unit UNITS gives
 CASES = {
     "perm_core.count_occurrences": ("perm_core", "2000 random permutations of 60, 321 and 123 each",
                                     occurrence_counts, False),
     "enumeration.grid_cold": ("enumeration", f"{len(GRID)} counts: targets 0-2 at n 9-12, both patterns and "
                               "classes, unrestricted at n 9-11; fresh process", oracle_grid, True),
     "enumeration.grid_warm": ("enumeration", "the same grid after one pass", warm(oracle_grid), False),
+    "enumeration.loop_peak_rss": ("enumeration", f"peak RSS after {4 * len(LOOP)} counts: n 6-13, targets 0-7 "
+                                  "and 10^6, both patterns and classes; fresh process", loop_peak, True),
     "formulas.catalan_cold": ("formulas", "catalan(30000), fresh process", formula(lambda a: a.catalan(30_000)), True),
     "formulas.catalan_warm": ("formulas", "catalan(30000) again", warm(formula(lambda a: a.catalan(30_000))), False),
     "formulas.a_n_cold": ("formulas", "a_n(321, UD, 200001), fresh process",
@@ -134,10 +167,11 @@ CASES = {
     **{name: ("cli", "altperms " + " ".join(argv) + ", package without bytecode", None, True)
        for name, argv in CLI.items()},
 }
+UNITS = {"enumeration.loop_peak_rss": "MiB"}
 
 
 def child(name):
-    """Run one in-process case in this interpreter and print its seconds."""
+    """Run one in-process case in this interpreter and print its measure."""
     sys.path.insert(0, str(SRC))
     print(json.dumps(CASES[name][2]()))
 
@@ -194,14 +228,22 @@ def main(argv):
                 runs[name].append(run_case(name, package))
     cases = {}
     for name, (layer, what, _, cold) in CASES.items():
-        median = statistics.median(runs[name])
-        cases[name] = {"layer": layer, "input": what, "cold": cold, "median_s": median, "runs_s": runs[name]}
-        ratio = f"{median / old[name]['median_s']:6.2f}x" if name in old else "    new"
-        print(f"{name:34} {median * 1000:10.4g} ms  {ratio}")
+        unit, values = UNITS.get(name, "s"), runs[name]
+        median, low, high = statistics.median(values), min(values), max(values)
+        cases[name] = {"layer": layer, "input": what, "cold": cold, "unit": unit, "median": median, "runs": values}
+        scale, shown = (1000, "ms") if unit == "s" else (1, unit)
+        line = f"{name:34} {median * scale:10.4g} {shown:3}  [{low * scale:.4g}-{high * scale:.4g}]"
+        if name in old:  # older files hold seconds as median_s
+            ratio = median / old[name].get("median", old[name].get("median_s"))
+            line += f"  {ratio:.2f}x" + ("~" if low / median <= ratio <= high / median else "")
+        else:
+            line += "  new"
+        print(line)
     out = ROOT / f"BENCH_{pr}.json"
     out.write_text(json.dumps({"pr": pr, "repeats": REPEATS, "environment": environment(), "cases": cases,
                                "compared_with": before.name if before else None}, indent=1) + "\n")
-    print(f"wrote {out.name}" + (f"; ratios are this run over {before.name}" if before else ""))
+    print(f"wrote {out.name}" + (f"; ratios are this run over {before.name}, ~ where inside this run's "
+                                 "min/median to max/median" if before else ""))
 
 
 if __name__ == "__main__":
