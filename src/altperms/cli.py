@@ -58,7 +58,7 @@ _IDENTITY_BOUND = 200
 #: takes up to about 50 s as a CLI process on a 2-CPU x86 host (Python 3.11); README lists
 #: each time. The unrestricted oracle row, 16, counts all E_16 permutations in 17-19 s
 #: without building one, and E_17 is ten times as many. Oracle targets 0-4 have a row each
-#: (targets 0-2, and so verify-table and sequence, read their last ten entries off tables
+#: (targets 0-2, and so verify-table and sequence, read their last eleven entries off tables
 #: the three share); every larger target shares the row "--exactly 5+", 15: its walk is a
 #: subtree of the unrestricted one, but scored node by node down to its last eight entries,
 #: and a target amid the counts builds a scored table per vector of placed values it meets:
@@ -66,7 +66,7 @@ _IDENTITY_BOUND = 200
 #: printing.
 _LIMITS = {
     "count --method oracle": 16,
-    **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((27, 26, 24, 22, 21))},
+    **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((27, 26, 25, 22, 21))},
     "count --method oracle --exactly 5+": 15,
     "count --method closed_form": 2_000_000, "count --method convolution": 60_000,
     "count --method decomposition_sum": 60_000, "count --method bijection": 22,

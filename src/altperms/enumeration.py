@@ -10,7 +10,7 @@ index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
 a node's candidate window is computed once, when it is pushed. A walk of length
 n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only,
-and a scored walk with a target of 0..2 to k = max(1, min(_TAIL + 2, n - 2)).
+and a scored walk with a target of 0..2 to k = max(1, min(_CAP3_TAIL, n - 2)).
 There each candidate and the k values left after it come from a table of the
 zigzag orders of k + 1 sorted values, one `operator.itemgetter` each, listed by
 first entry, so the orders of a node's candidate window are one slice. Each k's
@@ -41,12 +41,12 @@ and keeps the scores below cap. Targets 0..2 share cap 3, and so one table per
 head: it lists every total below 3, and each walk reads the one it needs.
 Its orders are grown rank by rank, and each is dropped
 as soon as inner reaches cap, since a first entry only adds occurrences: at
-k = 9 cap 3 keeps 556 or 1,147 of 50,521 orders (k = 8: 378 of 7,936), so a
-target of 0..2 reads two entries more than an unscored walk, or, up to n = 11,
-one more and pushes one entry only. One placed value makes A a step in r, so a
+k = 10 cap 3 keeps 1,655 of 353,792 orders (k = 9: 556 or 1,147 of 50,521), so
+a target of 0..2 reads up to three entries more than an unscored walk, and up
+to n = 12 pushes one entry only. One placed value makes A a step in r, so a
 head then meets at most k + 2 vectors. A larger cap keeps k: there each
-vector's orders cost more to build than the pushes they save. The columns of
-counts up to k are bytes, which keeps the tables small.
+vector's orders cost more to build than the pushes they save. Every column but
+the getters is bytes, which keeps the tables small.
 These are the only patterns a filter accepts (perm_core.check_pattern).
 """
 
@@ -114,8 +114,9 @@ class GenerationFilter(FrozenRecord):
 
 
 #: How many entries a walk takes from the table of zigzag orders after its last candidate
-#: (two more for a scored walk with a target of 0..2, which up to n = 11 pushes one entry only)
 _TAIL = 7
+#: How many a scored walk with a target of 0..2 takes (cap 3), which up to n = 12 pushes one entry only
+_CAP3_TAIL = 10
 
 
 def _sliced(lists: list[list[itemgetter]]) -> tuple[tuple[itemgetter, ...], tuple[int, ...]]:
@@ -130,8 +131,8 @@ def _order_scores(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tupl
     """Columns (ends_on_k, firsts, getters, inners, c_0, ..., c_k) of the zigzag orders σ of
     the ranks 0..k with inner < cap, lexicographically, built on first use and cached. The
     second entry exceeds the first exactly when `rise`; ends_on_k says whether an order ends
-    on rank k, and firsts is its first entry. Those columns and the c_r, each at most k, are
-    bytes; getters and inners, which can pass 255, are tuples.
+    on rank k, and firsts is its first entry. Every column but the getters is bytes: a c_r is
+    at most k, and an inner is below cap and at most C(k + 1, 3), 165 at k = 10.
 
     For 321, c_r(σ) is the number of entries after rank r that lie below it, and inner =
     Σ_r e_r·c_r, e_r the number before rank r above it: the 321s inside σ, counted by middle
@@ -155,9 +156,10 @@ def _order_scores(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tupl
                         grown.append(((i, *(r + (r >= i) for r in order)), inner,
                                       c and (*c[:i], i if down else j - i, *c[i:])))
         rows = grown
-    rows = [(order[-1] == k, order[0], itemgetter(*order), inner, *c) for order, inner, c in rows]
-    ends_on_k, firsts, getters, inners, *counts = zip(*rows)
-    return (bytes(ends_on_k), bytes(firsts), getters, inners, *map(bytes, counts))
+    orders, inners, counts = zip(*rows)
+    del rows, grown  # free the rows before the columns are made
+    return (bytes(order[-1] == k for order in orders), bytes(order[0] for order in orders),
+            tuple(itemgetter(*order) for order in orders), bytes(inners), *map(bytes, zip(*counts)))
 
 
 def _orders_by_score(k: int, cap: int, columns: Sequence[Sequence], vec: tuple[int, ...]) -> dict:
@@ -226,11 +228,11 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     # prefix[:d] (0 when unscored)
     scored = pattern is not None
     # a short walk builds no table larger than its own work; targets 0-2 (cap 3) score few
-    # orders of up to 10 entries below their cap, so their walks read two more, or one more up
-    # to n = 11, where they push one entry: with one placed value, A_r is a step in r, so a
-    # head meets at most k + 2 vectors
+    # orders of up to 11 entries below their cap, so their walks read up to three more, and up
+    # to n = 12 push one entry only: with one placed value, A_r is a step in r, so a head meets
+    # at most k + 2 vectors
     small = scored and target < 3
-    k = max(1, min(_TAIL + 2 * small, n - 3 + small))
+    k = max(1, min(_CAP3_TAIL if small else _TAIL, n - 3 + small))
     leaf = n - k - 1
     # the root's window: begins_with_smallest True allows only 1, False starts past it
     d, i, hi = 0, 1 if begins is False else 0, 1 if begins else most

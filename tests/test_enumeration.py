@@ -292,7 +292,7 @@ def orders_below(k, rise, pattern, cap):
     occurrences of pattern, lexicographically: placed left to right, each entry tried from the
     smallest up, a prefix dropped once it stops alternating or holds cap occurrences, which an
     appended entry never lowers. No growth rule; cheap where the kept orders are few (about
-    0.3 s at k = 9, cap 3), unlike a filter of all (k + 1)! permutations."""
+    0.3 s at k = 9 and 1 s at k = 10, cap 3), unlike a filter of all (k + 1)! permutations."""
     down = pattern[1] > pattern[2]
     found = []
 
@@ -315,14 +315,14 @@ def orders_below(k, rise, pattern, cap):
 def scored_vectors(k):
     """The vectors test_scored_table_lists_its_definition checks for a table of k + 1 ranks: every
     monotone one with entries 0..3 up to k = 5; from k = 6 on, those with at most two distinct
-    entries (40, 46, 52 and 58), which keep the check to about 3 s per pattern."""
+    entries (40, 46, 52, 58 and 64), which keep the check to about 5 s per pattern."""
     vectors = combinations_with_replacement(range(4), k + 1)
     return [vec for vec in vectors if k <= 5 or len(set(vec)) <= 2]
 
 
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_scored_table_lists_its_definition(pattern):
-    # For the zigzag orders of every k up to the longest scored tail, k = _TAIL + 2, and each
+    # For the zigzag orders of every k up to the longest scored tail, k = _CAP3_TAIL, and each
     # cap a walk reads them with: _order_scores, which grows its orders rank by rank, keeps
     # those with fewer than cap occurrences inside, with their columns; the reference orders
     # are placed left to right by orders_below, and where every zigzag order is kept (k <=
@@ -333,9 +333,9 @@ def test_scored_table_lists_its_definition(pattern):
     # orders whose tail adds that total, lexicographically and sliced by first entry. Getters
     # are compared by the orders they read off the ranks, as the scored tables make their own.
     # At cap 3 an entry of 3 stands for any count from 3 up, so the orders kept must not change
-    # when it is raised to 7. Only cap 3 (targets 0..2) reads tails of k + 1 = 9 or 10
+    # when it is raised to 7. Only cap 3 (targets 0..2) reads tails of k + 1 = 9 to 11
     # entries, so those k check cap 3 alone.
-    for k in range(1, enumeration._TAIL + 3):
+    for k in range(1, enumeration._CAP3_TAIL + 1):
         ranks = tuple(range(k + 1))
         caps = (3, 100) if k <= enumeration._TAIL else (3,)
         for rise in (False, True):
@@ -351,12 +351,9 @@ def test_scored_table_lists_its_definition(pattern):
                 assert list(firsts) == [order[0] for order in kept]
                 assert list(inners) == [inside for inside, _ in counts]
                 assert list(zip(*columns)) == [tuple(map(ends_on.count, ranks)) for _, ends_on in counts]
-            for ends, cap in product((None, True, False), caps):
-                # ends only picks orders, so each order's counts serve all three
-                kept = [order for order, (inside, _) in known.items()
-                        if ends in (None, order[-1] == k) and inside < cap]
-                counts = [known[order] for order in kept]
-                vectors = enumeration._scored_table.__wrapped__(k, rise, ends, pattern, cap)  # uncached
+                # ends only picks orders, so each order's score serves all three heads
+                heads = {ends: enumeration._scored_table.__wrapped__(k, rise, ends, pattern, cap)  # uncached
+                         for ends in (None, True, False)}
                 for vec in scored_vectors(k):
                     vec = vec[::-1] if pattern == PATTERN_321 else vec
                     lifted = tuple(7 if a == 3 else a for a in vec)
@@ -364,17 +361,19 @@ def test_scored_table_lists_its_definition(pattern):
                     unclipped = [inside + sum(lifted[r] for r in ends_on) for inside, ends_on in counts]
                     assert [score if score < 3 else None for score in scores] == [
                         score if score < 3 else None for score in unclipped]
-                    # expected[score][i]: the orders with that score that start at i
-                    expected: dict = {}
-                    for score, order in zip(scores, kept):
-                        expected.setdefault(score, [[] for _ in ranks])[order[0]].append(order)
-                    table = vectors(vec)
-                    assert sorted(table) == sorted(score for score in expected if score < cap)
-                    for total, (orders, start) in table.items():
-                        assert len(start) == k + 2 and start[0] == 0 and start[k + 1] == len(orders)
-                        for i in range(k + 1):
-                            assert [get(ranks) for get in orders[start[i]:start[i + 1]]] == expected[total][i], (
-                                k, rise, ends, vec, cap, total, i)
+                    for ends, vectors in heads.items():
+                        # expected[score][i]: the orders ends keeps with that score that start at i
+                        expected: dict = {}
+                        for score, order in zip(scores, kept):
+                            if ends in (None, order[-1] == k):
+                                expected.setdefault(score, [[] for _ in ranks])[order[0]].append(order)
+                        table = vectors(vec)
+                        assert sorted(table) == sorted(score for score in expected if score < cap)
+                        for total, (orders, start) in table.items():
+                            assert len(start) == k + 2 and start[0] == 0 and start[k + 1] == len(orders)
+                            for i in range(k + 1):
+                                assert [get(ranks) for get in orders[start[i]:start[i + 1]]] == expected[total][i], (
+                                    k, rise, ends, vec, cap, total, i)
 
 
 @pytest.mark.parametrize("cls, pattern", [(DU, PATTERN_321), (UD, PATTERN_123)])
@@ -426,11 +425,11 @@ def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
 @pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_longest_tail_matches_a_short_one(monkeypatch, cls, pattern):
-    # No naive scan reaches the longest tails, k = _TAIL + 2 for targets 0..2 from n = k + 2
+    # No naive scan reaches the longest tails, k = _CAP3_TAIL for targets 0..2 from n = k + 2
     # and k = _TAIL for the rest from n = k + 3. At n = 11 a target of 0..2 pushes 1 entry and
     # reads 10 off the scored tables, and a target of 3 pushes 3 and reads 8; at n = 12 a
-    # target of 0..2 pushes 2 and reads 10, and a target of 3 pushes 4. With _TAIL = 3 targets
-    # 0..2 read 6 and a target of 3 reads 4, so the two share no table.
+    # target of 0..2 pushes 1 and reads 11, and a target of 3 pushes 4. With _TAIL = 3 and
+    # _CAP3_TAIL = 5 targets 0..2 read 6 and a target of 3 reads 4, so the two share no table.
     # Targets 0..3 run under every ends_in_largest flag, and 0..2 compare whole streams;
     # 20 and 120 (the most any pair reaches at n = 11) fill tables with most or all orders.
     # Every other target builds its own tables, 0.1-0.2 s each, so not all are run here.
@@ -442,20 +441,21 @@ def test_longest_tail_matches_a_short_one(monkeypatch, cls, pattern):
     streams = [list(generate(filt)) for filt in streamed]
     assert counts[0] and counts[-1]
     monkeypatch.setattr(enumeration, "_TAIL", 3)
+    monkeypatch.setattr(enumeration, "_CAP3_TAIL", 5)
     assert [count(filt) for filt in filters] == counts
     assert [list(generate(filt)) for filt in streamed] == streams
 
 
 @pytest.mark.parametrize(("cls", "pattern", "counts"), [
-    (UD, PATTERN_321, [1430, 4420, 15154]), (UD, PATTERN_123, [429, 2002, 6760]),
-    (DU, PATTERN_321, [429, 2002, 6760]), (DU, PATTERN_123, [1430, 4420, 15154]),
+    (UD, PATTERN_321, [1430, 5850, 20575]), (UD, PATTERN_123, [1430, 5850, 20575]),
+    (DU, PATTERN_321, [1430, 5850, 20575]), (DU, PATTERN_123, [1430, 5850, 20575]),
 ])
 def test_leaf_depth_that_clips_the_placed_value_counts(monkeypatch, cls, pattern, counts):
     # A scored leaf clips each A_r, a count of placed values in 0..leaf, at cap before it looks
     # its vector up; targets 0..2 share cap 3. Clipped or not, an order with c_r >= 1 then
     # scores cap or more, so the outputs cannot tell; the vectors the tables are built for can.
-    # Targets 0..2 read tails of k + 1 = 10 entries from n = 11 on, so leaf = n - 10 exceeds 3
-    # only from n = 14 on.
+    # Targets 0..2 read tails of k + 1 = 11 entries from n = 12 on, so leaf = n - 11 exceeds 3
+    # only from n = 15 on, where the four (class, pattern) pairs have the same counts.
     build = enumeration._orders_by_score
     looked_up = []
 
@@ -466,7 +466,7 @@ def test_leaf_depth_that_clips_the_placed_value_counts(monkeypatch, cls, pattern
     monkeypatch.setattr(enumeration, "_orders_by_score", orders_by_score)
     monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table))
     for target, expected in enumerate(counts):
-        filt = GenerationFilter(cls, 14, exact_occurrences=(pattern, target))
+        filt = GenerationFilter(cls, 15, exact_occurrences=(pattern, target))
         out = list(generate(filt))
         assert count(filt) == len(out) == expected
         assert out == sorted(set(out))
@@ -496,7 +496,7 @@ def exactly_two_321(cls, n):
 def test_exactly_two_counts_match_the_conjectured_rows(cls):
     # Target-2 walks past the naive scans against a count from another method: 321 in cls and
     # 123 in the other class (its complement) at n = 3..16, where targets 0..2 read tails of up
-    # to 10 entries (from n = 11) and push up to 6 first. UD n = 4 is below the UD row's range:
+    # to 11 entries (from n = 12) and push up to 5 first. UD n = 4 is below the UD row's range:
     # no UD permutation of length 4 (1324, 1423, 2314, 2413, 3412) holds a 321.
     for n in range(3, 17):
         expected = 0 if (cls, n) == (UD, 4) else exactly_two_321(cls, n)
@@ -507,7 +507,7 @@ def test_exactly_two_counts_match_the_conjectured_rows(cls):
 @pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_one_push_walks_match_the_closed_forms(monkeypatch, cls, pattern):
-    # A walk for a target of 0..2 of length n = 4..11 pushes one entry and reads the other
+    # A walk for a target of 0..2 of length n = 4..12 pushes one entry and reads the other
     # n - 1 off the scored tables, so every head it reads has k = n - 2, and the counts follow
     # from other methods: Table 1 for target 0 (123 in cls is 321 in the other class, its
     # complement), a_n for target 1 and the conjectured rows for target 2. The caches start
@@ -522,7 +522,7 @@ def test_one_push_walks_match_the_closed_forms(monkeypatch, cls, pattern):
     monkeypatch.setattr(enumeration, "_order_scores", fresh_cache(enumeration._order_scores))
     monkeypatch.setattr(enumeration, "_scored_table", scored_table)
     host = cls if pattern == PATTERN_321 else cls.flipped  # the class whose 321s these are
-    for n in range(4, 12):
+    for n in range(4, 13):
         two = 0 if (host, n) == (UD, 4) else exactly_two_321(host, n)
         expected = [table1_formula(host, n, "total"), a_n(SequenceSpec(pattern, cls), n), two]
         for target in range(3):
@@ -607,10 +607,10 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # fresh build. Each round records every head built and, by the columns its ends flag cut,
     # every vector built, which covers every value cached. The walks at n = 6 and 9 push one
     # entry and read tails of 5 and 8 entries (k = 4 and 7), the one at n = 10 one and 9 (k =
-    # 8), and the one at n = 11 one and 10 (k = 9), falling into its table, whose orders are
-    # pruned as they grow; the three at n = 12, targets 0..2, push two and rise into tails of
-    # 10 off one other head, capped at 3 for all three (they begin with 1, which keeps them to
-    # 10 vectors, each about 1 ms to build).
+    # 8), the one at n = 11 one and 10 (k = 9), falling into its table, whose orders are
+    # pruned as they grow; the three at n = 12, targets 0..2, push one and fall into tails of
+    # 11 off one head (k = 10), capped at 3 for all three (they begin with 1, which keeps them
+    # to one vector).
     filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, 2), ends_in_largest=ends)
                for cls in (UD, DU) for n in (6, 9) for pattern in (PATTERN_321, PATTERN_123)
                for ends in (None, False)]
@@ -638,9 +638,8 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
         misses = [builder.cache_info().misses for builder in builders]
         assert built
         order_scores, scored_table = builders
-        assert {head[0] for head in heads} == {4, 7, 8, 9}
-        assert [head for head in heads if head[0] == 8] == [(8, False, None, PATTERN_321, 3)]
-        assert {head for head in heads if head[0] == 9} == {(9, rise, None, PATTERN_321, 3) for rise in (False, True)}
+        assert {head[0] for head in heads} == {4, 7, 8, 9, 10}
+        assert sorted(head for head in heads if head[0] >= 8) == [(k, False, None, PATTERN_321, 3) for k in (8, 9, 10)]
         for head in heads:
             k, rise, _, pattern, cap = head
             assert repr(order_scores(k, rise, pattern, cap)) == repr(order_scores.__wrapped__(k, rise, pattern, cap))
