@@ -10,7 +10,7 @@ index i of the list lies above b = v - 1 - i placed values. Its stack is
 one fixed array per depth, written on a push and read back on a backtrack, and
 a node's candidate window is computed once, when it is pushed. A walk of length
 n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only,
-and a scored walk with a target of 0..2 to k = max(1, min(_CAP3_TAIL, n - 2)).
+and a scored walk with a target of 0..2 to k = max(1, min(_CAP3_TAIL, n - 1)).
 There each candidate and the k values left after it come from a table of the
 zigzag orders of k + 1 sorted values, one `operator.itemgetter` each, listed by
 first entry, so the orders of a node's candidate window are one slice. Each k's
@@ -42,11 +42,11 @@ head: it lists every total below 3, and each walk reads the one it needs.
 Its orders are grown rank by rank, and each is dropped
 as soon as inner reaches cap, since a first entry only adds occurrences: at
 k = 10 cap 3 keeps 1,655 of 353,792 orders (k = 9: 556 or 1,147 of 50,521), so
-a target of 0..2 reads up to three entries more than an unscored walk, and up
-to n = 12 pushes one entry only. One placed value makes A a step in r, so a
-head then meets at most k + 2 vectors. A larger cap keeps k: there each
-vector's orders cost more to build than the pushes they save. Every column but
-the getters is bytes, which keeps the tables small.
+a target of 0..2 reads up to three entries more than an unscored walk: up to
+n = 11 it pushes no entry and reads the whole permutation at the root, where
+every A is 0, off one vector of one head, and at n = 12 it pushes one. A larger
+cap keeps k: there each vector's orders cost more to build than the pushes they
+save. Every column but the getters is bytes, which keeps the tables small.
 These are the only patterns a filter accepts (perm_core.check_pattern).
 """
 
@@ -115,7 +115,7 @@ class GenerationFilter(FrozenRecord):
 
 #: How many entries a walk takes from the table of zigzag orders after its last candidate
 _TAIL = 7
-#: How many a scored walk with a target of 0..2 takes (cap 3), which up to n = 12 pushes one entry only
+#: How many a scored walk with a target of 0..2 takes (cap 3), which up to n = 11 pushes no entry
 _CAP3_TAIL = 10
 
 
@@ -216,9 +216,11 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
             yield [], range(1, n + 1), (tuple,), 0, 1
         return
 
-    # rise[t] (1-based position t >= 2): entry at t must exceed entry at t-1
-    rise = [t >= 2 and filt.cls.rises_into(t) for t in range(n + 1)]
-    # the largest value a pushed entry may take: ends_in_largest keeps n for the tail
+    # rise[t] (1-based position t >= 2): entry at t must exceed entry at t-1; the class
+    # alternates, so one position's rule fixes all (indices past n are never read)
+    up = filt.cls.rises_into(2)
+    rise = [False, False, *[up, not up] * (n // 2)]
+    # the largest value a candidate window holds: ends_in_largest keeps n for the last entry
     most = n - 1 if ends else n
     # the unused values, increasing; the sentinel n + 1 ends every candidate scan
     free = [*range(1, n + 1), n + 1]
@@ -228,11 +230,11 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     # prefix[:d] (0 when unscored)
     scored = pattern is not None
     # a short walk builds no table larger than its own work; targets 0-2 (cap 3) score few
-    # orders of up to 11 entries below their cap, so their walks read up to three more, and up
-    # to n = 12 push one entry only: with one placed value, A_r is a step in r, so a head meets
-    # at most k + 2 vectors
+    # orders of up to 11 entries below their cap, so their walks read every entry (leaf 0) up
+    # to n = 11, where the root's window applies begins_with_smallest, most and the ends head
+    # ends_in_largest, and A is all 0; n = 12 pushes one entry
     small = scored and target < 3
-    k = max(1, min(_CAP3_TAIL if small else _TAIL, n - 3 + small))
+    k = max(1, min(_CAP3_TAIL if small else _TAIL, n - 3 + 2 * small))
     leaf = n - k - 1
     # the root's window: begins_with_smallest True allows only 1, False starts past it
     d, i, hi = 0, 1 if begins is False else 0, 1 if begins else most

@@ -205,8 +205,8 @@ def test_every_occurrence_target_matches_histogram(cls, pattern, ends, begins):
 def test_flag_counts_past_naive_scan_match_the_flag_free_stream(cls, target):
     # The naive scan stops at n = 9, where a walk pushes at most two entries. At n = 10 and 11
     # an unscored walk pushes three, so each flag pair's windows are set on pushes no other
-    # check reaches, and a walk for one 321 pushes one and reads the rest off tails of 9 and
-    # 10 entries under each ends flag; the flag-free stream, tallied by (last entry is n,
+    # check reaches, and a walk for one 321 pushes none and reads all 10 or 11 entries at the
+    # root under each pair of flags; the flag-free stream, tallied by (last entry is n,
     # first entry is 1), gives all nine counts
     for n in (10, 11):
         tally = Counter((w[-1] == n, w[0] == 1) for w in generate(GenerationFilter(cls, n, exact_occurrences=target)))
@@ -215,6 +215,25 @@ def test_flag_counts_past_naive_scan_match_the_flag_free_stream(cls, target):
                            if ends in (None, last) and begins in (None, first))
             filt = GenerationFilter(cls, n, exact_occurrences=target, ends_in_largest=ends, begins_with_smallest=begins)
             assert count(filt) == expected, (n, ends, begins)
+
+
+@pytest.mark.parametrize("cls", [UD, DU])
+def test_flag_counts_shift_to_the_flag_free_count_one_shorter(cls):
+    # A largest entry placed last, or a smallest entry placed first, lies in no 321, and the
+    # other entries alternate in cls (after the last) or in cls.flipped (after the first). So
+    # a flagged 321 count at n is the flag-free one at n - 1 in that class when the flagged
+    # entry's step is allowed, and 0 otherwise: a check of the flags the root window and the
+    # ends heads apply (up to n = 11 for targets 0..2, where no entry is pushed) and of the
+    # pushed windows past it, against walks that read no flag.
+    def count_321(host, n, target, **flag):
+        return count(GenerationFilter(host, n, exact_occurrences=(PATTERN_321, target), **flag))
+
+    for n in range(3, 15):
+        for target in range(5):
+            ends = count_321(cls, n - 1, target) if cls.rises_into(n) else 0
+            begins = count_321(cls.flipped, n - 1, target) if cls.rises_into(2) else 0
+            assert count_321(cls, n, target, ends_in_largest=True) == ends, (n, target)
+            assert count_321(cls, n, target, begins_with_smallest=True) == begins, (n, target)
 
 
 CONCURRENT_FILTERS = [
@@ -425,9 +444,9 @@ def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
 @pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_longest_tail_matches_a_short_one(monkeypatch, cls, pattern):
-    # No naive scan reaches the longest tails, k = _CAP3_TAIL for targets 0..2 from n = k + 2
-    # and k = _TAIL for the rest from n = k + 3. At n = 11 a target of 0..2 pushes 1 entry and
-    # reads 10 off the scored tables, and a target of 3 pushes 3 and reads 8; at n = 12 a
+    # No naive scan reaches the longest tails, k = _CAP3_TAIL for targets 0..2 from n = k + 1
+    # and k = _TAIL for the rest from n = k + 3. At n = 11 a target of 0..2 pushes no entry and
+    # reads all 11 off the scored tables, and a target of 3 pushes 3 and reads 8; at n = 12 a
     # target of 0..2 pushes 1 and reads 11, and a target of 3 pushes 4. With _TAIL = 3 and
     # _CAP3_TAIL = 5 targets 0..2 read 6 and a target of 3 reads 4, so the two share no table.
     # Targets 0..3 run under every ends_in_largest flag, and 0..2 compare whole streams;
@@ -454,7 +473,7 @@ def test_leaf_depth_that_clips_the_placed_value_counts(monkeypatch, cls, pattern
     # A scored leaf clips each A_r, a count of placed values in 0..leaf, at cap before it looks
     # its vector up; targets 0..2 share cap 3. Clipped or not, an order with c_r >= 1 then
     # scores cap or more, so the outputs cannot tell; the vectors the tables are built for can.
-    # Targets 0..2 read tails of k + 1 = 11 entries from n = 12 on, so leaf = n - 11 exceeds 3
+    # Targets 0..2 read tails of k + 1 = 11 entries from n = 11 on, so leaf = n - 11 exceeds 3
     # only from n = 15 on, where the four (class, pattern) pairs have the same counts.
     build = enumeration._orders_by_score
     looked_up = []
@@ -496,7 +515,7 @@ def exactly_two_321(cls, n):
 def test_exactly_two_counts_match_the_conjectured_rows(cls):
     # Target-2 walks past the naive scans against a count from another method: 321 in cls and
     # 123 in the other class (its complement) at n = 3..16, where targets 0..2 read tails of up
-    # to 11 entries (from n = 12) and push up to 5 first. UD n = 4 is below the UD row's range:
+    # to 11 entries (from n = 11) and push up to 5 first. UD n = 4 is below the UD row's range:
     # no UD permutation of length 4 (1324, 1423, 2314, 2413, 3412) holds a 321.
     for n in range(3, 17):
         expected = 0 if (cls, n) == (UD, 4) else exactly_two_321(cls, n)
@@ -506,12 +525,13 @@ def test_exactly_two_counts_match_the_conjectured_rows(cls):
 
 @pytest.mark.parametrize("cls", [UD, DU])
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
-def test_one_push_walks_match_the_closed_forms(monkeypatch, cls, pattern):
-    # A walk for a target of 0..2 of length n = 4..12 pushes one entry and reads the other
-    # n - 1 off the scored tables, so every head it reads has k = n - 2, and the counts follow
-    # from other methods: Table 1 for target 0 (123 in cls is 321 in the other class, its
-    # complement), a_n for target 1 and the conjectured rows for target 2. The caches start
-    # empty, so each length builds its heads and orders afresh.
+def test_push_free_walks_match_the_closed_forms(monkeypatch, cls, pattern):
+    # A walk for a target of 0..2 of length n = 4..11 pushes no entry: it reads the whole
+    # permutation off the scored tables at the root, so every head it reads has k = n - 1, and
+    # it hands over at most one batch. At n = 12 it pushes one entry and reads k = 10, the
+    # longest tail. The counts follow from other methods: Table 1 for target 0 (123 in cls is
+    # 321 in the other class, its complement), a_n for target 1 and the conjectured rows for
+    # target 2. The caches start empty, so each length builds its heads and orders afresh.
     read: list = []  # the heads the walks read, each time a walk asks for one
     cold = fresh_cache(enumeration._scored_table)
 
@@ -526,9 +546,12 @@ def test_one_push_walks_match_the_closed_forms(monkeypatch, cls, pattern):
         two = 0 if (host, n) == (UD, 4) else exactly_two_321(host, n)
         expected = [table1_formula(host, n, "total"), a_n(SequenceSpec(pattern, cls), n), two]
         for target in range(3):
+            filt = GenerationFilter(cls, n, exact_occurrences=(pattern, target))
             read.clear()
-            assert count(GenerationFilter(cls, n, exact_occurrences=(pattern, target))) == expected[target], (n, target)
-            assert read and {head[0] for head in read} == {n - 2}, (n, target)
+            assert count(filt) == expected[target], (n, target)
+            assert read and {head[0] for head in read} == {n - 1 if n <= 11 else 10}, (n, target)
+            if n <= 11:
+                assert len(list(enumeration._walk(filt))) <= 1, (n, target)
 
 
 def race_cold_builds(monkeypatch, filters, cold, check):
@@ -605,18 +628,20 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # grows on its own: an order's scores or a vector's orders by score stored before they are
     # whole would drop or shift a tail in some thread, and every cached value must equal a
     # fresh build. Each round records every head built and, by the columns its ends flag cut,
-    # every vector built, which covers every value cached. The walks at n = 6 and 9 push one
-    # entry and read tails of 5 and 8 entries (k = 4 and 7), the one at n = 10 one and 9 (k =
-    # 8), the one at n = 11 one and 10 (k = 9), falling into its table, whose orders are
-    # pruned as they grow; the three at n = 12, targets 0..2, push one and fall into tails of
+    # every vector built, which covers every value cached. The walks at n = 6, 9, 10 and 11
+    # push no entry and read the whole permutation (k = 5, 8, 9 and 10) at the root, one
+    # vector per head, whose orders are pruned as they grow; the ends=False walks read the
+    # orders that flag cuts. The three at n = 12, targets 0..2, push one and fall into tails of
     # 11 off one head (k = 10), capped at 3 for all three (they begin with 1, which keeps them
-    # to one vector).
+    # to one vector), and the n = 12 walk with no flag falls into the same head and meets one
+    # vector per first entry, so several threads race on the vectors of one head.
     filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, 2), ends_in_largest=ends)
                for cls in (UD, DU) for n in (6, 9) for pattern in (PATTERN_321, PATTERN_123)
                for ends in (None, False)]
     filters += [GenerationFilter(UD, n, exact_occurrences=(PATTERN_321, 2)) for n in (10, 11)]
     filters += [GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, target), begins_with_smallest=True)
                 for target in range(3)]
+    filters.append(GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, 0)))
     orders_by_score, build_head = enumeration._orders_by_score, enumeration._scored_table.__wrapped__
     heads: set = set()
     built: list = []  # (the head's columns, vec), which keeps each column list alive
@@ -638,8 +663,10 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
         misses = [builder.cache_info().misses for builder in builders]
         assert built
         order_scores, scored_table = builders
-        assert {head[0] for head in heads} == {4, 7, 8, 9, 10}
-        assert sorted(head for head in heads if head[0] >= 8) == [(k, False, None, PATTERN_321, 3) for k in (8, 9, 10)]
+        assert {head[0] for head in heads} == {5, 8, 9, 10}
+        assert sorted(head for head in heads if head[0] >= 9) == [
+            (9, True, None, PATTERN_321, 3), (10, False, None, PATTERN_321, 3), (10, True, None, PATTERN_321, 3)]
+        assert {ends for _, _, ends, _, _ in heads} == {None, False}
         for head in heads:
             k, rise, _, pattern, cap = head
             assert repr(order_scores(k, rise, pattern, cap)) == repr(order_scores.__wrapped__(k, rise, pattern, cap))
@@ -727,10 +754,10 @@ def test_a_cold_unscored_count_builds_only_the_heads_it_reads(monkeypatch, ends)
 @pytest.mark.parametrize("pattern", [None, PATTERN_321])
 def test_ends_flags_share_one_set_of_orders(monkeypatch, pattern):
     # Cold counts of UD n = 10 under ends_in_largest None, True and False read tails of k = 7
-    # after two pushes, rising into them (unscored, cap 1), or of k = 8 after one, falling into
-    # them (exactly one 321, cap 3). Together they read the heads of all three flags, and
-    # each head keeps the orders its flag picks from one set grown once: one _order_scores
-    # entry per (k, rise, pattern, cap), not one per flag
+    # after two pushes, rising into them (unscored, cap 1), or all k + 1 = 10 entries at the
+    # root, rising into them too (exactly one 321, cap 3). Together they read the heads of all
+    # three flags, and each head keeps the orders its flag picks from one set grown once: one
+    # _order_scores entry per (k, rise, pattern, cap), not one per flag
     target = None if pattern is None else (pattern, 1)
     filters = [GenerationFilter(UD, 10, exact_occurrences=target, ends_in_largest=ends)
                for ends in (None, True, False)]
