@@ -15,11 +15,11 @@ _HOMES = {
         "is_alternating", "is_permutation", "middle_counts", "parse_perm", "perm", "reverse",
         "standardize", "suffix_class",
     ),
-    "enumeration": ("GenerationFilter", "count", "euler_zigzag", "generate", "table1_oracle"),
+    "enumeration": ("GenerationFilter", "count", "generate", "table1_oracle"),
     "formulas": (
         "OutOfValidityRange", "SequenceSpec", "a_n", "boundary_count", "catalan", "closed_form_even_123",
         "closed_form_even_321", "closed_form_odd", "convolution_even_321", "convolution_odd_321",
-        "decomposition_sum", "table1_formula",
+        "decomposition_sum", "euler_zigzag", "table1_formula",
     ),
     "decompose": (
         "DecompositionRecord", "InvalidRecord", "NotAlternating", "NotExactlyOne",

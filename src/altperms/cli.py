@@ -29,6 +29,7 @@ from .formulas import (
     convolution_even_321,
     convolution_odd_321,
     decomposition_sum,
+    euler_zigzag,
     host_class,
     table1_formula,
 )
@@ -347,7 +348,7 @@ def _bijection_checks(n_max: int) -> Iterator[Check]:
 
 
 def _zigzag_checks(n_max: int) -> Iterator[Check]:
-    from .enumeration import GenerationFilter, count, euler_zigzag
+    from .enumeration import GenerationFilter, count
 
     for n in range(0, n_max + 1):
         yield {"n": n}, euler_zigzag(n), count(GenerationFilter(cls=AlternationClass.UP_DOWN, length=n))

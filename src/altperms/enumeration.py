@@ -53,8 +53,8 @@ These are the only patterns a filter accepts (perm_core.check_pattern).
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Callable, Iterator, Sequence
-from functools import cache, partial
+from collections.abc import Iterator, Sequence
+from functools import cache
 from itertools import accumulate, chain, compress, repeat
 from math import comb
 from operator import add, eq, itemgetter, mul, sub
@@ -162,15 +162,29 @@ def _order_scores(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tupl
             tuple(itemgetter(*order) for order in orders), bytes(inners), *map(bytes, zip(*counts)))
 
 
-def _orders_by_score(k: int, cap: int, columns: Sequence[Sequence], vec: tuple[int, ...]) -> dict:
-    """{total: _sliced(lists)} over the orders of `columns`, (firsts, getters, inners, c_0, ...,
-    c_k) as _order_scores lists them, whose score, inner + Σ_r vec[r]·c_r, is total < cap;
-    lists[i] keeps the orders that start at index i, in the order of the columns. When vec[r]
-    counts the placed values above the unused value of rank r (below it, for 123), the score
-    is the occurrences a tail adds. A walk clips vec at cap: a clipped entry adds at least cap
-    to every order with c_r >= 1, which then stays out, clipped or not. With no pattern, cap 1
-    and vec all 0, total 0 lists every order, and no total is listed when there is none."""
-    firsts, getters, totals, *columns = columns
+@cache
+def _cut_columns(k: int, rise: bool, ends: bool | None, pattern: Pattern | None, cap: int) -> tuple:
+    """The columns (firsts, getters, inners, c_0, ..., c_k) of _order_scores(k, rise, pattern,
+    cap), built on first use and cached per head, cut once to the orders `ends` keeps: None
+    every order, True those ending on rank k, False the rest."""
+    ends_on_k, *columns = _order_scores(k, rise, pattern, cap)
+    if ends is not None:
+        columns = [type(column)(compress(column, map(eq, ends_on_k, repeat(ends)))) for column in columns]
+    return tuple(columns)
+
+
+@cache
+def _tails(head: tuple, vec: tuple[int, ...]) -> dict:
+    """{total: _sliced(lists)} over the orders that head = (k, rise, ends, pattern, cap) keeps,
+    as _cut_columns(*head) lists them, whose score, inner + Σ_r vec[r]·c_r, is total < cap, built
+    on first use and cached; lists[i] keeps the orders that start at index i, in column order.
+    When vec[r] counts the placed values above the unused value of rank r (below it, for 123),
+    the score is the occurrences a tail adds. A walk clips vec at cap: a clipped entry adds at
+    least cap to every order with c_r >= 1, which then stays out, clipped or not. With no
+    pattern, cap 1 and vec all 0, total 0 lists every order, and no total is listed when there
+    is none."""
+    k, cap = head[0], head[4]
+    firsts, getters, totals, *columns = _cut_columns(*head)
     for a, column in zip(vec, columns):
         if a:
             totals = map(add, totals, map(mul, column, repeat(a)))
@@ -181,18 +195,6 @@ def _orders_by_score(k: int, cap: int, columns: Sequence[Sequence], vec: tuple[i
                 lists[total] = [[] for _ in range(k + 1)]
             lists[total][first].append(get)
     return {total: _sliced(by_first) for total, by_first in lists.items()}
-
-
-@cache
-def _scored_table(k: int, rise: bool, ends: bool | None, pattern: Pattern | None,
-                  cap: int) -> Callable[[tuple[int, ...]], dict]:
-    """The scored table of one head: a cache that maps vec to _orders_by_score(k, cap, columns,
-    vec), each built on first use, where columns are _order_scores(k, rise, pattern, cap) cut
-    once to the orders `ends` keeps: None every order, True those ending on rank k, False the rest."""
-    ends_on_k, *columns = _order_scores(k, rise, pattern, cap)
-    if ends is not None:
-        columns = [type(column)(compress(column, map(eq, ends_on_k, repeat(ends)))) for column in columns]
-    return cache(partial(_orders_by_score, k, cap, columns))
 
 
 def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Sequence[itemgetter], int, int]]:
@@ -247,13 +249,13 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
         # tables per length; targets 0-2 share cap 3 (their tables list totals 0-2, and a node
         # reads the one it needs), so one set per head; a head is made when a node first reads it
         cap = min(max(target, 2), comb(k + 1, 3) + comb(k + 1, 2) * leaf) + 1
-        heads, tables = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)], [None, None]
+        heads = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)]
         # vec[r] = A_r, the placed values above (for 123, below) the unused value of rank r,
         # n - k + r - free[r] (free[r] - 1 - r), each 0..leaf, clipped at cap by one lookup
         operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
         clip = tuple(map(min, range(leaf + 1), repeat(cap))).__getitem__
     else:  # every zigzag order scores 0 < cap 1 with no pattern, whatever the placed values
-        tables = [_scored_table(k, rise[leaf + 2], flag, None, 1)((0,) * (k + 1)).get(0) for flag in (None, ends)]
+        tables = [_tails((k, rise[leaf + 2], flag, None, 1), (0,) * (k + 1)).get(0) for flag in (None, ends)]
     total = 0  # F stays 0 on an unscored push
     while True:
         v = free[i]
@@ -291,9 +293,7 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
                 if (rest := target - forced[d]) >= cap:  # no tail adds cap or more
                     continue
                 vec = tuple(map(clip, map(sub, *operands)))
-                if (table := tables[which]) is None:
-                    table = tables[which] = _scored_table(*heads[which])
-                found = table(vec).get(rest)  # built on first use, stored once whole
+                found = _tails(heads[which], vec).get(rest)  # built on first use, stored once whole
             else:
                 found = tables[which]
             if not found:
@@ -314,26 +314,6 @@ def generate(filt: GenerationFilter) -> Iterator[Perm]:
 def count(filt: GenerationFilter) -> int:
     """Cardinality of generate(filt): the sum of the batches' hi - lo, with no getter called."""
     return sum(hi - lo for _, _, _, lo, hi in _walk(filt))
-
-
-def euler_zigzag(n: int) -> int:
-    """Number of UP_DOWN permutations of length n, by the boustrophedon recurrence.
-
-    Seidel triangle: each row is the previous one summed back and forth,
-    independent of the backtracking oracle.
-
-    >>> [euler_zigzag(n) for n in range(8)]
-    [1, 1, 1, 2, 5, 16, 61, 272]
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    row = [1]
-    for k in range(1, n + 1):
-        prev = row
-        row = [0]
-        for i in range(k):
-            row.append(row[-1] + prev[k - 1 - i])
-    return row[-1]
 
 
 def table1_oracle(cls: AlternationClass, n: int, statistic: str) -> int:

@@ -9,7 +9,9 @@ boundary_count and decomposition_sum), the exactly-one closed forms (one table
 of rows P(m)*C(2m,m)/((m+1)...(m+K)), read by one evaluator that steps C_m from
 one math.comb per range of lengths), the two convolution identities, and the
 position-indexed decomposition sum that counts hosts by splitting them at the
-middle entry of their unique 321 occurrence.
+middle entry of their unique 321 occurrence. The Euler zigzag numbers, which
+count all alternating permutations of one class, come from the boustrophedon
+recurrence.
 """
 
 from __future__ import annotations
@@ -75,6 +77,26 @@ def _catalan_steps(k: int, c_k: int, stop: int) -> Iterator[int]:
     for j in range(k, stop):
         yield c_k
         c_k = c_k * 2 * (2 * j + 1) // (j + 2)
+
+
+def euler_zigzag(n: int) -> int:
+    """Number of UP_DOWN permutations of length n, by the boustrophedon recurrence.
+
+    Seidel triangle: each row is the previous one summed back and forth,
+    independent of the backtracking oracle.
+
+    >>> [euler_zigzag(n) for n in range(8)]
+    [1, 1, 1, 2, 5, 16, 61, 272]
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    row = [1]
+    for k in range(1, n + 1):
+        prev = row
+        row = [0]
+        for i in range(k):
+            row.append(row[-1] + prev[k - 1 - i])
+    return row[-1]
 
 
 #: Table 1, the counts of 321-avoiding alternating permutations, keyed by

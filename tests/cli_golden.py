@@ -101,7 +101,7 @@ SABOTAGES = [
     ("cli.a_n", lambda spec, n: -1, ["verify-identity", "--n-max", "10"]),
     ("decompose.reconstruct", lambda record: (), ["selftest", "--n-max", "4"]),
     ("decompose.enumerate_by_decomposition", lambda n, cls: iter(()), ["selftest", "--n-max", "4"]),
-    ("enumeration.euler_zigzag", lambda n: 7, ["selftest", "--n-max", "4"]),
+    ("cli.euler_zigzag", lambda n: 7, ["selftest", "--n-max", "4"]),
     ("cli.reverse", lambda w: tuple(w), ["selftest", "--n-max", "4"]),
 ]
 

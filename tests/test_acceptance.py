@@ -8,7 +8,7 @@ import time
 
 from altperms.cli import run as cli_run
 from altperms.decompose import DecompositionRecord, enumerate_by_decomposition, reconstruct, split
-from altperms.enumeration import GenerationFilter, count, euler_zigzag, generate, table1_oracle
+from altperms.enumeration import GenerationFilter, count, generate, table1_oracle
 from altperms.formulas import (
     STATISTICS,
     OutOfValidityRange,
@@ -20,6 +20,7 @@ from altperms.formulas import (
     convolution_even_321,
     convolution_odd_321,
     decomposition_sum,
+    euler_zigzag,
     table1_formula,
 )
 from altperms.perm_core import (

@@ -410,7 +410,7 @@ SELFTEST_SABOTAGES = [
     ("altperms.cli.closed_form_even_321", lambda m: -1, "identities", {"family": "even_321", "m": 2}, "-1", "0"),
     ("altperms.decompose.reconstruct", lambda record: (), "bijection", {"class": "DU", "perm": "3,2,4,1"},
      "3,2,4,1", "n=4;class=DU;j=2;U=2,1;V=2,3,1"),
-    ("altperms.enumeration.euler_zigzag", lambda n: 7, "zigzag", {"n": 0}, "7", "1"),
+    ("altperms.cli.euler_zigzag", lambda n: 7, "zigzag", {"n": 0}, "7", "1"),
     ("altperms.cli.reverse", lambda w: tuple(w), "symmetry", {"class": "UD", "n": 4},
      "reversal maps UD one-123 onto DU one-321", "sets differ"),
     # only the odd lengths, where reversal keeps the class
@@ -489,7 +489,7 @@ def test_cli_commands_load_only_the_layers_they_run(argv, loaded):
 def test_cli_import_leaves_the_zigzag_table_unbuilt():
     # the oracle walk builds each of its tables on first use, so CLI start-up pays nothing for them
     probe = ("import altperms.cli, altperms.enumeration as e; "
-             "print([f.cache_info().currsize for f in (e._order_scores, e._scored_table)])")
+             "print([f.cache_info().currsize for f in (e._order_scores, e._cut_columns, e._tails)])")
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=60)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "[0, 0]\n", "")
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[0, 0, 0]\n", "")

@@ -9,8 +9,8 @@ from math import comb, factorial
 import pytest
 
 from altperms import enumeration
-from altperms.enumeration import GenerationFilter, count, euler_zigzag, generate, table1_oracle
-from altperms.formulas import SequenceSpec, a_n, table1_formula
+from altperms.enumeration import GenerationFilter, count, generate, table1_oracle
+from altperms.formulas import SequenceSpec, a_n, euler_zigzag, table1_formula
 from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321, classify, count_occurrences
 
 import naive
@@ -270,8 +270,8 @@ def zigzag_orders(k):
 
 
 def test_zigzag_table_lists_its_definition():
-    # An unscored walk's table for (k, rise, ends) is total 0 of the pattern-free scored table
-    # at cap 1, _scored_table(k, rise, ends, None, 1)((0,) * (k + 1)): (orders, start), where
+    # An unscored walk's table for (k, rise, ends) is total 0 of the pattern-free tails at cap
+    # 1, _tails((k, rise, ends, None, 1), (0,) * (k + 1)): (orders, start), where
     # orders[start[i]:start[i + 1]], read off the ranks 0..k, is every permutation of them,
     # lexicographically, that starts with i, is UD when rise (DU otherwise), and ends on k
     # when ends is True, not on k when it is False; start[k + 1] closes the last slice at the
@@ -282,7 +282,7 @@ def test_zigzag_table_lists_its_definition():
         ranks = tuple(range(k + 1))
         for rise, ends in product((False, True), (None, True, False)):
             expected = [w for w in zigzag_orders(k)[rise] if ends in (None, w[-1] == k)]
-            table = enumeration._scored_table(k, rise, ends, None, 1)((0,) * (k + 1))
+            table = enumeration._tails((k, rise, ends, None, 1), (0,) * (k + 1))
             assert list(table) == ([0] if expected else []), (k, rise, ends)
             if not expected:
                 continue
@@ -345,10 +345,10 @@ def test_scored_table_lists_its_definition(pattern):
     # cap a walk reads them with: _order_scores, which grows its orders rank by rank, keeps
     # those with fewer than cap occurrences inside, with their columns; the reference orders
     # are placed left to right by orders_below, and where every zigzag order is kept (k <=
-    # _TAIL) they are also those filtered from all (k + 1)! permutations. Each head's scored
-    # table keeps the orders its ends flag picks. For each vector a walk can
+    # _TAIL) they are also those filtered from all (k + 1)! permutations. Each head's cut
+    # columns keep the orders its ends flag picks. For each vector a walk can
     # meet with entries 0..3 (the placed values above an unused value shrink as the value
-    # grows, and those below it grow), _orders_by_score keeps, under each total below cap, the
+    # grows, and those below it grow), _tails keeps, under each total below cap, the
     # orders whose tail adds that total, lexicographically and sliced by first entry. Getters
     # are compared by the orders they read off the ranks, as the scored tables make their own.
     # At cap 3 an entry of 3 stands for any count from 3 up, so the orders kept must not change
@@ -371,8 +371,6 @@ def test_scored_table_lists_its_definition(pattern):
                 assert list(inners) == [inside for inside, _ in counts]
                 assert list(zip(*columns)) == [tuple(map(ends_on.count, ranks)) for _, ends_on in counts]
                 # ends only picks orders, so each order's score serves all three heads
-                heads = {ends: enumeration._scored_table.__wrapped__(k, rise, ends, pattern, cap)  # uncached
-                         for ends in (None, True, False)}
                 for vec in scored_vectors(k):
                     vec = vec[::-1] if pattern == PATTERN_321 else vec
                     lifted = tuple(7 if a == 3 else a for a in vec)
@@ -380,13 +378,13 @@ def test_scored_table_lists_its_definition(pattern):
                     unclipped = [inside + sum(lifted[r] for r in ends_on) for inside, ends_on in counts]
                     assert [score if score < 3 else None for score in scores] == [
                         score if score < 3 else None for score in unclipped]
-                    for ends, vectors in heads.items():
+                    for ends in (None, True, False):
                         # expected[score][i]: the orders ends keeps with that score that start at i
                         expected: dict = {}
                         for score, order in zip(scores, kept):
                             if ends in (None, order[-1] == k):
                                 expected.setdefault(score, [[] for _ in ranks])[order[0]].append(order)
-                        table = vectors(vec)
+                        table = enumeration._tails.__wrapped__((k, rise, ends, pattern, cap), vec)  # uncached
                         assert sorted(table) == sorted(score for score in expected if score < cap)
                         for total, (orders, start) in table.items():
                             assert len(start) == k + 2 and start[0] == 0 and start[k + 1] == len(orders)
@@ -411,10 +409,33 @@ def test_targets_past_the_tail_bound_match_histogram(monkeypatch, cls, pattern):
         assert all(count_occurrences(w, pattern) == target for w in generate(filt))
 
 
+#: The oracle's cached table builders: the scored orders of a (k, rise, pattern, cap), the columns
+#: a head (k, rise, ends, pattern, cap) cuts from them, and the tails of a (head, vec)
+CACHED = ("_order_scores", "_cut_columns", "_tails")
+
+
 def fresh_cache(builder, build=None):
     """An empty cache with the parameters of the cached `builder`, around `build` or the
     builder's own function."""
     return lru_cache(**builder.cache_parameters())(build or builder.__wrapped__)
+
+
+def cold_caches(monkeypatch, **builds):
+    """Swap a fresh, empty cache in for each of enumeration's CACHED builders, around the
+    function `builds` gives under its name or the builder's own; monkeypatch puts the warm
+    caches back after the test."""
+    for name in CACHED:
+        monkeypatch.setattr(enumeration, name, fresh_cache(getattr(enumeration, name), builds.get(name)))
+
+
+def cache_sizes():
+    """The number of values each of CACHED holds."""
+    return [getattr(enumeration, name).cache_info().currsize for name in CACHED]
+
+
+def cache_misses():
+    """The misses of each of CACHED so far."""
+    return [getattr(enumeration, name).cache_info().misses for name in CACHED]
 
 
 def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
@@ -422,23 +443,14 @@ def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
     # other 8 adds at most C(8, 3) + C(8, 2)·3 = 140: from target 166 on, every node finds no
     # tail before it scores one, so no order is scored, no vector is built and no head is made:
     # a walk makes a head (here all three targets would share cap 141) when a node first reads it.
-    build_head = enumeration._scored_table.__wrapped__
-    tables: list = []  # each head's cache of vectors, as it is made
-
-    def scored_table(*head):
-        tables.append(build_head(*head))
-        return tables[-1]
-
-    monkeypatch.setattr(enumeration, "_order_scores", fresh_cache(enumeration._order_scores))
-    monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table, scored_table))
+    cold_caches(monkeypatch)
     for target in (166, 10**6, 10**20):
         assert count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, target))) == 0
-    assert enumeration._order_scores.cache_info().currsize == 0
-    assert tables == []
-    # a target the tails can reach (cap 121) scores orders and builds vectors
+    assert cache_sizes() == [0, 0, 0]
+    # a target the tails can reach (cap 121) scores orders, cuts one head and builds vectors
     count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 120)))
-    assert enumeration._order_scores.cache_info().currsize == 1
-    assert len(tables) == 1 and tables[0].cache_info().currsize
+    orders, heads, vectors = cache_sizes()
+    assert (orders, heads) == (1, 1) and vectors
 
 
 @pytest.mark.parametrize("cls", [UD, DU])
@@ -475,15 +487,14 @@ def test_leaf_depth_that_clips_the_placed_value_counts(monkeypatch, cls, pattern
     # scores cap or more, so the outputs cannot tell; the vectors the tables are built for can.
     # Targets 0..2 read tails of k + 1 = 11 entries from n = 11 on, so leaf = n - 11 exceeds 3
     # only from n = 15 on, where the four (class, pattern) pairs have the same counts.
-    build = enumeration._orders_by_score
+    build = enumeration._tails.__wrapped__
     looked_up = []
 
-    def orders_by_score(k, cap, columns, vec):
-        looked_up.append((cap, vec))
-        return build(k, cap, columns, vec)
+    def tails(head, vec):
+        looked_up.append((head[4], vec))
+        return build(head, vec)
 
-    monkeypatch.setattr(enumeration, "_orders_by_score", orders_by_score)
-    monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table))
+    cold_caches(monkeypatch, _tails=tails)
     for target, expected in enumerate(counts):
         filt = GenerationFilter(cls, 15, exact_occurrences=(pattern, target))
         out = list(generate(filt))
@@ -532,15 +543,15 @@ def test_push_free_walks_match_the_closed_forms(monkeypatch, cls, pattern):
     # longest tail. The counts follow from other methods: Table 1 for target 0 (123 in cls is
     # 321 in the other class, its complement), a_n for target 1 and the conjectured rows for
     # target 2. The caches start empty, so each length builds its heads and orders afresh.
-    read: list = []  # the heads the walks read, each time a walk asks for one
-    cold = fresh_cache(enumeration._scored_table)
+    read: list = []  # the heads the walks read, each time a walk asks for a head's tails
+    cold_caches(monkeypatch)
+    cold = enumeration._tails
 
-    def scored_table(*head):
+    def tails(head, vec):
         read.append(head)
-        return cold(*head)
+        return cold(head, vec)
 
-    monkeypatch.setattr(enumeration, "_order_scores", fresh_cache(enumeration._order_scores))
-    monkeypatch.setattr(enumeration, "_scored_table", scored_table)
+    monkeypatch.setattr(enumeration, "_tails", tails)
     host = cls if pattern == PATTERN_321 else cls.flipped  # the class whose 321s these are
     for n in range(4, 13):
         two = 0 if (host, n) == (UD, 4) else exactly_two_321(host, n)
@@ -554,12 +565,10 @@ def test_push_free_walks_match_the_closed_forms(monkeypatch, cls, pattern):
                 assert len(list(enumeration._walk(filt))) <= 1, (n, target)
 
 
-def race_cold_builds(monkeypatch, filters, cold, check):
+def race_cold_builds(monkeypatch, filters, check):
     """Generate every filter from 8 threads at once in each of 10 rounds, after swapping a fresh,
-    empty cache in for each cached builder that `cold` names in enumeration; then check().
-    monkeypatch puts the warm caches back after the test."""
+    empty cache in for each of enumeration's CACHED builders; then check()."""
     expected = [list(generate(filt)) for filt in filters]
-    builders = {name: getattr(enumeration, name) for name in cold}
     rounds, workers = 10, 8
 
     def work(results):
@@ -569,8 +578,7 @@ def race_cold_builds(monkeypatch, filters, cold, check):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(rounds):
-            for name, builder in builders.items():
-                monkeypatch.setattr(enumeration, name, fresh_cache(builder))
+            cold_caches(monkeypatch)  # around the functions the caches now hold
             results: list = []
             threads = [threading.Thread(target=work, args=(results,)) for _ in range(workers)]
             for thread in threads:
@@ -599,36 +607,32 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
     def fresh(head):
         k, rise, _, pattern, cap = head
         return (repr(enumeration._order_scores.__wrapped__(k, rise, pattern, cap)),
-                repr(enumeration._scored_table.__wrapped__(*head)((0,) * (k + 1))))
+                repr(enumeration._cut_columns.__wrapped__(*head)),
+                repr(enumeration._tails.__wrapped__(head, (0,) * (k + 1))))
 
     built = {head: fresh(head) for head in heads}
-    cached = ("_order_scores", "_scored_table")
 
     def check():
         # every head and its one vector are cached (read with no miss) and equal their fresh
         # build: itemgetters compare by identity, and their repr lists the indices they read
-        builders = [getattr(enumeration, name) for name in cached]
-        assert [builder.cache_info().currsize for builder in builders] == [len(heads) // 3, len(heads)]
-        misses = [builder.cache_info().misses for builder in builders]
-        order_scores, scored_table = builders
-        for head, (scores, table) in built.items():
+        assert cache_sizes() == [len(heads) // 3, len(heads), len(heads)]
+        misses = cache_misses()
+        for head, (scores, columns, table) in built.items():
             k, rise, _, pattern, cap = head
-            assert repr(order_scores(k, rise, pattern, cap)) == scores, head
-            vectors = scored_table(*head)
-            info = vectors.cache_info()
-            assert info.currsize == 1 and repr(vectors((0,) * (head[0] + 1))) == table, head
-            assert vectors.cache_info().misses == info.misses
-        assert [builder.cache_info().misses for builder in builders] == misses
+            assert repr(enumeration._order_scores(k, rise, pattern, cap)) == scores, head
+            assert repr(enumeration._cut_columns(*head)) == columns, head
+            assert repr(enumeration._tails(head, (0,) * (k + 1))) == table, head
+        assert cache_misses() == misses
 
-    race_cold_builds(monkeypatch, filters, cached, check)
+    race_cold_builds(monkeypatch, filters, check)
 
 
 def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # The same race on a scored walk's tables, each round from its orders' scores up, which it
-    # grows on its own: an order's scores or a vector's orders by score stored before they are
-    # whole would drop or shift a tail in some thread, and every cached value must equal a
-    # fresh build. Each round records every head built and, by the columns its ends flag cut,
-    # every vector built, which covers every value cached. The walks at n = 6, 9, 10 and 11
+    # grows on its own: an order's scores, a head's cut columns or a vector's orders by score
+    # stored before they are whole would drop or shift a tail in some thread, and every cached
+    # value must equal a fresh build. Each round records every head cut and every (head, vec)
+    # whose tails were built, which covers every value cached. The walks at n = 6, 9, 10 and 11
     # push no entry and read the whole permutation (k = 5, 8, 9 and 10) at the root, one
     # vector per head, whose orders are pruned as they grow; the ends=False walks read the
     # orders that flag cuts. The three at n = 12, targets 0..2, push one and fall into tails of
@@ -642,50 +646,45 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     filters += [GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, target), begins_with_smallest=True)
                 for target in range(3)]
     filters.append(GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, 0)))
-    orders_by_score, build_head = enumeration._orders_by_score, enumeration._scored_table.__wrapped__
+    cut, tails = enumeration._cut_columns.__wrapped__, enumeration._tails.__wrapped__
     heads: set = set()
-    built: list = []  # (the head's columns, vec), which keeps each column list alive
+    built: set = set()  # every (head, vec) whose tails were built
 
-    def scored_table(*head):
+    def record_head(*head):
         heads.add(head)
-        return build_head(*head)
+        return cut(*head)
 
-    def record(k, cap, columns, vec):
-        built.append((columns, vec))
-        return orders_by_score(k, cap, columns, vec)
+    def record_tails(head, vec):
+        built.add((head, vec))
+        return tails(head, vec)
 
-    monkeypatch.setattr(enumeration, "_orders_by_score", record)
-    monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table, scored_table))
-    cached = ("_order_scores", "_scored_table")
+    cold_caches(monkeypatch, _cut_columns=record_head, _tails=record_tails)
 
     def check():
-        builders = [getattr(enumeration, name) for name in cached]
-        misses = [builder.cache_info().misses for builder in builders]
-        assert built
-        order_scores, scored_table = builders
+        misses = cache_misses()
+        assert built and {head for head, _ in built} == heads
         assert {head[0] for head in heads} == {5, 8, 9, 10}
         assert sorted(head for head in heads if head[0] >= 9) == [
             (9, True, None, PATTERN_321, 3), (10, False, None, PATTERN_321, 3), (10, True, None, PATTERN_321, 3)]
         assert {ends for _, _, ends, _, _ in heads} == {None, False}
         for head in heads:
             k, rise, _, pattern, cap = head
-            assert repr(order_scores(k, rise, pattern, cap)) == repr(order_scores.__wrapped__(k, rise, pattern, cap))
-            vectors = scored_table(*head)
-            columns = vectors.__wrapped__.args[2]  # the orders the head's ends flag keeps
-            assert repr(columns) == repr(build_head(*head).__wrapped__.args[2]), head
-            for vec in {vec for cut, vec in built if cut is columns}:
-                assert repr(vectors(vec)) == repr(orders_by_score(k, cap, columns, vec)), (head, vec)
-        assert [builder.cache_info().misses for builder in builders] == misses  # all were cached
+            assert repr(enumeration._order_scores(k, rise, pattern, cap)) == repr(
+                enumeration._order_scores.__wrapped__(k, rise, pattern, cap)), head
+            assert repr(enumeration._cut_columns(*head)) == repr(cut(*head)), head
+        for head, vec in built:  # the fresh build reads the cut columns just checked
+            assert repr(enumeration._tails(head, vec)) == repr(tails(head, vec)), (head, vec)
+        assert cache_misses() == misses  # all were cached
         heads.clear()
         built.clear()
 
-    race_cold_builds(monkeypatch, filters, cached, check)
+    race_cold_builds(monkeypatch, filters, check)
 
 
 def test_zigzag_table_is_published_whole(monkeypatch):
     # The first itemgetter() call (making the first order's getter in _order_scores) and the
-    # first _sliced() call (listing the orders by first entry in _orders_by_score) each run a
-    # walk in a new thread and wait for it, so that walk starts midway through the build of the
+    # first _sliced() call (listing the orders by first entry in _tails) each run a walk in a
+    # new thread and wait for it, so that walk starts midway through the build of the
     # pattern-free table it reads first, for k = 5: it must find nothing cached for it, and
     # build its own. Building another k keeps the first.
     filt = GenerationFilter(DU, 8, ends_in_largest=False)
@@ -705,50 +704,44 @@ def test_zigzag_table_is_published_whole(monkeypatch):
 
     monkeypatch.setattr(enumeration, "itemgetter", read_midway(enumeration.itemgetter))
     monkeypatch.setattr(enumeration, "_sliced", read_midway(enumeration._sliced))
-    for name in ("_order_scores", "_scored_table"):
-        monkeypatch.setattr(enumeration, name, fresh_cache(getattr(enumeration, name)))
+    cold_caches(monkeypatch)
     assert list(generate(filt)) == expected
     assert midway == [expected, expected]
-    # DU falls into position 4, where the table starts, and the walk reads the heads with ends
-    # None and then False, which share one set of orders. The first reader starts inside this
-    # walk's build of those orders, so both miss the orders and the first head; the second
-    # reader starts inside the first reader's sliced table, finds the first head the first
-    # reader stored but not its vector, and builds the head with ends False, reading the
-    # orders the first reader stored; the others then read that head whole. This walk stores
-    # the first head last, and builds its one vector: one miss
-    info = enumeration._order_scores.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 2, 1)
-    info = enumeration._scored_table.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 3, 2)
+    # DU falls into position 4, where the table starts, and the walk reads the tails of the
+    # heads with ends None and then False, which share one set of orders. The first reader
+    # starts inside this walk's build of those orders, so both miss the orders, the first
+    # head's cut and its tails; the second reader starts inside the first reader's tails of
+    # that head, finds its cut but not its tails, builds them, then cuts the head with ends
+    # False from the orders the first reader stored and builds its tails; the others then read
+    # those whole. This walk stores the first head's orders, cut and tails last
+    info = [getattr(enumeration, name).cache_info() for name in CACHED]
+    assert [(i.hits, i.misses, i.currsize) for i in info] == [(1, 2, 1), (1, 3, 2), (2, 4, 2)]
     head, zeros = (5, False, None, None, 1), (0,) * 6
-    vectors = enumeration._scored_table(*head)
-    info = vectors.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
-    table = vectors(zeros)
-    enumeration._scored_table(2, False, None, None, 1)((0,) * 3)
-    assert enumeration._scored_table.cache_info().currsize == 3
-    assert enumeration._scored_table(*head)(zeros) is table
+    table = enumeration._tails(head, zeros)
+    enumeration._tails((2, False, None, None, 1), (0,) * 3)
+    assert cache_sizes() == [2, 3, 3]
+    assert enumeration._tails(head, zeros) is table
 
 
 @pytest.mark.parametrize("ends", [None, True, False])
 def test_a_cold_unscored_count_builds_only_the_heads_it_reads(monkeypatch, ends):
     # A UD walk of n = 10 pushes two entries (k = 7) and rises into the table, so it reads the
     # pattern-free head (7, True, None) and, with ends_in_largest set, (7, True, ends) too;
-    # no other rise or ends value is built, and both heads cut one set of orders
+    # no other rise or ends value is built, both heads cut one set of orders, and each builds
+    # the tails of its one vector, all 0
     filt = GenerationFilter(UD, 10, ends_in_largest=ends)
     expected = count(filt)
-    build_head = enumeration._scored_table.__wrapped__
+    cut = enumeration._cut_columns.__wrapped__
     heads: list = []
 
-    def scored_table(*head):
+    def record_head(*head):
         heads.append(head)
-        return build_head(*head)
+        return cut(*head)
 
-    monkeypatch.setattr(enumeration, "_order_scores", fresh_cache(enumeration._order_scores))
-    monkeypatch.setattr(enumeration, "_scored_table", fresh_cache(enumeration._scored_table, scored_table))
+    cold_caches(monkeypatch, _cut_columns=record_head)
     assert count(filt) == expected
     assert heads == [(7, True, flag, None, 1) for flag in dict.fromkeys((None, ends))]
-    assert enumeration._order_scores.cache_info().currsize == 1
+    assert cache_sizes() == [1, len(heads), len(heads)]
 
 
 @pytest.mark.parametrize("pattern", [None, PATTERN_321])
@@ -762,12 +755,10 @@ def test_ends_flags_share_one_set_of_orders(monkeypatch, pattern):
     filters = [GenerationFilter(UD, 10, exact_occurrences=target, ends_in_largest=ends)
                for ends in (None, True, False)]
     expected = [count(filt) for filt in filters]
-    for name in ("_order_scores", "_scored_table"):
-        monkeypatch.setattr(enumeration, name, fresh_cache(getattr(enumeration, name)))
+    cold_caches(monkeypatch)
     assert [count(filt) for filt in filters] == expected
     assert expected[0] == expected[1] + expected[2]
-    assert enumeration._scored_table.cache_info().currsize == 3
-    assert enumeration._order_scores.cache_info().currsize == 1
+    assert cache_sizes() == [1, 3, 3]  # and each head meets one vector
 
 
 def test_streams_sorted_and_duplicate_free():

@@ -77,6 +77,10 @@ for key, limit in cli._LIMITS.items():
 # ~0.2 s. The larger sizes above are all refused before anything runs. A bounded command
 # always gets an --n-max: selftest's default, 10, is slower.
 INTEGERS = [str(k) for k in range(-1, 10)]
+#: Larger values for the flags where any of them stays cheap: any --exactly target runs in
+#: milliseconds at n <= 9, where the oracle's whole walk is small, and a formula method
+#: refuses every target but 1.
+LARGE = {"exactly": ["10", "120", str(10**6)]}
 values = st.one_of(
     st.sampled_from(INTEGERS),
     st.sampled_from(WORDS),
@@ -96,11 +100,12 @@ def _takes(action: argparse.Action, text: str) -> bool:
 
 
 def fitting(action: argparse.Action):
-    """Values `action` accepts: its choices, an integer its type takes, or a text of its kind."""
+    """Values `action` accepts: its choices, an integer its type takes (LARGE adds some), or a
+    text of its kind."""
     if action.choices:
         return st.sampled_from(sorted(action.choices))
     if action.type is not None:
-        return st.sampled_from([text for text in INTEGERS if _takes(action, text)])
+        return st.sampled_from([text for text in INTEGERS + LARGE.get(action.dest, []) if _takes(action, text)])
     return TEXTS[action.dest]
 
 
