@@ -14,11 +14,12 @@ and a scored walk with a target of 0..2 to k = max(1, min(_CAP3_TAIL, n - 1)).
 There each candidate and the k values left after it come from a table of the
 zigzag orders of k + 1 sorted values, one `operator.itemgetter` each, listed by
 first entry, so the orders of a node's candidate window are one slice. Each k's
-table is grown from the orders of fewer values by comparing and relabelling
-entries. A node hands the tails it accepts over as one batch (prefix, free,
-orders, lo, hi), its window orders[lo:hi] of the table: `generate` joins get(free)
-to the prefix for each getter there, `count` sums hi - lo and touches no getter,
-so it builds no permutation.
+table is grown once from the orders of fewer values by comparing and relabelling
+entries, and ends_in_largest cuts its flag's orders from that growth. A node
+hands the tails it accepts over as one batch (prefix, free, orders, lo, hi), its
+window orders[lo:hi] of the table: `generate` joins get(free) to the prefix for
+each getter there, `count` sums hi - lo and touches no getter, so it builds no
+permutation.
 One loop walks every filter; a 321 or 123 target changes only what a push
 prunes and which table a node at depth leaf reads.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
@@ -57,7 +58,7 @@ from collections.abc import Iterator, Sequence
 from functools import cache
 from itertools import accumulate, chain, compress, repeat
 from math import comb
-from operator import add, eq, itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from .perm_core import (
     AlternationClass,
@@ -127,12 +128,15 @@ def _sliced(lists: list[list[itemgetter]]) -> tuple[tuple[itemgetter, ...], tupl
 
 
 @cache
-def _order_scores(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tuple:
+def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None, cap: int) -> tuple:
     """Columns (ends_on_k, firsts, getters, inners, c_0, ..., c_k) of the zigzag orders σ of
-    the ranks 0..k with inner < cap, lexicographically, built on first use and cached. The
-    second entry exceeds the first exactly when `rise`; ends_on_k says whether an order ends
-    on rank k, and firsts is its first entry. Every column but the getters is bytes: a c_r is
-    at most k, and an inner is below cap and at most C(k + 1, 3), 165 at k = 10.
+    the ranks 0..k with inner < cap that the head (k, rise, ends, pattern, cap) keeps,
+    lexicographically, built on first use and cached per head. The second entry exceeds the
+    first exactly when `rise`; ends_on_k says whether an order ends on rank k, and firsts is
+    its first entry. ends None keeps every order, True those ending on rank k, False the
+    rest; a flagged head cuts its columns from the head with ends None, so the three flags
+    share one growth. Every column but the getters is bytes: a c_r is at most k, and an inner
+    is below cap and at most C(k + 1, 3), 165 at k = 10.
 
     For 321, c_r(σ) is the number of entries after rank r that lie below it, and inner =
     Σ_r e_r·c_r, e_r the number before rank r above it: the 321s inside σ, counted by middle
@@ -143,6 +147,10 @@ def _order_scores(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tupl
     occurrences over the ranks r below it (above it, for 123), and has c_i = i (j - i). An
     order is dropped once its inner reaches cap; a first entry only adds occurrences, so none
     of its extensions is kept, and a low cap keeps the orders of many ranks few."""
+    if ends is not None:
+        columns = _order_scores(k, rise, None, pattern, cap)
+        keep = [on_k == ends for on_k in columns[0]]
+        return tuple(type(column)(compress(column, keep)) for column in columns)
     down = pattern == PATTERN_321
     rows = [((0,), 0, (0,) if pattern else ())]  # (order, inner, c) of the orders of j + 1 ranks
     for j in range(1, k + 1):
@@ -163,20 +171,9 @@ def _order_scores(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tupl
 
 
 @cache
-def _cut_columns(k: int, rise: bool, ends: bool | None, pattern: Pattern | None, cap: int) -> tuple:
-    """The columns (firsts, getters, inners, c_0, ..., c_k) of _order_scores(k, rise, pattern,
-    cap), built on first use and cached per head, cut once to the orders `ends` keeps: None
-    every order, True those ending on rank k, False the rest."""
-    ends_on_k, *columns = _order_scores(k, rise, pattern, cap)
-    if ends is not None:
-        columns = [type(column)(compress(column, map(eq, ends_on_k, repeat(ends)))) for column in columns]
-    return tuple(columns)
-
-
-@cache
 def _tails(head: tuple, vec: tuple[int, ...]) -> dict:
     """{total: _sliced(lists)} over the orders that head = (k, rise, ends, pattern, cap) keeps,
-    as _cut_columns(*head) lists them, whose score, inner + Σ_r vec[r]·c_r, is total < cap, built
+    as _order_scores(*head) lists them, whose score, inner + Σ_r vec[r]·c_r, is total < cap, built
     on first use and cached; lists[i] keeps the orders that start at index i, in column order.
     When vec[r] counts the placed values above the unused value of rank r (below it, for 123),
     the score is the occurrences a tail adds. A walk clips vec at cap: a clipped entry adds at
@@ -184,7 +181,7 @@ def _tails(head: tuple, vec: tuple[int, ...]) -> dict:
     pattern, cap 1 and vec all 0, total 0 lists every order, and no total is listed when there
     is none."""
     k, cap = head[0], head[4]
-    firsts, getters, totals, *columns = _cut_columns(*head)
+    _, firsts, getters, totals, *columns = _order_scores(*head)
     for a, column in zip(vec, columns):
         if a:
             totals = map(add, totals, map(mul, column, repeat(a)))
@@ -242,6 +239,7 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
     d, i, hi = 0, 1 if begins is False else 0, 1 if begins else most
     prefix, resume, top = [0] * leaf, [0] * leaf, [hi] * (leaf + 1)
     forced = [0] * (leaf + 1)
+    cap = 1  # with no pattern every zigzag order scores 0 < cap 1, whatever the placed values
     if scored:
         is321 = pattern == PATTERN_321  # else 123
         # a tail adds at most C(k + 1, 3) occurrences inside it and leaf with each pair of its
@@ -249,13 +247,14 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
         # tables per length; targets 0-2 share cap 3 (their tables list totals 0-2, and a node
         # reads the one it needs), so one set per head; a head is made when a node first reads it
         cap = min(max(target, 2), comb(k + 1, 3) + comb(k + 1, 2) * leaf) + 1
-        heads = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (None, ends)]
         # vec[r] = A_r, the placed values above (for 123, below) the unused value of rank r,
         # n - k + r - free[r] (free[r] - 1 - r), each 0..leaf, clipped at cap by one lookup
         operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
         clip = tuple(map(min, range(leaf + 1), repeat(cap))).__getitem__
-    else:  # every zigzag order scores 0 < cap 1 with no pattern, whatever the placed values
-        tables = [_tails((k, rise[leaf + 2], flag, None, 1), (0,) * (k + 1)).get(0) for flag in (None, ends)]
+    # heads[free[k] == n]; ends_in_largest never places n (most), so that walk reads one head
+    heads = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (ends or None, ends)]
+    if not scored:
+        tables = [_tails(head, (0,) * (k + 1)).get(0) for head in heads]
     total = 0  # F stays 0 on an unscored push
     while True:
         v = free[i]

@@ -309,9 +309,12 @@ def tail_counts(order, pattern):
 def orders_below(k, rise, pattern, cap):
     """The orders of the ranks 0..k that are UD when rise (DU otherwise) and hold fewer than cap
     occurrences of pattern, lexicographically: placed left to right, each entry tried from the
-    smallest up, a prefix dropped once it stops alternating or holds cap occurrences, which an
-    appended entry never lowers. No growth rule; cheap where the kept orders are few (about
-    0.3 s at k = 9 and 1 s at k = 10, cap 3), unlike a filter of all (k + 1)! permutations."""
+    smallest up, a prefix dropped once it stops alternating, or once the occurrences inside it
+    and those each unused rank must close with its pairs reach cap: a rank below the second
+    entry of a falling pair (above that of a rising pair, for 123) closes one with it wherever
+    it is placed, and an appended entry lowers neither count. No growth rule; cheap where the
+    kept orders are few (about 0.1 s at k = 9 and 0.3 s at k = 10, cap 3), unlike a filter of
+    all (k + 1)! permutations."""
     down = pattern[1] > pattern[2]
     found = []
 
@@ -323,9 +326,12 @@ def orders_below(k, rise, pattern, cap):
         for x in range(k + 1):
             if x in prefix or prefix and (x > prefix[-1]) != up:
                 continue
+            grown = (*prefix, x)
             inside_x = inside + sum((a > b > x) if down else (a < b < x) for a, b in combinations(prefix, 2))
-            if inside_x < cap:
-                extend((*prefix, x), inside_x)
+            seconds = [b for a, b in combinations(grown, 2) if (a > b) == down]
+            forced = sum((y < b) == down for y in range(k + 1) if y not in grown for b in seconds)
+            if inside_x + forced < cap:
+                extend(grown, inside_x)
 
     extend((), 0)
     return found
@@ -342,11 +348,12 @@ def scored_vectors(k):
 @pytest.mark.parametrize("pattern", [PATTERN_321, PATTERN_123])
 def test_scored_table_lists_its_definition(pattern):
     # For the zigzag orders of every k up to the longest scored tail, k = _CAP3_TAIL, and each
-    # cap a walk reads them with: _order_scores, which grows its orders rank by rank, keeps
-    # those with fewer than cap occurrences inside, with their columns; the reference orders
-    # are placed left to right by orders_below, and where every zigzag order is kept (k <=
-    # _TAIL) they are also those filtered from all (k + 1)! permutations. Each head's cut
-    # columns keep the orders its ends flag picks. For each vector a walk can
+    # cap a walk reads them with: _order_scores with ends None, which grows its orders rank by
+    # rank, keeps those with fewer than cap occurrences inside, with their columns; the
+    # reference orders are placed left to right by orders_below, and where every zigzag order
+    # is kept (k <= _TAIL) they are also those filtered from all (k + 1)! permutations. The
+    # entries with ends True and False keep the rows of the orders their flag picks, cut from
+    # it, the same getters included. For each vector a walk can
     # meet with entries 0..3 (the placed values above an unused value shrink as the value
     # grows, and those below it grow), _tails keeps, under each total below cap, the
     # orders whose tail adds that total, lexicographically and sliced by first entry. Getters
@@ -364,12 +371,18 @@ def test_scored_table_lists_its_definition(pattern):
             for cap in caps:
                 kept = [order for order, (inside, _) in known.items() if inside < cap]
                 counts = [known[order] for order in kept]
-                ends_on_k, firsts, getters, inners, *columns = enumeration._order_scores(k, rise, pattern, cap)
+                grown = enumeration._order_scores(k, rise, None, pattern, cap)
+                ends_on_k, firsts, getters, inners, *columns = grown
                 assert [get(ranks) for get in getters] == kept, (k, rise, cap)
                 assert list(ends_on_k) == [order[-1] == k for order in kept]
                 assert list(firsts) == [order[0] for order in kept]
                 assert list(inners) == [inside for inside, _ in counts]
                 assert list(zip(*columns)) == [tuple(map(ends_on.count, ranks)) for _, ends_on in counts]
+                rows = list(zip(*grown))
+                for ends in (True, False):
+                    cut = enumeration._order_scores(k, rise, ends, pattern, cap)
+                    assert [type(column) for column in cut] == list(map(type, grown))
+                    assert list(zip(*cut)) == [row for row in rows if row[0] == ends], (k, rise, cap, ends)
                 # ends only picks orders, so each order's score serves all three heads
                 for vec in scored_vectors(k):
                     vec = vec[::-1] if pattern == PATTERN_321 else vec
@@ -409,9 +422,9 @@ def test_targets_past_the_tail_bound_match_histogram(monkeypatch, cls, pattern):
         assert all(count_occurrences(w, pattern) == target for w in generate(filt))
 
 
-#: The oracle's cached table builders: the scored orders of a (k, rise, pattern, cap), the columns
-#: a head (k, rise, ends, pattern, cap) cuts from them, and the tails of a (head, vec)
-CACHED = ("_order_scores", "_cut_columns", "_tails")
+#: The oracle's cached table builders: the scored orders a head (k, rise, ends, pattern, cap)
+#: keeps, and the tails of a (head, vec)
+CACHED = ("_order_scores", "_tails")
 
 
 def fresh_cache(builder, build=None):
@@ -446,11 +459,11 @@ def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
     cold_caches(monkeypatch)
     for target in (166, 10**6, 10**20):
         assert count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, target))) == 0
-    assert cache_sizes() == [0, 0, 0]
-    # a target the tails can reach (cap 121) scores orders, cuts one head and builds vectors
+    assert cache_sizes() == [0, 0]
+    # a target the tails can reach (cap 121) scores the orders of one head and builds vectors
     count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 120)))
-    orders, heads, vectors = cache_sizes()
-    assert (orders, heads) == (1, 1) and vectors
+    heads, vectors = cache_sizes()
+    assert heads == 1 and vectors
 
 
 @pytest.mark.parametrize("cls", [UD, DU])
@@ -600,14 +613,13 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
     filters = [GenerationFilter(cls, n, ends_in_largest=ends) for cls in (UD, DU) for n in (4, 8)
                for ends in (None, True, False)]
     # the pattern-free heads these walks read: n = 4 (k = 1) and n = 8 (k = 5) both push two
-    # entries, so UD rises into the table and DU falls, under every ends flag; each built afresh
-    # and one set of orders per (k, rise), which the three ends flags share
+    # entries, so UD rises into the table and DU falls, under every ends flag; each built
+    # afresh, the heads with ends True and False cut from the one with ends None
     heads = list(product((1, 5), (False, True), (None, True, False), (None,), (1,)))
 
     def fresh(head):
-        k, rise, _, pattern, cap = head
-        return (repr(enumeration._order_scores.__wrapped__(k, rise, pattern, cap)),
-                repr(enumeration._cut_columns.__wrapped__(*head)),
+        k = head[0]
+        return (repr(enumeration._order_scores.__wrapped__(*head)),
                 repr(enumeration._tails.__wrapped__(head, (0,) * (k + 1))))
 
     built = {head: fresh(head) for head in heads}
@@ -615,13 +627,11 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
     def check():
         # every head and its one vector are cached (read with no miss) and equal their fresh
         # build: itemgetters compare by identity, and their repr lists the indices they read
-        assert cache_sizes() == [len(heads) // 3, len(heads), len(heads)]
+        assert cache_sizes() == [len(heads), len(heads)]
         misses = cache_misses()
-        for head, (scores, columns, table) in built.items():
-            k, rise, _, pattern, cap = head
-            assert repr(enumeration._order_scores(k, rise, pattern, cap)) == scores, head
-            assert repr(enumeration._cut_columns(*head)) == columns, head
-            assert repr(enumeration._tails(head, (0,) * (k + 1))) == table, head
+        for head, (columns, table) in built.items():
+            assert repr(enumeration._order_scores(*head)) == columns, head
+            assert repr(enumeration._tails(head, (0,) * (head[0] + 1))) == table, head
         assert cache_misses() == misses
 
     race_cold_builds(monkeypatch, filters, check)
@@ -629,13 +639,13 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
 
 def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # The same race on a scored walk's tables, each round from its orders' scores up, which it
-    # grows on its own: an order's scores, a head's cut columns or a vector's orders by score
-    # stored before they are whole would drop or shift a tail in some thread, and every cached
-    # value must equal a fresh build. Each round records every head cut and every (head, vec)
-    # whose tails were built, which covers every value cached. The walks at n = 6, 9, 10 and 11
-    # push no entry and read the whole permutation (k = 5, 8, 9 and 10) at the root, one
-    # vector per head, whose orders are pruned as they grow; the ends=False walks read the
-    # orders that flag cuts. The three at n = 12, targets 0..2, push one and fall into tails of
+    # grows on its own: a head's orders, scored or cut, or a vector's orders by score stored
+    # before they are whole would drop or shift a tail in some thread, and every cached value
+    # must equal a fresh build. Each round records every head whose orders were built and
+    # every (head, vec) whose tails were built, which covers every value cached. The walks at
+    # n = 6, 9, 10 and 11 push no entry and read the whole permutation (k = 5, 8, 9 and 10) at
+    # the root, one vector per head, whose orders are pruned as they grow; the ends=False walks
+    # read the orders that flag cuts. The three at n = 12, targets 0..2, push one and fall into tails of
     # 11 off one head (k = 10), capped at 3 for all three (they begin with 1, which keeps them
     # to one vector), and the n = 12 walk with no flag falls into the same head and meets one
     # vector per first entry, so several threads race on the vectors of one head.
@@ -646,33 +656,32 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     filters += [GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, target), begins_with_smallest=True)
                 for target in range(3)]
     filters.append(GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, 0)))
-    cut, tails = enumeration._cut_columns.__wrapped__, enumeration._tails.__wrapped__
-    heads: set = set()
+    orders, tails = enumeration._order_scores.__wrapped__, enumeration._tails.__wrapped__
+    heads: set = set()  # every head whose orders were built
     built: set = set()  # every (head, vec) whose tails were built
 
     def record_head(*head):
         heads.add(head)
-        return cut(*head)
+        return orders(*head)
 
     def record_tails(head, vec):
         built.add((head, vec))
         return tails(head, vec)
 
-    cold_caches(monkeypatch, _cut_columns=record_head, _tails=record_tails)
+    cold_caches(monkeypatch, _order_scores=record_head, _tails=record_tails)
 
     def check():
         misses = cache_misses()
-        assert built and {head for head, _ in built} == heads
+        # every head read was built, and every flagged head cut from the head with ends None
+        assert built and {head for head, _ in built} <= heads
+        assert {(k, rise, None, pattern, cap) for k, rise, _, pattern, cap in heads} <= heads
         assert {head[0] for head in heads} == {5, 8, 9, 10}
         assert sorted(head for head in heads if head[0] >= 9) == [
             (9, True, None, PATTERN_321, 3), (10, False, None, PATTERN_321, 3), (10, True, None, PATTERN_321, 3)]
         assert {ends for _, _, ends, _, _ in heads} == {None, False}
-        for head in heads:
-            k, rise, _, pattern, cap = head
-            assert repr(enumeration._order_scores(k, rise, pattern, cap)) == repr(
-                enumeration._order_scores.__wrapped__(k, rise, pattern, cap)), head
-            assert repr(enumeration._cut_columns(*head)) == repr(cut(*head)), head
-        for head, vec in built:  # the fresh build reads the cut columns just checked
+        for head in heads:  # a cut head's fresh build reads the cached head with ends None
+            assert repr(enumeration._order_scores(*head)) == repr(orders(*head)), head
+        for head, vec in built:  # the fresh build reads the orders just checked
             assert repr(enumeration._tails(head, vec)) == repr(tails(head, vec)), (head, vec)
         assert cache_misses() == misses  # all were cached
         heads.clear()
@@ -708,40 +717,42 @@ def test_zigzag_table_is_published_whole(monkeypatch):
     assert list(generate(filt)) == expected
     assert midway == [expected, expected]
     # DU falls into position 4, where the table starts, and the walk reads the tails of the
-    # heads with ends None and then False, which share one set of orders. The first reader
-    # starts inside this walk's build of those orders, so both miss the orders, the first
-    # head's cut and its tails; the second reader starts inside the first reader's tails of
-    # that head, finds its cut but not its tails, builds them, then cuts the head with ends
-    # False from the orders the first reader stored and builds its tails; the others then read
-    # those whole. This walk stores the first head's orders, cut and tails last
+    # heads with ends None and then False; the second cuts its orders from the first's. The
+    # first reader starts inside this walk's growth of the first head's orders, so both miss
+    # that head's orders and its tails; the second reader starts inside the first reader's
+    # tails of that head, finds its orders but not its tails, builds them, then misses the
+    # second head, cuts its orders from the first head's (a hit) and builds its tails; the
+    # others then read those whole. This walk stores the first head's orders and tails last
     info = [getattr(enumeration, name).cache_info() for name in CACHED]
-    assert [(i.hits, i.misses, i.currsize) for i in info] == [(1, 2, 1), (1, 3, 2), (2, 4, 2)]
+    assert [(i.hits, i.misses, i.currsize) for i in info] == [(2, 3, 2), (2, 4, 2)]
     head, zeros = (5, False, None, None, 1), (0,) * 6
     table = enumeration._tails(head, zeros)
     enumeration._tails((2, False, None, None, 1), (0,) * 3)
-    assert cache_sizes() == [2, 3, 3]
+    assert cache_sizes() == [3, 3]
     assert enumeration._tails(head, zeros) is table
 
 
 @pytest.mark.parametrize("ends", [None, True, False])
 def test_a_cold_unscored_count_builds_only_the_heads_it_reads(monkeypatch, ends):
-    # A UD walk of n = 10 pushes two entries (k = 7) and rises into the table, so it reads the
-    # pattern-free head (7, True, None) and, with ends_in_largest set, (7, True, ends) too;
-    # no other rise or ends value is built, both heads cut one set of orders, and each builds
-    # the tails of its one vector, all 0
+    # A UD walk of n = 10 pushes two entries (k = 7) and rises into the table. With
+    # ends_in_largest None or False it reads the pattern-free head (7, True, None) where n is
+    # placed, and (7, True, ends) where it is not; with True, n is never placed, so it reads
+    # (7, True, True) alone. No other rise or ends value is built, the orders are grown once,
+    # in the head with ends None, which a flagged head cuts, and each head read builds the
+    # tails of its one vector, all 0
     filt = GenerationFilter(UD, 10, ends_in_largest=ends)
     expected = count(filt)
-    cut = enumeration._cut_columns.__wrapped__
-    heads: list = []
+    tails = enumeration._tails.__wrapped__
+    read: list = []
 
-    def record_head(*head):
-        heads.append(head)
-        return cut(*head)
+    def record_tails(head, vec):
+        read.append(head)
+        return tails(head, vec)
 
-    cold_caches(monkeypatch, _cut_columns=record_head)
+    cold_caches(monkeypatch, _tails=record_tails)
     assert count(filt) == expected
-    assert heads == [(7, True, flag, None, 1) for flag in dict.fromkeys((None, ends))]
-    assert cache_sizes() == [1, len(heads), len(heads)]
+    assert read == [(7, True, flag, None, 1) for flag in dict.fromkeys((ends or None, ends))]
+    assert cache_sizes() == [len({None, ends}), len(read)]
 
 
 @pytest.mark.parametrize("pattern", [None, PATTERN_321])
@@ -749,16 +760,30 @@ def test_ends_flags_share_one_set_of_orders(monkeypatch, pattern):
     # Cold counts of UD n = 10 under ends_in_largest None, True and False read tails of k = 7
     # after two pushes, rising into them (unscored, cap 1), or all k + 1 = 10 entries at the
     # root, rising into them too (exactly one 321, cap 3). Together they read the heads of all
-    # three flags, and each head keeps the orders its flag picks from one set grown once: one
-    # _order_scores entry per (k, rise, pattern, cap), not one per flag
+    # three flags, and each head keeps the orders its flag picks from one set grown once: the
+    # orders of a (k, rise, pattern, cap) grow only in its head with ends None, and the heads
+    # with ends True and False are cut from that entry, so they hold its very getters
     target = None if pattern is None else (pattern, 1)
     filters = [GenerationFilter(UD, 10, exact_occurrences=target, ends_in_largest=ends)
                for ends in (None, True, False)]
     expected = [count(filt) for filt in filters]
-    cold_caches(monkeypatch)
+    grow = enumeration._order_scores.__wrapped__
+    grown: list = []  # the heads whose orders were grown, not cut
+
+    def record_growth(*head):
+        if head[2] is None:
+            grown.append(head)
+        return grow(*head)
+
+    cold_caches(monkeypatch, _order_scores=record_growth)
     assert [count(filt) for filt in filters] == expected
     assert expected[0] == expected[1] + expected[2]
-    assert cache_sizes() == [1, 3, 3]  # and each head meets one vector
+    assert cache_sizes() == [3, 3]  # and each head meets one vector
+    (head,) = grown
+    ends_on_k, _, getters, *_ = enumeration._order_scores(*head)
+    for ends in (True, False):
+        cut = enumeration._order_scores(*head[:2], ends, *head[3:])[2]
+        assert cut == tuple(get for get, on_k in zip(getters, ends_on_k) if on_k == ends), ends
 
 
 def test_streams_sorted_and_duplicate_free():

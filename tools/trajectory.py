@@ -6,8 +6,9 @@
 Each case below is measured REPEATS times, in rounds that measure every case
 once, and reported by its median, in its unit: seconds, or MiB for the one
 memory case. The five layers are the occurrence counter (`perm_core`), the oracle
-(`enumeration`: one pass over a fixed grid of counts, warm and cold, and the
-peak memory of a longer loop of counts), the
+(`enumeration`: one pass over a fixed grid of counts, warm and cold, the time and
+peak memory of a longer loop of counts, and single cold counts, scored and
+flagged, where a user pays for building the tables), the
 closed forms (`formulas`, cold and warm, at large n), the bijection
 (`decompose`: split and reconstruct) and the CLI as a process. A cold case
 runs each repetition in a fresh interpreter, which times its one call inside;
@@ -20,7 +21,7 @@ environment it ran in), and prints each median with the min-max of its runs
 and its ratio to the same case in the newest BENCH_<n>.json there with
 n < PR. A ratio marked `~` lies inside this run's own spread, min/median to
 max/median, so it tells no change from noise. It uses the standard library
-only, and runs in about a minute on a 2-CPU x86 host.
+only, and runs in about two minutes on a 2-CPU x86 host.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ CLI = {
     "cli.count_oracle": ["count", "--pattern", "321", "--class", "UD", "--n", "10", "--exactly", "1",
                          "--method", "oracle"],
     "cli.decompose": ["decompose", "--perm", "1,4,3,5,2,6"],
+    "cli.verify_table_21": ["verify-table", "--n-max", "21"],
 }
 
 
@@ -97,15 +99,36 @@ def peak_mib():
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def loop_peak():
-    """Peak MiB of a fresh process after the oracle counts of LOOP, whose tables it keeps."""
+def loop():
+    """Seconds for the oracle counts of LOOP, which keep their tables."""
     from altperms import PATTERN_123, PATTERN_321, AlternationClass, GenerationFilter, count
 
+    start = time.perf_counter()
     for n, target in LOOP:
         for pattern in (PATTERN_321, PATTERN_123):
             for cls in AlternationClass:
                 count(GenerationFilter(cls, n, exact_occurrences=(pattern, target)))
+    return time.perf_counter() - start
+
+
+def loop_peak():
+    """Peak MiB of a fresh process after loop()."""
+    loop()
     return peak_mib()
+
+
+def one_count(n, target, ends=None):
+    """A timer of one count of the length-n up-down permutations with `target` 321s (all of
+    them if target is None) under ends_in_largest=ends, the filter made before the clock starts."""
+    def timed():
+        from altperms import PATTERN_321, AlternationClass, GenerationFilter, count
+
+        filt = GenerationFilter(AlternationClass.UP_DOWN, n, ends_in_largest=ends,
+                                exact_occurrences=None if target is None else (PATTERN_321, target))
+        start = time.perf_counter()
+        count(filt)
+        return time.perf_counter() - start
+    return timed
 
 
 def formula(call):
@@ -155,6 +178,16 @@ CASES = {
     "enumeration.grid_warm": ("enumeration", "the same grid after one pass", warm(oracle_grid), False),
     "enumeration.loop_peak_rss": ("enumeration", f"peak RSS after {4 * len(LOOP)} counts: n 6-13, targets 0-7 "
                                   "and 10^6, both patterns and classes; fresh process", loop_peak, True),
+    "enumeration.loop_s": ("enumeration", "the same counts' seconds; fresh process", loop, True),
+    **{f"enumeration.cold_321_t{target}_n{n}": ("enumeration", f"one count, UD 321 target {target} at n {n}; "
+                                                "fresh process", one_count(n, target), True)
+       for target, n in ((1, 11), (1, 16), (3, 16))},
+    **{f"enumeration.cold_unscored_n10_ends_{ends}": ("enumeration", f"one count, UD n 10, ends_in_largest={ends}; "
+                                                      "fresh process", one_count(10, None, ends), True)
+       for ends in (False, True)},
+    "enumeration.cold_321_t1_n13_ends_False": ("enumeration", "one count, UD 321 target 1 at n 13, "
+                                               "ends_in_largest=False; fresh process",
+                                               one_count(13, 1, False), True),
     "formulas.catalan_cold": ("formulas", "catalan(30000), fresh process", formula(lambda a: a.catalan(30_000)), True),
     "formulas.catalan_warm": ("formulas", "catalan(30000) again", warm(formula(lambda a: a.catalan(30_000))), False),
     "formulas.a_n_cold": ("formulas", "a_n(321, UD, 200001), fresh process",
@@ -232,7 +265,7 @@ def main(argv):
         median, low, high = statistics.median(values), min(values), max(values)
         cases[name] = {"layer": layer, "input": what, "cold": cold, "unit": unit, "median": median, "runs": values}
         scale, shown = (1000, "ms") if unit == "s" else (1, unit)
-        line = f"{name:34} {median * scale:10.4g} {shown:3}  [{low * scale:.4g}-{high * scale:.4g}]"
+        line = f"{name:42} {median * scale:10.4g} {shown:3}  [{low * scale:.4g}-{high * scale:.4g}]"
         if name in old:  # older files hold seconds as median_s
             ratio = median / old[name].get("median", old[name].get("median_s"))
             line += f"  {ratio:.2f}x" + ("~" if low / median <= ratio <= high / median else "")
