@@ -12,10 +12,11 @@ a node's candidate window is computed once, when it is pushed. A walk of length
 n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only,
 and a scored walk with a target of 0..2 to k = max(1, min(_CAP3_TAIL, n - 1)).
 There each candidate and the k values left after it come from a table of the
-zigzag orders of k + 1 sorted values, one `operator.itemgetter` each, listed by
-first entry, so the orders of a node's candidate window are one slice. Each k's
-table is grown once from the orders of fewer values by comparing and relabelling
-entries, and ends_in_largest cuts its flag's orders from that growth. A node
+zigzag orders of k + 1 sorted values, one `operator.itemgetter` each. Each k's
+table is grown once, lexicographically, from the orders of fewer values by
+comparing and relabelling entries, and ends_in_largest cuts its flag's orders
+from that growth; the orders a walk reads are listed from it in one pass, in
+that order, so those that start in a node's candidate window are one slice. A node
 hands the tails it accepts over as one batch (prefix, free, orders, lo, hi), its
 window orders[lo:hi] of the table: `generate` joins get(free) to the prefix for
 each getter there, `count` sums hi - lo and touches no getter, so it builds no
@@ -56,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from functools import cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, compress, repeat
 from math import comb
 from operator import add, itemgetter, mul, sub
 
@@ -120,13 +121,6 @@ _TAIL = 7
 _CAP3_TAIL = 10
 
 
-def _sliced(lists: list[list[itemgetter]]) -> tuple[tuple[itemgetter, ...], tuple[int, ...]]:
-    """(orders, start) of lists[i], the orders whose first entry is at index i: orders joins
-    the lists, and start[i], i = 0..len(lists), is the offset of the first order whose first
-    entry is at index >= i, so orders[start[i]:start[j]] are the orders that start in [i, j)."""
-    return tuple(chain.from_iterable(lists)), tuple(accumulate(map(len, lists), initial=0))
-
-
 @cache
 def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None, cap: int) -> tuple:
     """Columns (ends_on_k, firsts, getters, inners, c_0, ..., c_k) of the zigzag orders σ of
@@ -172,26 +166,31 @@ def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None
 
 @cache
 def _tails(head: tuple, vec: tuple[int, ...]) -> dict:
-    """{total: _sliced(lists)} over the orders that head = (k, rise, ends, pattern, cap) keeps,
-    as _order_scores(*head) lists them, whose score, inner + Σ_r vec[r]·c_r, is total < cap, built
-    on first use and cached; lists[i] keeps the orders that start at index i, in column order.
-    When vec[r] counts the placed values above the unused value of rank r (below it, for 123),
-    the score is the occurrences a tail adds. A walk clips vec at cap: a clipped entry adds at
-    least cap to every order with c_r >= 1, which then stays out, clipped or not. With no
-    pattern, cap 1 and vec all 0, total 0 lists every order, and no total is listed when there
-    is none."""
+    """{total: (orders, start)} over the orders that head = (k, rise, ends, pattern, cap) keeps
+    whose score, inner + Σ_r vec[r]·c_r, is total < cap, listed in one pass over the columns of
+    _order_scores(*head), built on first use and cached. orders keeps them in column order, and
+    start[i], i = 0..k + 1, counts those whose first entry is below i, so orders[start[i]:start[j]]
+    are the orders that start in [i, j), since the columns list the orders lexicographically,
+    first entry outermost (test_scored_table_lists_its_definition pins that). When vec[r] counts
+    the placed values above the unused value of rank r (below it, for 123), the score is the
+    occurrences a tail adds. A walk clips vec at cap: a clipped entry adds at least cap to every
+    order with c_r >= 1, which then stays out, clipped or not. With no pattern, cap 1 and vec all
+    0, total 0 lists every order, and no total is listed when there is none."""
     k, cap = head[0], head[4]
     _, firsts, getters, totals, *columns = _order_scores(*head)
     for a, column in zip(vec, columns):
         if a:
             totals = map(add, totals, map(mul, column, repeat(a)))
-    lists: dict = {}
+    lists: dict = {}  # total: (its getters, their first entries)
     for total, first, get in zip(totals, firsts, getters):
         if total < cap:
             if total not in lists:
-                lists[total] = [[] for _ in range(k + 1)]
-            lists[total][first].append(get)
-    return {total: _sliced(by_first) for total, by_first in lists.items()}
+                lists[total] = [], bytearray()
+            orders, starts = lists[total]
+            orders.append(get)
+            starts.append(first)
+    return {total: (tuple(orders), tuple(accumulate(map(starts.count, range(k + 1)), initial=0)))
+            for total, (orders, starts) in lists.items()}
 
 
 def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Sequence[itemgetter], int, int]]:

@@ -13,6 +13,7 @@ from altperms.decompose import format_record, parse_record, split
 from altperms.perm_core import PATTERN_321, format_perm, parse_perm
 
 import naive
+from test_cli import limit_request
 
 # Arbitrary text, plus text over the record alphabet, which reaches past the field checks.
 texts = st.one_of(st.text(max_size=40), st.text(alphabet="nclasjUVD=;,0123456789- ", max_size=40))
@@ -62,14 +63,12 @@ TEXTS = {"perm": st.sampled_from([format_perm(w) for w in _HOSTS]),
 #: Commands that take --n-max; the fuzzer gives each a small cap, then maybe a refused one.
 BOUNDED = {"selftest", "sequence", "verify-table", "verify-identity"}
 #: Each limited command's refused tails: a 20-digit size (--n for count, --n-max for the
-#: others), and for each row of the limits table the flags in its key (with a pattern where
-#: the key sets a target) and the size one past the row's limit.
+#: others), and for each row of the limits table the request test_cli.limit_request makes for
+#: it one past the row's limit, after its command.
 REFUSED = {}
 for key, limit in cli._LIMITS.items():
-    command, *flags = key.replace("5+", "5").split()  # the row for every target from 5 on
-    size = "--n" if command == "count" else "--n-max"
-    pattern = ["--pattern", "321"] if "--exactly" in flags else []
-    REFUSED.setdefault(command, [[size, "9" * 20]]).append([*flags, *pattern, size, str(limit + 1)])
+    (command, *tail), size = limit_request(key, limit + 1)
+    REFUSED.setdefault(command, [[size, "9" * 20]]).append(tail)
 
 # Integers stay <= 9 and permutations at 7; no word or free text holds a digit (a misfit
 # --n 20 with a pattern target is inside the oracle's limits, and would run for seconds) and

@@ -11,7 +11,7 @@ from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321
 
 import memo
 import naive
-from test_enumeration import NAIVE_SCAN_CASES, exactly_two_321
+from test_enumeration import NAIVE_SCAN_CASES, exactly_three_321, exactly_two_321
 
 UD = AlternationClass.UP_DOWN
 DU = AlternationClass.DOWN_UP
@@ -57,7 +57,7 @@ def test_memo_counts_all_permutations_by_their_321s():
     # exactly one is Noonan's 3/n·C(2n, n + 3) (Discrete Math. 152, 1996), and exactly two
     # is Fulmek's (59n² + 117n + 100)/(2n(2n − 1)(n + 5))·C(2n, n − 4) (Adv. Appl. Math. 30,
     # 2003): theorems about S_n, independent of the oracle, of the paper and of F
-    for n in range(3, 23):
+    for n in range(3, 26):
         noonan, rest = divmod(3 * comb(2 * n, n + 3), n)
         assert not rest
         # C(2n, n - 4) is 0 at n = 3, which holds a single 321 at most
@@ -69,6 +69,10 @@ def test_memo_counts_all_permutations_by_their_321s():
 
 @pytest.mark.parametrize("cls", [UD, DU])
 def test_memo_matches_the_exactly_two_rows_past_the_oracle_test(cls):
-    # test_exactly_two_counts_match_the_conjectured_rows stops at n = 16
-    for n in range(17, 21):
-        assert memo.distribution(n, 2, cls is UD)[2] == exactly_two_321(cls, n), n
+    # The conjectured exactly-two rows (test_exactly_two_counts_match_the_conjectured_rows checks
+    # the oracle against them to n = 16) and the exactly-three rows, which no oracle test
+    # reaches, from n = 3 on; the UD exactly-two row starts at m = 3, and UD n = 4 holds no 321
+    for n in range(3, 23):
+        *_, two, three = memo.distribution(n, 3, cls is UD)
+        assert two == (0 if (cls, n) == (UD, 4) else exactly_two_321(cls, n)), n
+        assert three == exactly_three_321(cls, n), n

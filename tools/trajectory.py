@@ -7,8 +7,9 @@ Each case below is measured REPEATS times, in rounds that measure every case
 once, and reported by its median, in its unit: seconds, or MiB for the one
 memory case. The five layers are the occurrence counter (`perm_core`), the oracle
 (`enumeration`: one pass over a fixed grid of counts, warm and cold, the time and
-peak memory of a longer loop of counts, and single cold counts, scored and
-flagged, where a user pays for building the tables), the
+peak memory of a longer loop of counts, single cold counts, scored and
+flagged, where a user pays for building the tables, and warm scored counts
+past the grid), the
 closed forms (`formulas`, cold and warm, at large n), the bijection
 (`decompose`: split and reconstruct) and the CLI as a process. A cold case
 runs each repetition in a fresh interpreter, which times its one call inside;
@@ -131,6 +132,21 @@ def one_count(n, target, ends=None):
     return timed
 
 
+def scored_counts(n):
+    """A timer of the oracle counts of length n with targets 0-2, both patterns and classes,
+    the filters made before the clock starts."""
+    def timed():
+        from altperms import PATTERN_123, PATTERN_321, AlternationClass, GenerationFilter, count
+
+        filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, target)) for target in range(3)
+                   for pattern in (PATTERN_321, PATTERN_123) for cls in AlternationClass]
+        start = time.perf_counter()
+        for filt in filters:
+            count(filt)
+        return time.perf_counter() - start
+    return timed
+
+
 def formula(call):
     """A timer of call(altperms), with the package imported before the clock starts."""
     def timed():
@@ -188,6 +204,8 @@ CASES = {
     "enumeration.cold_321_t1_n13_ends_False": ("enumeration", "one count, UD 321 target 1 at n 13, "
                                                "ends_in_largest=False; fresh process",
                                                one_count(13, 1, False), True),
+    "enumeration.scored_warm_n17": ("enumeration", "12 counts at n 17: targets 0-2, both patterns and classes, "
+                                    "after one pass", warm(scored_counts(17)), False),
     "formulas.catalan_cold": ("formulas", "catalan(30000), fresh process", formula(lambda a: a.catalan(30_000)), True),
     "formulas.catalan_warm": ("formulas", "catalan(30000) again", warm(formula(lambda a: a.catalan(30_000))), False),
     "formulas.a_n_cold": ("formulas", "a_n(321, UD, 200001), fresh process",
