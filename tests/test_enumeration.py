@@ -509,9 +509,12 @@ def test_leaf_depth_that_clips_the_placed_value_counts(monkeypatch, cls, pattern
 def exactly_two_321(cls, n):
     """The conjectured count of length-n `cls` permutations with exactly two 321s, n >= 3, m =
     n // 2: a row per class for even n and one for odd n, each P(m)·C(2m, m)·m!/(m + k)!, fitted
-    to counts made by another method than the oracle. Nothing in the package derives them, and
-    the UD even row, fitted from m = 3 on, gives 1 at n = 4."""
+    to counts made by another method than the oracle. Nothing in the package derives them. The
+    UD even row, fitted from m = 3 on, gives 1 at n = 4, so UD n = 4 returns 0 here: no UD
+    permutation of length 4 (1324, 1423, 2314, 2413, 3412) holds a 321."""
     m, odd = divmod(n, 2)
+    if (cls, n) == (UD, 4):
+        return 0
     if odd:
         p, k = (m - 1) * (337 * m**4 + 1221 * m**3 + 308 * m**2 - 1116 * m - 720), 6
     elif cls is UD:
@@ -548,10 +551,9 @@ def exactly_three_321(cls, n):
 def test_exactly_two_counts_match_the_conjectured_rows(cls):
     # Target-2 walks past the naive scans against a count from another method: 321 in cls and
     # 123 in the other class (its complement) at n = 3..16, where targets 0..2 read tails of up
-    # to 11 entries (from n = 11) and push up to 5 first. UD n = 4 is below the UD row's range:
-    # no UD permutation of length 4 (1324, 1423, 2314, 2413, 3412) holds a 321.
+    # to 11 entries (from n = 11) and push up to 5 first.
     for n in range(3, 17):
-        expected = 0 if (cls, n) == (UD, 4) else exactly_two_321(cls, n)
+        expected = exactly_two_321(cls, n)
         for pattern, host in ((PATTERN_321, cls), (PATTERN_123, cls.flipped)):
             assert count(GenerationFilter(host, n, exact_occurrences=(pattern, 2))) == expected, (n, pattern)
 
@@ -576,8 +578,7 @@ def test_push_free_walks_match_the_closed_forms(monkeypatch, cls, pattern):
     monkeypatch.setattr(enumeration, "_tails", tails)
     host = cls if pattern == PATTERN_321 else cls.flipped  # the class whose 321s these are
     for n in range(4, 13):
-        two = 0 if (host, n) == (UD, 4) else exactly_two_321(host, n)
-        expected = [table1_formula(host, n, "total"), a_n(SequenceSpec(pattern, cls), n), two]
+        expected = [table1_formula(host, n, "total"), a_n(SequenceSpec(pattern, cls), n), exactly_two_321(host, n)]
         for target in range(3):
             filt = GenerationFilter(cls, n, exact_occurrences=(pattern, target))
             read.clear()

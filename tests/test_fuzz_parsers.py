@@ -60,7 +60,7 @@ _HOSTS = [w for n in (5, 6, 7) for cls in ("UD", "DU") for w in naive.matching_p
 #: the first draw, so that a broken split fails the test rather than its collection).
 TEXTS = {"perm": st.sampled_from([format_perm(w) for w in _HOSTS]),
          "record": st.deferred(lambda: st.sampled_from([format_record(split(w)) for w in _HOSTS]))}
-#: Commands that take --n-max; the fuzzer gives each a small cap, then maybe a refused one.
+#: Commands that take --n-max; the fuzzer gives each a cheap cap, then maybe a refused one.
 BOUNDED = {"selftest", "sequence", "verify-table", "verify-identity"}
 #: Each limited command's refused tails: a 20-digit size (--n for count, --n-max for the
 #: others), and for each row of the limits table the request test_cli.limit_request makes for
@@ -70,16 +70,19 @@ for key, limit in cli._LIMITS.items():
     (command, *tail), size = limit_request(key, limit + 1)
     REFUSED.setdefault(command, [[size, "9" * 20]]).append(tail)
 
-# Integers stay <= 9 and permutations at 7; no word or free text holds a digit (a misfit
-# --n 20 with a pattern target is inside the oracle's limits, and would run for seconds) and
-# no permutation parses as an integer, so no request can run long: selftest --n-max 9 takes
-# ~0.2 s. The larger sizes above are all refused before anything runs. A bounded command
-# always gets an --n-max: selftest's default, 10, is slower.
+# Integers stay <= 9, but for the values LARGE adds, and permutations at 7; no word or free
+# text holds a digit (a misfit --n 20 with a pattern target is inside the oracle's limits, and
+# would run for seconds) and no permutation parses as an integer, so no request runs long
+# (LARGE names the slowest). A bounded command always gets an --n-max, as selftest's default,
+# 10, is slower than 9. The larger sizes above are all refused before anything runs.
 INTEGERS = [str(k) for k in range(-1, 10)]
-#: Larger values for the flags where any of them stays cheap: any --exactly target runs in
-#: milliseconds at n <= 9, where the oracle's whole walk is small, and a formula method
-#: refuses every target but 1.
-LARGE = {"exactly": ["10", "120", str(10**6)]}
+#: Larger values of each (command, flag) where every request they make stays cheap. Each
+#: value's slowest request, timed in a fresh process on a 2-CPU x86 host, took at most
+#: 0.4 s: `count --n 12 --exactly 120 --method oracle`. At --n 1000 the oracle and bijection
+#: refuse and a formula method takes milliseconds; sequence --n-max 1000 refuses the oracle.
+LARGE = {("count", "n"): ["12", "1000"], ("count", "exactly"): ["10", "120", str(10**6)],
+         ("sequence", "n_max"): ["12", "1000"], ("verify-table", "n_max"): ["12"],
+         ("verify-identity", "n_max"): ["200"], ("selftest", "n_max"): ["11"]}
 values = st.one_of(
     st.sampled_from(INTEGERS),
     st.sampled_from(WORDS),
@@ -98,13 +101,14 @@ def _takes(action: argparse.Action, text: str) -> bool:
     return True
 
 
-def fitting(action: argparse.Action):
-    """Values `action` accepts: its choices, an integer its type takes (LARGE adds some), or a
-    text of its kind."""
+def fitting(command: str, action: argparse.Action):
+    """Values `action` accepts after `command`: its choices, an integer its type takes (LARGE
+    adds some), or a text of its kind."""
     if action.choices:
         return st.sampled_from(sorted(action.choices))
     if action.type is not None:
-        return st.sampled_from([text for text in INTEGERS + LARGE.get(action.dest, []) if _takes(action, text)])
+        larger = LARGE.get((command, action.dest), [])
+        return st.sampled_from([text for text in INTEGERS + larger if _takes(action, text)])
     return TEXTS[action.dest]
 
 
@@ -113,14 +117,14 @@ def argvs(draw):
     """A whole command line, then at most one defect.
 
     The line is a subcommand, its required flags, some of its other flags and,
-    where it takes one, a small --n-max, each with a value it accepts, so that
+    where it takes one, a cheap --n-max, each with a value it accepts, so that
     most lists reach a command body. The defect is a stray word anywhere, a
     misfit value, a dropped required flag or a refused --n or --n-max."""
     command = draw(st.sampled_from(COMMANDS))
     chosen = [a for a in OPTIONS[command] if a.required or a.dest == "n_max" or draw(st.booleans())]
     if command == "count" and len({a.dest for a in chosen} & {"pattern", "exactly"}) == 1:  # each needs the other
         chosen = [a for a in OPTIONS[command] if a in chosen or a.dest in ("pattern", "exactly")]
-    pieces = [[draw(st.sampled_from(a.option_strings)), draw(fitting(a))] for a in chosen]
+    pieces = [[draw(st.sampled_from(a.option_strings)), draw(fitting(command, a))] for a in chosen]
     defect = draw(st.sampled_from(DEFECTS[:1] * 5 + DEFECTS[1:]))  # five lists in nine stay whole
     if defect == "misfit value" and pieces:
         pieces[draw(st.integers(min_value=0, max_value=len(pieces) - 1))][1] = draw(values)

@@ -71,8 +71,8 @@ def test_memo_counts_all_permutations_by_their_321s():
 def test_memo_matches_the_exactly_two_rows_past_the_oracle_test(cls):
     # The conjectured exactly-two rows (test_exactly_two_counts_match_the_conjectured_rows checks
     # the oracle against them to n = 16) and the exactly-three rows, which no oracle test
-    # reaches, from n = 3 on; the UD exactly-two row starts at m = 3, and UD n = 4 holds no 321
+    # reaches, from n = 3 on
     for n in range(3, 23):
         *_, two, three = memo.distribution(n, 3, cls is UD)
-        assert two == (0 if (cls, n) == (UD, 4) else exactly_two_321(cls, n)), n
+        assert two == exactly_two_321(cls, n), n
         assert three == exactly_three_321(cls, n), n

@@ -4,17 +4,18 @@
     python tools/trajectory.py PR
 
 Each case below is measured REPEATS times, in rounds that measure every case
-once, and reported by its median, in its unit: seconds, or MiB for the one
-memory case. The five layers are the occurrence counter (`perm_core`), the oracle
-(`enumeration`: one pass over a fixed grid of counts, warm and cold, the time and
-peak memory of a longer loop of counts, single cold counts, scored and
-flagged, where a user pays for building the tables, and warm scored counts
-past the grid), the
-closed forms (`formulas`, cold and warm, at large n), the bijection
-(`decompose`: split and reconstruct) and the CLI as a process. A cold case
-runs each repetition in a fresh interpreter, which times its one call inside;
-a CLI case times the whole process, start-up included, on a copy of the
-package that holds no bytecode, so every run compiles the package afresh.
+once, and reported by its median, in its unit: seconds, or MiB for the two
+memory cases. The five layers are the occurrence counter (`perm_core`), the
+oracle (`enumeration`: one pass over a fixed grid of counts, warm and cold, the
+time and peak memory of a longer loop of counts and of a sweep over every
+target of one length, single cold counts, scored and flagged, where a user pays
+for building the tables, and warm scored counts past the grid; each of them
+times `count` over a list of rows), the closed forms (`formulas`, cold and
+warm, at large n), the bijection (`decompose`: split and reconstruct) and the
+CLI as a process. A cold case runs each repetition in a fresh interpreter,
+which times its one call inside; a CLI case times the whole process, start-up
+included, on a copy of the package that holds no bytecode, so every run
+compiles the package afresh.
 
 The script reads the package from the `src` directory next to its own
 directory, writes BENCH_<PR>.json to the root of that checkout (with the
@@ -44,14 +45,23 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 REPEATS = 5
 
-#: The oracle grid: every (target, n, pattern, class) of the `oracle` benchmark workload,
-#: None for an unrestricted count.
-GRID = [(target, n, pattern, cls) for target in (0, 1, 2) for n in range(9, 13)
-        for pattern in ("321", "123") for cls in ("UD", "DU")]
-GRID += [(None, n, None, cls) for n in range(9, 12) for cls in ("UD", "DU")]
+# A count row is (class, n, pattern, target, ends_in_largest), pattern None for an unrestricted count.
 
-#: The memory case's loop: (n, target) of every oracle count it makes, for both patterns and classes
-LOOP = [(n, target) for n in range(6, 14) for target in (*range(8), 10**6)]
+#: The oracle grid: every count of the `oracle` benchmark workload.
+GRID = [(cls, n, pattern, target, None) for target in (0, 1, 2) for n in range(9, 13)
+        for pattern in ("321", "123") for cls in ("UD", "DU")]
+GRID += [(cls, n, None, None, None) for n in range(9, 12) for cls in ("UD", "DU")]
+
+#: The memory case's loop, whose tables stay in the process.
+LOOP = [(cls, n, pattern, target, None) for n in range(6, 14) for target in (*range(8), 10**6)
+        for pattern in ("321", "123") for cls in ("UD", "DU")]
+
+#: The warm scored counts past the grid.
+SCORED_N17 = [(cls, 17, pattern, target, None) for target in range(3) for pattern in ("321", "123")
+              for cls in ("UD", "DU")]
+
+#: The target sweep: every target of UD 321 at n = 10; the counts sum to E_10 = 50,521.
+SWEEP = [("UD", 10, "321", target, None) for target in range(81)]
 
 #: CLI cases: argv after `altperms`
 CLI = {
@@ -75,17 +85,20 @@ def occurrence_counts():
     return time.perf_counter() - start
 
 
-def oracle_grid():
-    from altperms import PATTERN_123, PATTERN_321, AlternationClass, GenerationFilter, count
+def counts(rows):
+    """A timer of the oracle counts of `rows`, the filters made before the clock starts."""
+    def timed():
+        from altperms import PATTERN_123, PATTERN_321, AlternationClass, GenerationFilter, count
 
-    patterns = {"321": PATTERN_321, "123": PATTERN_123}
-    filters = [GenerationFilter(AlternationClass(cls), n,
-                                exact_occurrences=None if target is None else (patterns[pattern], target))
-               for target, n, pattern, cls in GRID]
-    start = time.perf_counter()
-    for filt in filters:
-        count(filt)
-    return time.perf_counter() - start
+        patterns = {"321": PATTERN_321, "123": PATTERN_123}
+        filters = [GenerationFilter(AlternationClass(cls), n, ends_in_largest=ends,
+                                    exact_occurrences=None if pattern is None else (patterns[pattern], target))
+                   for cls, n, pattern, target, ends in rows]
+        start = time.perf_counter()
+        for filt in filters:
+            count(filt)
+        return time.perf_counter() - start
+    return timed
 
 
 def peak_mib():
@@ -100,51 +113,12 @@ def peak_mib():
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def loop():
-    """Seconds for the oracle counts of LOOP, which keep their tables."""
-    from altperms import PATTERN_123, PATTERN_321, AlternationClass, GenerationFilter, count
-
-    start = time.perf_counter()
-    for n, target in LOOP:
-        for pattern in (PATTERN_321, PATTERN_123):
-            for cls in AlternationClass:
-                count(GenerationFilter(cls, n, exact_occurrences=(pattern, target)))
-    return time.perf_counter() - start
-
-
-def loop_peak():
-    """Peak MiB of a fresh process after loop()."""
-    loop()
-    return peak_mib()
-
-
-def one_count(n, target, ends=None):
-    """A timer of one count of the length-n up-down permutations with `target` 321s (all of
-    them if target is None) under ends_in_largest=ends, the filter made before the clock starts."""
-    def timed():
-        from altperms import PATTERN_321, AlternationClass, GenerationFilter, count
-
-        filt = GenerationFilter(AlternationClass.UP_DOWN, n, ends_in_largest=ends,
-                                exact_occurrences=None if target is None else (PATTERN_321, target))
-        start = time.perf_counter()
-        count(filt)
-        return time.perf_counter() - start
-    return timed
-
-
-def scored_counts(n):
-    """A timer of the oracle counts of length n with targets 0-2, both patterns and classes,
-    the filters made before the clock starts."""
-    def timed():
-        from altperms import PATTERN_123, PATTERN_321, AlternationClass, GenerationFilter, count
-
-        filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, target)) for target in range(3)
-                   for pattern in (PATTERN_321, PATTERN_123) for cls in AlternationClass]
-        start = time.perf_counter()
-        for filt in filters:
-            count(filt)
-        return time.perf_counter() - start
-    return timed
+def peak(case):
+    """A measure of this process's peak MiB after case()."""
+    def measured():
+        case()
+        return peak_mib()
+    return measured
 
 
 def formula(call):
@@ -190,22 +164,26 @@ CASES = {
     "perm_core.count_occurrences": ("perm_core", "2000 random permutations of 60, 321 and 123 each",
                                     occurrence_counts, False),
     "enumeration.grid_cold": ("enumeration", f"{len(GRID)} counts: targets 0-2 at n 9-12, both patterns and "
-                              "classes, unrestricted at n 9-11; fresh process", oracle_grid, True),
-    "enumeration.grid_warm": ("enumeration", "the same grid after one pass", warm(oracle_grid), False),
-    "enumeration.loop_peak_rss": ("enumeration", f"peak RSS after {4 * len(LOOP)} counts: n 6-13, targets 0-7 "
-                                  "and 10^6, both patterns and classes; fresh process", loop_peak, True),
-    "enumeration.loop_s": ("enumeration", "the same counts' seconds; fresh process", loop, True),
+                              "classes, unrestricted at n 9-11; fresh process", counts(GRID), True),
+    "enumeration.grid_warm": ("enumeration", "the same grid after one pass", warm(counts(GRID)), False),
+    "enumeration.loop_peak_rss": ("enumeration", f"peak RSS after {len(LOOP)} counts: n 6-13, targets 0-7 "
+                                  "and 10^6, both patterns and classes; fresh process", peak(counts(LOOP)), True),
+    "enumeration.loop_s": ("enumeration", "the same counts' seconds; fresh process", counts(LOOP), True),
     **{f"enumeration.cold_321_t{target}_n{n}": ("enumeration", f"one count, UD 321 target {target} at n {n}; "
-                                                "fresh process", one_count(n, target), True)
+                                                "fresh process", counts([("UD", n, "321", target, None)]), True)
        for target, n in ((1, 11), (1, 16), (3, 16))},
     **{f"enumeration.cold_unscored_n10_ends_{ends}": ("enumeration", f"one count, UD n 10, ends_in_largest={ends}; "
-                                                      "fresh process", one_count(10, None, ends), True)
+                                                      "fresh process", counts([("UD", 10, None, None, ends)]), True)
        for ends in (False, True)},
     "enumeration.cold_321_t1_n13_ends_False": ("enumeration", "one count, UD 321 target 1 at n 13, "
                                                "ends_in_largest=False; fresh process",
-                                               one_count(13, 1, False), True),
-    "enumeration.scored_warm_n17": ("enumeration", "12 counts at n 17: targets 0-2, both patterns and classes, "
-                                    "after one pass", warm(scored_counts(17)), False),
+                                               counts([("UD", 13, "321", 1, False)]), True),
+    "enumeration.scored_warm_n17": ("enumeration", f"{len(SCORED_N17)} counts at n 17: targets 0-2, both patterns "
+                                    "and classes, after one pass", warm(counts(SCORED_N17)), False),
+    "enumeration.sweep_n10_s": ("enumeration", f"{len(SWEEP)} counts, UD 321 at n 10, targets 0-80; fresh process",
+                                counts(SWEEP), True),
+    "enumeration.sweep_n10_peak_rss": ("enumeration", "peak RSS after the same counts; fresh process",
+                                       peak(counts(SWEEP)), True),
     "formulas.catalan_cold": ("formulas", "catalan(30000), fresh process", formula(lambda a: a.catalan(30_000)), True),
     "formulas.catalan_warm": ("formulas", "catalan(30000) again", warm(formula(lambda a: a.catalan(30_000))), False),
     "formulas.a_n_cold": ("formulas", "a_n(321, UD, 200001), fresh process",
@@ -218,7 +196,7 @@ CASES = {
     **{name: ("cli", "altperms " + " ".join(argv) + ", package without bytecode", None, True)
        for name, argv in CLI.items()},
 }
-UNITS = {"enumeration.loop_peak_rss": "MiB"}
+UNITS = {name: "MiB" for name in CASES if name.endswith("_peak_rss")}
 
 
 def child(name):
