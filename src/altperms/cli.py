@@ -56,15 +56,10 @@ _METHODS = ("closed_form", "convolution", "decomposition_sum", "oracle", "biject
 _IDENTITY_BOUND = 200
 #: The largest --n (count) or --n-max (the commands that loop over lengths) of each request,
 #: keyed by the argv words that select it: where the request's slowest (pattern, class) pair
-#: takes up to about 50 s as a CLI process on a 2-CPU x86 host (Python 3.11); README lists
-#: each time. The unrestricted oracle row, 16, counts all E_16 permutations in 17-19 s
-#: without building one, and E_17 is ten times as many. Oracle targets 0-4 have a row each
-#: (targets 0-2, and so verify-table and sequence, read their last eleven entries off tables
-#: the three share); every larger target shares the row "--exactly 5+", 15: its walk is a
-#: subtree of the unrestricted one, but scored node by node down to its last eight entries,
-#: and a target amid the counts builds a scored table per vector of placed values it meets:
-#: up to 19 s and 222 MiB at 15. sequence --method closed_form spends most of its 35-46 s
-#: printing.
+#: takes up to about 50 s as a CLI process on a 2-CPU x86 host (Python 3.11); README's
+#: limit table gives each row's time. Oracle targets 0-4 have a row each (targets 0-2, and so
+#: verify-table and sequence, read their last eleven entries off tables the three share);
+#: every larger target shares the row "--exactly 5+".
 _LIMITS = {
     "count --method oracle": 16,
     **{f"count --method oracle --exactly {k}": limit for k, limit in enumerate((27, 26, 25, 22, 21))},

@@ -1,5 +1,3 @@
-import sys
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
@@ -15,6 +13,7 @@ from altperms.formulas import SequenceSpec, a_n, euler_zigzag, table1_formula
 from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321, classify, count_occurrences
 
 import naive
+from races import race
 
 UD = AlternationClass.UP_DOWN
 DU = AlternationClass.DOWN_UP
@@ -593,26 +592,12 @@ def race_cold_builds(monkeypatch, filters, check):
     empty cache in for each of enumeration's CACHED builders; then check()."""
     expected = [list(generate(filt)) for filt in filters]
     rounds, workers = 10, 8
-
-    def work(results):
-        results.append([list(generate(filt)) for filt in filters])
-
-    saved_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(rounds):
-            cold_caches(monkeypatch)  # around the functions the caches now hold
-            results: list = []
-            threads = [threading.Thread(target=work, args=(results,)) for _ in range(workers)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            assert results == [expected] * workers
-            check()
-    finally:
-        sys.setswitchinterval(saved_interval)
+    for _ in range(rounds):
+        cold_caches(monkeypatch)  # around the functions the caches now hold
+        results: list = []
+        race(*[lambda: results.append([list(generate(filt)) for filt in filters])] * workers)
+        assert results == [expected] * workers
+        check()
 
 
 def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
@@ -715,9 +700,7 @@ def test_zigzag_table_is_published_whole(monkeypatch):
         def step(*args, **kwargs):
             if build_step not in called:
                 called.add(build_step)
-                reader = threading.Thread(target=lambda: midway.append(list(generate(filt))))
-                reader.start()
-                reader.join(timeout=60)
+                race(lambda: midway.append(list(generate(filt))))
             return build_step(*args, **kwargs)
         return step
 

@@ -1,6 +1,4 @@
 import ast
-import sys
-import threading
 from math import comb, factorial, prod
 from pathlib import Path
 
@@ -25,6 +23,8 @@ from altperms.formulas import (
     table1_formula,
 )
 from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321, suffix_class
+
+from races import race
 
 UD = AlternationClass.UP_DOWN
 DU = AlternationClass.DOWN_UP
@@ -52,27 +52,16 @@ def test_catalan_matches_segner_sum():
     assert [catalan(ell) for ell in range(301)] == segner
 
 
-def test_catalan_cold_cache_is_thread_safe():
+def test_catalan_cold_cache_is_thread_safe(monkeypatch):
     # A lost or duplicated cache entry shifts every later index, so each
     # thread's value and the final cache are checked against the binomial form.
     index, workers = 300, 4
     expected = [comb(2 * ell, ell) // (ell + 1) for ell in range(index + 1)]
     results: list[int] = []
-    saved_cache, saved_interval = formulas._CATALAN, sys.getswitchinterval()
-    formulas._CATALAN = [1]
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=lambda: results.append(catalan(index))) for _ in range(workers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == [expected[index]] * workers
-        assert [catalan(ell) for ell in range(index + 1)] == expected
-    finally:
-        sys.setswitchinterval(saved_interval)
-        formulas._CATALAN = saved_cache
+    monkeypatch.setattr(formulas, "_CATALAN", [1])
+    race(*[lambda: results.append(catalan(index))] * workers)
+    assert results == [expected[index]] * workers
+    assert [catalan(ell) for ell in range(index + 1)] == expected
 
 
 def _paper_catalan(k: int) -> int:
@@ -351,7 +340,7 @@ def test_decomposition_sum_equals_its_per_cell_definition():
             ), (n, cls)
 
 
-def test_sums_on_a_cold_cache_are_thread_safe():
+def test_sums_on_a_cold_cache_are_thread_safe(monkeypatch):
     # The last writer wins, so a slow thread can publish a shorter Catalan
     # list after a longer one.  Here one thread keeps publishing the coldest
     # list while four others sum at different sizes: a sum that re-read the
@@ -373,35 +362,23 @@ def test_sums_on_a_cold_cache_are_thread_safe():
         )
     }
     results: list[tuple[tuple[str, int], int]] = []
-    workers_done = threading.Event()
+    ended: list[int] = []  # the sizes whose worker has ended, by a return or a raise
 
     def work(size: int) -> None:
-        for _ in range(rounds):
-            for name, call in calls.items():
-                results.append(((name, size), call(size)))
+        try:
+            for _ in range(rounds):
+                for name, call in calls.items():
+                    results.append(((name, size), call(size)))
+        finally:
+            ended.append(size)
 
     def cool() -> None:
-        while not workers_done.is_set():
+        while len(ended) < len(sizes):
             formulas._CATALAN = [1]
 
-    saved_cache, saved_interval = formulas._CATALAN, sys.getswitchinterval()
-    formulas._CATALAN = [1]
-    sys.setswitchinterval(1e-6)
-    try:
-        cooler = threading.Thread(target=cool)
-        workers = [threading.Thread(target=work, args=(size,)) for size in sizes]
-        cooler.start()
-        for thread in workers:
-            thread.start()
-        for thread in workers:
-            thread.join(timeout=60)
-        workers_done.set()
-        cooler.join(timeout=60)
-        assert not any(thread.is_alive() for thread in [cooler, *workers])
-        assert sorted(results) == sorted((key, value) for key, value in expected.items() for _ in range(rounds))
-    finally:
-        sys.setswitchinterval(saved_interval)
-        formulas._CATALAN = saved_cache
+    monkeypatch.setattr(formulas, "_CATALAN", [1])
+    race(cool, *(lambda size=size: work(size) for size in sizes))
+    assert sorted(results) == sorted((key, value) for key, value in expected.items() for _ in range(rounds))
 
 
 def test_decomposition_sum_matches_oracle():

@@ -262,8 +262,8 @@ def main(argv):
         cases[name] = {"layer": layer, "input": what, "cold": cold, "unit": unit, "median": median, "runs": values}
         scale, shown = (1000, "ms") if unit == "s" else (1, unit)
         line = f"{name:42} {median * scale:10.4g} {shown:3}  [{low * scale:.4g}-{high * scale:.4g}]"
-        if name in old:  # older files hold seconds as median_s
-            ratio = median / old[name].get("median", old[name].get("median_s"))
+        if name in old:
+            ratio = median / old[name]["median"]
             line += f"  {ratio:.2f}x" + ("~" if low / median <= ratio <= high / median else "")
         else:
             line += "  new"
