@@ -12,15 +12,17 @@ a node's candidate window is computed once, when it is pushed. A walk of length
 n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only,
 and a scored walk with a target of 0..2 to k = max(1, min(_CAP3_TAIL, n - 1)).
 There each candidate and the k values left after it come from a table of the
-zigzag orders of k + 1 sorted values, one `operator.itemgetter` each. Each k's
+zigzag orders of k + 1 sorted values, k + 1 bytes each in one blob. Each k's
 table is grown once, lexicographically, from the orders of fewer values by
 comparing and relabelling entries, and ends_in_largest cuts its flag's orders
 from that growth; the orders a walk reads are listed from it in one pass, in
-that order, so those that start in a node's candidate window are one slice. A node
-hands the tails it accepts over as one batch (prefix, free, orders, lo, hi), its
-window orders[lo:hi] of the table: `generate` joins get(free) to the prefix for
-each getter there, `count` sums hi - lo and touches no getter, so it builds no
-permutation.
+that order as 2-byte positions in the blob, so those that start in a node's
+candidate window are one slice. A node hands the tails it accepts over as one
+batch (prefix, free, table, orders, lo, hi), its window orders[lo:hi] of those
+positions: `generate` joins get(free) to the prefix for the getter of each
+position there, one `operator.itemgetter` per order of the table, built on
+first use and shared by every ends flag; `count` sums hi - lo, and so builds no
+getter and no permutation.
 One loop walks every filter; a 321 or 123 target changes only what a push
 prunes and which table a node at depth leaf reads.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
@@ -48,7 +50,7 @@ a target of 0..2 reads up to three entries more than an unscored walk: up to
 n = 11 it pushes no entry and reads the whole permutation at the root, where
 every A is 0, off one vector of one head, and at n = 12 it pushes one. A larger
 cap keeps k: there each vector's orders cost more to build than the pushes they
-save. Every column but the getters is bytes, which keeps the tables small.
+save. Every column is bytes and every position two bytes, which keeps the tables small.
 These are the only patterns a filter accepts (perm_core.check_pattern).
 """
 
@@ -57,9 +59,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from functools import cache
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import comb
 from operator import add, itemgetter, mul, sub
+from struct import pack
 
 from .perm_core import (
     AlternationClass,
@@ -123,14 +126,18 @@ _CAP3_TAIL = 10
 
 @cache
 def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None, cap: int) -> tuple:
-    """Columns (ends_on_k, firsts, getters, inners, c_0, ..., c_k) of the zigzag orders σ of
+    """Columns (ends_on_k, firsts, orders, inners, c_0, ..., c_k) of the zigzag orders σ of
     the ranks 0..k with inner < cap that the head (k, rise, ends, pattern, cap) keeps,
     lexicographically, built on first use and cached per head. The second entry exceeds the
     first exactly when `rise`; ends_on_k says whether an order ends on rank k, and firsts is
     its first entry. ends None keeps every order, True those ending on rank k, False the
     rest; a flagged head cuts its columns from the head with ends None, so the three flags
-    share one growth. Every column but the getters is bytes: a c_r is at most k, and an inner
-    is below cap and at most C(k + 1, 3), 165 at k = 10.
+    share one growth. Every column is bytes: a c_r is at most k, and an inner is below cap and
+    at most C(k + 1, 3), 165 at k = 10. The head with ends None lists its orders in one blob,
+    k + 1 bytes per order, the ranks in order; a flagged head lists, in their place, 2-byte
+    positions (native order, as memoryview.cast("H") reads them) of its orders in that blob.
+    Two bytes fit: a head keeps at most 1,655 orders (k = 10, cap 3; at _TAIL, k = 7, every
+    order, E_8 = 1,385 of them), and pack raises struct.error on a position past 65,535.
 
     For 321, c_r(σ) is the number of entries after rank r that lie below it, and inner =
     Σ_r e_r·c_r, e_r the number before rank r above it: the 321s inside σ, counted by middle
@@ -142,9 +149,11 @@ def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None
     order is dropped once its inner reaches cap; a first entry only adds occurrences, so none
     of its extensions is kept, and a low cap keeps the orders of many ranks few."""
     if ends is not None:
-        columns = _order_scores(k, rise, None, pattern, cap)
-        keep = [on_k == ends for on_k in columns[0]]
-        return tuple(type(column)(compress(column, keep)) for column in columns)
+        ends_on_k, firsts, _, *scores = _order_scores(k, rise, None, pattern, cap)
+        keep = [on_k == ends for on_k in ends_on_k]
+        rows = list(compress(range(len(keep)), keep))
+        return (bytes(compress(ends_on_k, keep)), bytes(compress(firsts, keep)), pack(f"{len(rows)}H", *rows),
+                *(bytes(compress(column, keep)) for column in scores))
     down = pattern == PATTERN_321
     rows = [((0,), 0, (0,) if pattern else ())]  # (order, inner, c) of the orders of j + 1 ranks
     for j in range(1, k + 1):
@@ -161,57 +170,76 @@ def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None
     orders, inners, counts = zip(*rows)
     del rows, grown  # free the rows before the columns are made
     return (bytes(order[-1] == k for order in orders), bytes(order[0] for order in orders),
-            tuple(itemgetter(*order) for order in orders), bytes(inners), *map(bytes, zip(*counts)))
+            bytes(chain(*orders)), bytes(inners), *map(bytes, zip(*counts)))
 
 
 @cache
 def _tails(head: tuple, vec: tuple[int, ...]) -> dict:
     """{total: (orders, start)} over the orders that head = (k, rise, ends, pattern, cap) keeps
     whose score, inner + Σ_r vec[r]·c_r, is total < cap, listed in one pass over the columns of
-    _order_scores(*head), built on first use and cached. orders keeps them in column order, and
-    start[i], i = 0..k + 1, counts those whose first entry is below i, so orders[start[i]:start[j]]
-    are the orders that start in [i, j), since the columns list the orders lexicographically,
-    first entry outermost (test_scored_table_lists_its_definition pins that). When vec[r] counts
-    the placed values above the unused value of rank r (below it, for 123), the score is the
-    occurrences a tail adds. A walk clips vec at cap: a clipped entry adds at least cap to every
-    order with c_r >= 1, which then stays out, clipped or not. With no pattern, cap 1 and vec all
-    0, total 0 lists every order, and no total is listed when there is none."""
-    k, cap = head[0], head[4]
-    _, firsts, getters, totals, *columns = _order_scores(*head)
+    _order_scores(*head), built on first use and cached. orders keeps them in column order as
+    2-byte positions (native order, as memoryview.cast("H") reads them) in the blob of the head
+    with ends None, whose orders _getters reads, so the three flags share one set of getters;
+    two bytes fit, as a head keeps at most 1,655 orders, and pack raises struct.error past
+    65,535. start[i], i = 0..k + 1, counts those whose first entry is below i, so the positions
+    start[i]:start[j] are the orders that start in [i, j), since the columns list the orders
+    lexicographically, first entry outermost (test_scored_table_lists_its_definition pins that).
+    When vec[r] counts the placed values above the unused value of rank r (below it, for 123),
+    the score is the occurrences a tail adds. A walk clips vec at cap: a clipped entry adds at
+    least cap to every order with c_r >= 1, which then stays out, clipped or not. With no
+    pattern, cap 1 and vec all 0, total 0 lists every order, and no total is listed when there
+    is none."""
+    k, ends, cap = head[0], head[2], head[4]
+    _, firsts, orders, totals, *columns = _order_scores(*head)
     for a, column in zip(vec, columns):
         if a:
             totals = map(add, totals, map(mul, column, repeat(a)))
-    lists: dict = {}  # total: (its getters, their first entries)
-    for total, first, get in zip(totals, firsts, getters):
+    rows = range(len(firsts)) if ends is None else memoryview(orders).cast("H")
+    lists: dict = {}  # total: (its positions, their first entries)
+    for total, first, row in zip(totals, firsts, rows):
         if total < cap:
-            if total not in lists:
-                lists[total] = [], bytearray()
-            orders, starts = lists[total]
-            orders.append(get)
+            try:
+                positions, starts = lists[total]
+            except KeyError:  # the first order of this total
+                positions, starts = lists[total] = [], bytearray()
+            positions.append(row)
             starts.append(first)
-    return {total: (tuple(orders), tuple(accumulate(map(starts.count, range(k + 1)), initial=0)))
-            for total, (orders, starts) in lists.items()}
+    return {total: (pack(f"{len(positions)}H", *positions),
+                    tuple(accumulate(map(starts.count, range(k + 1)), initial=0)))
+            for total, (positions, starts) in lists.items()}
 
 
-def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Sequence[itemgetter], int, int]]:
-    """Yield (prefix, free, orders, lo, hi) per node at the last pushed depth that accepts a
-    tail, in order: the node's permutations are prefix + get(free), one per getter in
-    orders[lo:hi], and it has hi - lo of them. The prefix and free lists are reused, and free is
-    valid only until the walk resumes, so a consumer applies the getters before it asks for the
-    next batch. The nodes sit at depth n - k - 1 and hand over the bounds of the orders of a
-    scored table that start in their candidate window: an unscored walk reads
-    the pattern-free table's total 0, every zigzag order, and a scored walk the orders under
-    the score that brings F to the target. A node finds none where no order is listed, and a
-    scored node that needs cap or more finds none without a lookup. A scored walk of length 2
-    needs no case of its own: its cap is 1, so target 0 keeps both orders and a larger one
-    finds none. A walk shorter than 2 is one literal batch ([], values, (tuple,), 0, 1) if its flags
-    and target allow; no 321 or 123 fits in it, so only target 0 does."""
+@cache
+def _getters(k: int, rise: bool, pattern: Pattern | None, cap: int) -> tuple[itemgetter, ...]:
+    """One `operator.itemgetter` per order in the blob of the head (k, rise, None, pattern, cap),
+    in blob order, so position p of a _tails list reads its order off the unused values as
+    _getters(...)[p](free). Built on first use and cached, for generate alone: the heads of all
+    three ends flags share them, and count never builds them."""
+    orders = _order_scores(k, rise, None, pattern, cap)[2]
+    return tuple(itemgetter(*orders[j:j + k + 1]) for j in range(0, len(orders), k + 1))
+
+
+def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], tuple | None, bytes, int, int]]:
+    """Yield (prefix, free, table, orders, lo, hi) per node at the last pushed depth that
+    accepts a tail, in order: orders holds 2-byte positions, and the node's permutations are
+    prefix + getters[p](free), getters = _getters(*table), one per position p from the lo-th
+    to the one before the hi-th, so it has hi - lo of them. table = (k, rise, pattern, cap) is
+    the same for every batch of a walk. The prefix and free lists are reused, and free is valid
+    only until the walk resumes, so a consumer applies the getters before it asks for the next
+    batch. The nodes sit at depth n - k - 1 and hand over the bounds of the orders of a scored
+    table that start in their candidate window: an unscored walk reads the pattern-free
+    table's total 0, every zigzag order, and a scored walk the orders under the score that
+    brings F to the target. A node finds none where no order is listed, and a scored node that
+    needs cap or more finds none without a lookup. A scored walk of length 2 needs no case of
+    its own: its cap is 1, so target 0 keeps both orders and a larger one finds none. A walk
+    shorter than 2 is one literal batch ([], values, None, position 0, 0, 1), whose one getter
+    is tuple, if its flags and target allow; no 321 or 123 fits in it, so only target 0 does."""
     n = filt.length
     pattern, target = filt.exact_occurrences or (None, 0)
     ends, begins = filt.ends_in_largest, filt.begins_with_smallest
     if n < 2:  # () neither ends in its largest nor begins with its smallest entry; (1,) does both
         if not target and ends in (None, n == 1) and begins in (None, n == 1):
-            yield [], range(1, n + 1), (tuple,), 0, 1
+            yield [], range(1, n + 1), None, pack("H", 0), 0, 1
         return
 
     # rise[t] (1-based position t >= 2): entry at t must exceed entry at t-1; the class
@@ -250,8 +278,10 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
         # n - k + r - free[r] (free[r] - 1 - r), each 0..leaf, clipped at cap by one lookup
         operands = (range(n - k, n + 1), free) if is321 else (free, range(1, k + 2))
         clip = tuple(map(min, range(leaf + 1), repeat(cap))).__getitem__
-    # heads[free[k] == n]; ends_in_largest never places n (most), so that walk reads one head
-    heads = [(k, rise[leaf + 2], flag, pattern, cap) for flag in (ends or None, ends)]
+    # heads[free[k] == n]; ends_in_largest never places n (most), so that walk reads one head;
+    # every head of the walk shares its table's getters
+    table = (k, rise[leaf + 2], pattern, cap)
+    heads = [(k, table[1], flag, pattern, cap) for flag in (ends or None, ends)]
     if not scored:
         tables = [_tails(head, (0,) * (k + 1)).get(0) for head in heads]
     total = 0  # F stays 0 on an unscored push
@@ -298,20 +328,20 @@ def _walk(filt: GenerationFilter) -> Iterator[tuple[list[int], Sequence[int], Se
                 continue
             orders, start = found
             if start[first] < start[i]:
-                yield prefix, free, orders, start[first], start[i]
+                yield prefix, free, table, orders, start[first], start[i]
 
 
 def generate(filt: GenerationFilter) -> Iterator[Perm]:
     """Yield every permutation matching `filt`, lexicographically, each once: a prefix plus one of its tails."""
-    for prefix, free, orders, lo, hi in _walk(filt):
-        head = tuple(prefix)
-        for get in orders[lo:hi]:
-            yield head + get(free)
+    for prefix, free, table, orders, lo, hi in _walk(filt):
+        head, getters = tuple(prefix), _getters(*table) if table else (tuple,)
+        for p in memoryview(orders).cast("H")[lo:hi]:
+            yield head + getters[p](free)
 
 
 def count(filt: GenerationFilter) -> int:
-    """Cardinality of generate(filt): the sum of the batches' hi - lo, with no getter called."""
-    return sum(hi - lo for _, _, _, lo, hi in _walk(filt))
+    """Cardinality of generate(filt): the sum of the batches' hi - lo, with no getter built or called."""
+    return sum(hi - lo for _, _, _, _, lo, hi in _walk(filt))
 
 
 def table1_oracle(cls: AlternationClass, n: int, statistic: str) -> int:

@@ -1,9 +1,12 @@
+import gc
+import runpy
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations, product, zip_longest
 from math import comb, factorial
-from operator import mul
+from operator import itemgetter, mul
+from pathlib import Path
 
 import pytest
 
@@ -315,6 +318,16 @@ def orders_below(k, rise, pattern, cap):
     return found
 
 
+def blob_orders(blob, k):
+    """The orders of k + 1 ranks a head with ends None lists in its blob, k + 1 bytes each."""
+    return [tuple(blob[j:j + k + 1]) for j in range(0, len(blob), k + 1)]
+
+
+def positions(packed):
+    """The 2-byte positions a flagged head's cut or a _tails list holds, as ints."""
+    return memoryview(packed).cast("H").tolist()
+
+
 def scored_vectors(k):
     """The vectors test_scored_table_lists_its_definition checks for a table of k + 1 ranks: every
     monotone one with entries 0..3 up to k = 5; from k = 6 on, those with at most two distinct
@@ -333,16 +346,16 @@ def test_scored_table_lists_its_definition(pattern):
     # permutations; with one, the reference orders are placed left to right by orders_below,
     # and where every zigzag order is kept (k <= _TAIL) they are also the filtered ones. The
     # entries with ends True and False keep the rows of the orders their flag picks, cut from
-    # it, the same getters included. For each vector a walk can meet with entries 0..3 (the
-    # placed values above an unused value shrink as the value grows, and those below it grow;
-    # an unscored walk meets only the one all 0, and reads total 0), _tails keeps, under each
-    # total below cap, the orders whose tail adds that total, lexicographically and sliced by
-    # first entry; where no order qualifies (k = 1 with no pattern: DU with ends True, UD with
-    # ends False) no total is listed. Getters are compared by the orders they read off the
-    # ranks, as the tables make their own, and a cut and its tails hold the getters of the
-    # entry with ends None. At cap 3 an entry of 3 stands for any count from 3 up, so the
-    # orders kept must not change when it is raised to 7. Only cap 3 (targets 0..2) reads
-    # tails of k + 1 = 9 to 11 entries, so those k check cap 3 alone.
+    # it, with the positions of those orders in its blob in place of the blob, and _getters
+    # reads each order of the blob off the ranks. For each vector a walk can meet with entries
+    # 0..3 (the placed values above an unused value shrink as the value grows, and those below
+    # it grow; an unscored walk meets only the one all 0, and reads total 0), _tails keeps,
+    # under each total below cap, the orders whose tail adds that total, lexicographically and
+    # sliced by first entry; where no order qualifies (k = 1 with no pattern: DU with ends
+    # True, UD with ends False) no total is listed. A list's orders are 2-byte positions in the
+    # blob of the entry with ends None, whatever the head's flag. At cap 3 an entry of 3 stands
+    # for any count from 3 up, so the orders kept must not change when it is raised to 7. Only
+    # cap 3 (targets 0..2) reads tails of k + 1 = 9 to 11 entries, so those k check cap 3 alone.
     for k in range(1, (enumeration._CAP3_TAIL if pattern else enumeration._TAIL) + 1):
         ranks = tuple(range(k + 1))
         caps = (1,) if pattern is None else (3, 100) if k <= enumeration._TAIL else (3,)
@@ -356,18 +369,21 @@ def test_scored_table_lists_its_definition(pattern):
                 kept = [order for order, (inside, _) in known.items() if inside < cap]
                 counts = [known[order] for order in kept]
                 grown = enumeration._order_scores(k, rise, None, pattern, cap)
-                ends_on_k, firsts, getters, inners, *columns = grown
+                ends_on_k, firsts, blob, inners, *columns = grown
+                assert blob_orders(blob, k) == kept, (k, rise, cap)
+                getters = enumeration._getters(k, rise, pattern, cap)
                 assert [get(ranks) for get in getters] == kept, (k, rise, cap)
-                order_of = dict(zip(getters, kept))
                 assert list(ends_on_k) == [order[-1] == k for order in kept]
                 assert list(firsts) == [order[0] for order in kept]
                 assert list(inners) == [inside for inside, _ in counts]
                 assert list(zip(*columns)) == ([by_rank for _, by_rank in counts] if pattern else [])
-                rows = list(zip(*grown))
+                rows = list(zip(range(len(kept)), ends_on_k, firsts, inners, *columns))
                 for ends in (True, False):
                     cut = enumeration._order_scores(k, rise, ends, pattern, cap)
-                    assert [type(column) for column in cut] == list(map(type, grown))
-                    assert list(zip(*cut)) == [row for row in rows if row[0] == ends], (k, rise, cap, ends)
+                    assert [type(column) for column in cut] == list(map(type, grown)) == [bytes] * len(grown)
+                    on_k, cut_firsts, where, *scores = cut
+                    assert list(zip(positions(where), on_k, cut_firsts, *scores)) == [
+                        row for row in rows if row[1] == ends], (k, rise, cap, ends)
                 # ends only picks orders, so each order's score serves all three heads
                 for vec in vectors:
                     vec = vec[::-1] if pattern == PATTERN_321 else vec
@@ -386,10 +402,11 @@ def test_scored_table_lists_its_definition(pattern):
                         table = enumeration._tails.__wrapped__((k, rise, ends, pattern, cap), vec)  # uncached
                         assert sorted(table) == sorted(expected), (k, rise, ends, vec, cap)
                         for total, (orders, start) in table.items():
-                            assert type(orders) is tuple and len(start) == k + 2
+                            assert type(orders) is bytes and len(start) == k + 2
+                            orders = positions(orders)
                             assert start[0] == 0 and start[k + 1] == len(orders)
                             for i in ranks:
-                                assert [order_of[get] for get in orders[start[i]:start[i + 1]]] == expected[total][i], (
+                                assert [kept[row] for row in orders[start[i]:start[i + 1]]] == expected[total][i], (
                                     k, rise, ends, vec, cap, total, i)
 
 
@@ -410,8 +427,8 @@ def test_targets_past_the_tail_bound_match_histogram(monkeypatch, cls, pattern):
 
 
 #: The oracle's cached table builders: the scored orders a head (k, rise, ends, pattern, cap)
-#: keeps, and the tails of a (head, vec)
-CACHED = ("_order_scores", "_tails")
+#: keeps, the tails of a (head, vec), and the getters generate reads a table's orders with
+CACHED = ("_order_scores", "_tails", "_getters")
 
 
 def fresh_cache(builder, build=None):
@@ -446,11 +463,11 @@ def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
     cold_caches(monkeypatch)
     for target in (166, 10**6, 10**20):
         assert count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, target))) == 0
-    assert cache_sizes() == [0, 0]
+    assert cache_sizes() == [0, 0, 0]
     # a target the tails can reach (cap 121) scores the orders of one head and builds vectors
     count(GenerationFilter(UD, 11, exact_occurrences=(PATTERN_321, 120)))
-    heads, vectors = cache_sizes()
-    assert heads == 1 and vectors
+    heads, vectors, getters = cache_sizes()
+    assert heads == 1 and vectors and not getters
 
 
 @pytest.mark.parametrize("cls", [UD, DU])
@@ -609,8 +626,10 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
                for ends in (None, True, False)]
     # the pattern-free heads these walks read: n = 4 (k = 1) and n = 8 (k = 5) both push two
     # entries, so UD rises into the table and DU falls, under every ends flag; each built
-    # afresh, the heads with ends True and False cut from the one with ends None
+    # afresh, the heads with ends True and False cut from the one with ends None, whose
+    # getters all three flags share
     heads = list(product((1, 5), (False, True), (None, True, False), (None,), (1,)))
+    tables = list(product((1, 5), (False, True), (None,), (1,)))
 
     def fresh(head):
         k = head[0]
@@ -618,15 +637,19 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
                 repr(enumeration._tails.__wrapped__(head, (0,) * (k + 1))))
 
     built = {head: fresh(head) for head in heads}
+    getters = {table: repr(enumeration._getters.__wrapped__(*table)) for table in tables}
 
     def check():
-        # every head and its one vector are cached (read with no miss) and equal their fresh
-        # build: itemgetters compare by identity, and their repr lists the indices they read
-        assert cache_sizes() == [len(heads), len(heads)]
+        # every head, its one vector and its getters are cached (read with no miss) and equal
+        # their fresh build: an itemgetter compares by identity, and its repr lists the indices
+        # it reads
+        assert cache_sizes() == [len(heads), len(heads), len(tables)]
         misses = cache_misses()
         for head, (columns, table) in built.items():
             assert repr(enumeration._order_scores(*head)) == columns, head
             assert repr(enumeration._tails(head, (0,) * (head[0] + 1))) == table, head
+        for table, read in getters.items():
+            assert repr(enumeration._getters(*table)) == read, table
         assert cache_misses() == misses
 
     race_cold_builds(monkeypatch, filters, check)
@@ -643,7 +666,8 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # read the orders that flag cuts. The three at n = 12, targets 0..2, push one and fall into tails of
     # 11 off one head (k = 10), capped at 3 for all three (they begin with 1, which keeps them
     # to one vector), and the n = 12 walk with no flag falls into the same head and meets one
-    # vector per first entry, so several threads race on the vectors of one head.
+    # vector per first entry, so several threads race on the vectors of one head. generate
+    # builds the getters of each (k, rise, pattern, cap) it reads, from the head with ends None.
     filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, 2), ends_in_largest=ends)
                for cls in (UD, DU) for n in (6, 9) for pattern in (PATTERN_321, PATTERN_123)
                for ends in (None, False)]
@@ -652,8 +676,10 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
                 for target in range(3)]
     filters.append(GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, 0)))
     orders, tails = enumeration._order_scores.__wrapped__, enumeration._tails.__wrapped__
+    getters = enumeration._getters.__wrapped__
     heads: set = set()  # every head whose orders were built
     built: set = set()  # every (head, vec) whose tails were built
+    tables: set = set()  # every (k, rise, pattern, cap) whose getters were built
 
     def record_head(*head):
         heads.add(head)
@@ -663,7 +689,11 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
         built.add((head, vec))
         return tails(head, vec)
 
-    cold_caches(monkeypatch, _order_scores=record_head, _tails=record_tails)
+    def record_getters(*table):
+        tables.add(table)
+        return getters(*table)
+
+    cold_caches(monkeypatch, _order_scores=record_head, _tails=record_tails, _getters=record_getters)
 
     def check():
         misses = cache_misses()
@@ -678,19 +708,67 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
             assert repr(enumeration._order_scores(*head)) == repr(orders(*head)), head
         for head, vec in built:  # the fresh build reads the orders just checked
             assert repr(enumeration._tails(head, vec)) == repr(tails(head, vec)), (head, vec)
+        # one set of getters per (k, rise, pattern, cap) read, whatever the flags
+        assert tables == {(k, rise, pattern, cap) for k, rise, _, pattern, cap in heads}
+        for table in tables:
+            assert repr(enumeration._getters(*table)) == repr(getters(*table)), table
         assert cache_misses() == misses  # all were cached
         heads.clear()
         built.clear()
+        tables.clear()
+
+    race_cold_builds(monkeypatch, filters, check)
+
+
+def test_generate_getters_cold_build_is_thread_safe(monkeypatch):
+    # The same race on the getters generate reads: each (k, rise, pattern, cap) below is read
+    # under all three ends flags, whose heads share one set of getters, built from the blob
+    # of the head with ends None. UD n = 8 target 1 and DU n = 8 target 2 read all k + 1 = 8
+    # entries at the root (cap 3), UD n = 11 target 0 all 11 (k = 10, 1,655 orders), and the
+    # unscored DU n = 8 pushes two and falls into tails of 6; at n = 8 the streams are the naive
+    # scan's. A set of getters stored before it is whole would read a tail off the wrong
+    # order, or raise, in some thread.
+    flags = (None, True, False)
+    filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, target), ends_in_largest=ends)
+               for cls, n, pattern, target in ((UD, 8, PATTERN_321, 1), (DU, 8, PATTERN_123, 2),
+                                               (UD, 11, PATTERN_321, 0)) for ends in flags]
+    filters += [GenerationFilter(DU, 8, ends_in_largest=ends) for ends in flags]
+    for filt in filters:
+        if filt.length == 8:
+            assert list(generate(filt)) == naive.matching_perms(
+                filt.cls.value, 8, exactly=filt.exact_occurrences, ends_in_largest=filt.ends_in_largest)
+    getters = enumeration._getters.__wrapped__
+    tables: set = set()  # every (k, rise, pattern, cap) whose getters were built
+
+    def record_getters(*table):
+        tables.add(table)
+        return getters(*table)
+
+    cold_caches(monkeypatch, _getters=record_getters)
+
+    def check():
+        misses = cache_misses()
+        assert tables == {(7, True, PATTERN_321, 3), (7, False, PATTERN_123, 3), (10, True, PATTERN_321, 3),
+                          (5, False, None, 1)}
+        assert cache_sizes()[2] == len(tables)
+        for k, rise, pattern, cap in tables:  # whole: one getter per order of the blob, in order
+            cached = enumeration._getters(k, rise, pattern, cap)
+            blob = enumeration._order_scores(k, rise, None, pattern, cap)[2]
+            assert type(cached) is tuple and [get(range(k + 1)) for get in cached] == blob_orders(blob, k)
+            assert repr(cached) == repr(getters(k, rise, pattern, cap))
+        assert cache_misses() == misses  # all were cached
+        tables.clear()
 
     race_cold_builds(monkeypatch, filters, check)
 
 
 def test_zigzag_table_is_published_whole(monkeypatch):
-    # The first itemgetter() call (making the first order's getter in _order_scores) and the
-    # first accumulate() call (the offsets by first entry of the first total _tails lists) each
-    # run a walk in a new thread and wait for it, so that walk starts midway through the build
-    # of the pattern-free table it reads first, for k = 5: it must find nothing cached for it,
-    # and build its own. Building another k keeps the first.
+    # The first chain() call (joining the first head's orders into its blob in _order_scores),
+    # the first accumulate() call (the offsets by first entry of the first total _tails lists)
+    # and the first itemgetter() call (making the first getter in _getters) each run a walk in
+    # a new thread and wait for it, so that walk starts midway through the build of a table
+    # it reads, for k = 5: it must find nothing cached for it, and build its own. Building
+    # another k keeps the first.
     filt = GenerationFilter(DU, 8, ends_in_largest=False)
     expected = list(generate(filt))
     midway: list = []
@@ -704,25 +782,32 @@ def test_zigzag_table_is_published_whole(monkeypatch):
             return build_step(*args, **kwargs)
         return step
 
-    monkeypatch.setattr(enumeration, "itemgetter", read_midway(enumeration.itemgetter))
-    monkeypatch.setattr(enumeration, "accumulate", read_midway(enumeration.accumulate))
+    for name in ("chain", "accumulate", "itemgetter"):
+        monkeypatch.setattr(enumeration, name, read_midway(getattr(enumeration, name)))
     cold_caches(monkeypatch)
     assert list(generate(filt)) == expected
-    assert midway == [expected, expected]
+    assert midway == [expected] * 3
     # DU falls into position 4, where the table starts, and the walk reads the tails of the
     # heads with ends None and then False; the second cuts its orders from the first's. The
     # first reader starts inside this walk's growth of the first head's orders, so both miss
     # that head's orders and its tails; the second reader starts inside the first reader's
     # tails of that head, finds its orders but not its tails, builds them, then misses the
-    # second head, cuts its orders from the first head's (a hit) and builds its tails; the
-    # others then read those whole. This walk stores the first head's orders and tails last
+    # second head, cuts its orders from the first head's (a hit) and builds its tails. Its
+    # first batch misses the getters, and the third reader starts inside their build: it
+    # finds both heads' tails, misses the getters too, builds them from the first head's
+    # orders (a hit) and reads them once per batch. The others then read those whole, once
+    # per batch each; this walk stores the first head's orders and tails last
     info = [getattr(enumeration, name).cache_info() for name in CACHED]
-    assert [(i.hits, i.misses, i.currsize) for i in info] == [(2, 3, 2), (2, 4, 2)]
+    batches = len(list(enumeration._walk(filt)))
+    assert [(i.hits, i.misses, i.currsize) for i in info] == [
+        (4, 3, 2), (4, 4, 2), (4 * batches - 2, 2, 1)]
     head, zeros = (5, False, None, None, 1), (0,) * 6
-    table = enumeration._tails(head, zeros)
+    table, getters = enumeration._tails(head, zeros), enumeration._getters(5, False, None, 1)
     enumeration._tails((2, False, None, None, 1), (0,) * 3)
-    assert cache_sizes() == [3, 3]
+    enumeration._getters(2, False, None, 1)
+    assert cache_sizes() == [3, 3, 2]
     assert enumeration._tails(head, zeros) is table
+    assert enumeration._getters(5, False, None, 1) is getters
 
 
 @pytest.mark.parametrize("ends", [None, True, False])
@@ -745,7 +830,51 @@ def test_a_cold_unscored_count_builds_only_the_heads_it_reads(monkeypatch, ends)
     cold_caches(monkeypatch, _tails=record_tails)
     assert count(filt) == expected
     assert read == [(7, True, flag, None, 1) for flag in dict.fromkeys((ends or None, ends))]
-    assert cache_sizes() == [len({None, ends}), len(read)]
+    assert cache_sizes() == [len({None, ends}), len(read), 0]
+
+
+def reachable(*roots):
+    """Every object reachable from roots through gc.get_referents, the roots included."""
+    seen, todo = {}, list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            todo.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_counting_builds_no_getter(monkeypatch):
+    # The oracle workload's 54 counts (tools/trajectory.py's GRID) on cold caches build orders
+    # and tails but no getter: _getters stays empty, and no itemgetter is reachable from any
+    # value _order_scores or _tails stored, which hold bytes and ints only. generate under each
+    # ends flag of one (k, rise, pattern, cap) then builds that one set of getters: UD n = 10
+    # with one 321 reads all 10 entries at the root (k = 9, cap 3) under every flag.
+    grid = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "trajectory.py"))["GRID"]
+    patterns = {"321": PATTERN_321, "123": PATTERN_123}
+    filters = [GenerationFilter(AlternationClass(cls), n, ends_in_largest=ends,
+                                exact_occurrences=None if pattern is None else (patterns[pattern], target))
+               for cls, n, pattern, target, ends in grid]
+    assert len(filters) == 54
+    stored: list = []
+
+    def storing(build):
+        def built(*key):
+            stored.append(value := build(*key))
+            return value
+        return built
+
+    cold_caches(monkeypatch, _order_scores=storing(enumeration._order_scores.__wrapped__),
+                _tails=storing(enumeration._tails.__wrapped__))
+    assert all(count(filt) for filt in filters)
+    heads, vectors, getters = cache_sizes()
+    assert heads and vectors and not getters and len(stored) == heads + vectors
+    assert not any(isinstance(obj, itemgetter) for obj in reachable(*stored))
+    for ends in (None, True, False):
+        filt = GenerationFilter(UD, 10, exact_occurrences=(PATTERN_321, 1), ends_in_largest=ends)
+        assert len(list(generate(filt))) == count(filt)
+    assert cache_sizes()[2] == 1
+    assert enumeration._getters.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("pattern", [None, PATTERN_321])
@@ -755,7 +884,7 @@ def test_ends_flags_share_one_set_of_orders(monkeypatch, pattern):
     # root, rising into them too (exactly one 321, cap 3). Together they read the heads of all
     # three flags, and each head keeps the orders its flag picks from one set grown once: the
     # orders of a (k, rise, pattern, cap) grow only in its head with ends None, and the heads
-    # with ends True and False are cut from that entry, so they hold its very getters
+    # with ends True and False are cut from that entry, so they hold positions in its blob
     target = None if pattern is None else (pattern, 1)
     filters = [GenerationFilter(UD, 10, exact_occurrences=target, ends_in_largest=ends)
                for ends in (None, True, False)]
@@ -771,12 +900,12 @@ def test_ends_flags_share_one_set_of_orders(monkeypatch, pattern):
     cold_caches(monkeypatch, _order_scores=record_growth)
     assert [count(filt) for filt in filters] == expected
     assert expected[0] == expected[1] + expected[2]
-    assert cache_sizes() == [3, 3]  # and each head meets one vector
+    assert cache_sizes() == [3, 3, 0]  # each head meets one vector, and counting builds no getter
     (head,) = grown
-    ends_on_k, _, getters, *_ = enumeration._order_scores(*head)
+    ends_on_k = enumeration._order_scores(*head)[0]
     for ends in (True, False):
         cut = enumeration._order_scores(*head[:2], ends, *head[3:])[2]
-        assert cut == tuple(get for get, on_k in zip(getters, ends_on_k) if on_k == ends), ends
+        assert positions(cut) == [row for row, on_k in enumerate(ends_on_k) if on_k == ends], ends
 
 
 def test_streams_sorted_and_duplicate_free():

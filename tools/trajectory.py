@@ -4,18 +4,18 @@
     python tools/trajectory.py PR
 
 Each case below is measured REPEATS times, in rounds that measure every case
-once, and reported by its median, in its unit: seconds, or MiB for the two
+once, and reported by its median, in its unit: seconds, or MiB for the three
 memory cases. The five layers are the occurrence counter (`perm_core`), the
 oracle (`enumeration`: one pass over a fixed grid of counts, warm and cold, the
-time and peak memory of a longer loop of counts and of a sweep over every
-target of one length, single cold counts, scored and flagged, where a user pays
-for building the tables, and warm scored counts past the grid; each of them
-times `count` over a list of rows), the closed forms (`formulas`, cold and
-warm, at large n), the bijection (`decompose`: split and reconstruct) and the
-CLI as a process. A cold case runs each repetition in a fresh interpreter,
-which times its one call inside; a CLI case times the whole process, start-up
-included, on a copy of the package that holds no bytecode, so every run
-compiles the package afresh.
+time and peak memory of a longer loop of counts, of a sweep over every target
+of one length and of one mid-target count at n = 14, single cold counts,
+scored and flagged, where a user pays for building the tables, and warm scored
+counts past the grid; each of them times `count` over a list of rows), the
+closed forms (`formulas`, cold and warm, at large n), the bijection
+(`decompose`: split and reconstruct) and the CLI as a process. A cold case
+runs each repetition in a fresh interpreter, which times its one call inside;
+a CLI case times the whole process, start-up included, on a copy of the
+package that holds no bytecode, so every run compiles the package afresh.
 
 The script reads the package from the `src` directory next to its own
 directory, writes BENCH_<PR>.json to the root of that checkout (with the
@@ -62,6 +62,9 @@ SCORED_N17 = [(cls, 17, pattern, target, None) for target in range(3) for patter
 
 #: The target sweep: every target of UD 321 at n = 10; the counts sum to E_10 = 50,521.
 SWEEP = [("UD", 10, "321", target, None) for target in range(81)]
+
+#: One mid-target count at n = 14, whose cap of its own builds tables no other target shares.
+MID_N14 = [("DU", 14, "321", 130, None)]
 
 #: CLI cases: argv after `altperms`
 CLI = {
@@ -184,6 +187,10 @@ CASES = {
                                 counts(SWEEP), True),
     "enumeration.sweep_n10_peak_rss": ("enumeration", "peak RSS after the same counts; fresh process",
                                        peak(counts(SWEEP)), True),
+    "enumeration.mid_target_n14_s": ("enumeration", "one count, DU 321 target 130 at n 14; fresh process",
+                                     counts(MID_N14), True),
+    "enumeration.mid_target_n14_peak_rss": ("enumeration", "peak RSS after the same count; fresh process",
+                                            peak(counts(MID_N14)), True),
     "formulas.catalan_cold": ("formulas", "catalan(30000), fresh process", formula(lambda a: a.catalan(30_000)), True),
     "formulas.catalan_warm": ("formulas", "catalan(30000) again", warm(formula(lambda a: a.catalan(30_000))), False),
     "formulas.a_n_cold": ("formulas", "a_n(321, UD, 200001), fresh process",
