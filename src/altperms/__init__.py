@@ -7,6 +7,8 @@ compiles only the modules the CLI imports, and the first public name read
 from `altperms` binds all of them at once.
 """
 
+import sys
+
 #: Each public name, under the module that defines it.
 _HOMES = {
     "perm_core": (
@@ -37,10 +39,12 @@ def __getattr__(name: str):
     wraps the package namespace finds all of them there after the first read."""
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import decompose, enumeration, formulas, perm_core  # each also becomes a package attribute
+    from . import decompose, enumeration, formulas, perm_core
 
+    # read each module from sys.modules, not from the package: the import system sets a submodule's
+    # package attribute only after its import returns, and a second thread can arrive in between
     namespace = globals()
     for home, names in _HOMES.items():
-        module = namespace[home]
+        module = sys.modules[f"{__name__}.{home}"]
         namespace.update({attr: getattr(module, attr) for attr in names})
     return namespace[name]

@@ -30,7 +30,6 @@ from .perm_core import (
     PATTERN_321,
     Perm,
     check_class,
-    classify,
     format_perm,
     is_alternating,
     is_permutation,
@@ -88,27 +87,28 @@ def format_record(record: DecompositionRecord) -> str:
     )
 
 
+_FIELD_KEYS = ("n", "class", "j", "U", "V")
+
+
 def _malformed(text: str) -> ValueError:
     return ValueError(f"malformed record text {text!r}: expected fields n;class;j;U;V in that order")
 
 
 def parse_record(text: str) -> DecompositionRecord:
     """Inverse of format_record; raises ValueError on malformed text."""
-    parts = [part.split("=", 1) for part in text.strip().split(";")]
-    if any(len(part) != 2 for part in parts) or [key for key, _ in parts] != ["n", "class", "j", "U", "V"]:
+    fields = text.strip().split(";")
+    if len(fields) != len(_FIELD_KEYS):
         raise _malformed(text)
-    fields = dict(parts)
+    for t, key in enumerate(_FIELD_KEYS):  # each field in place becomes its value
+        name, equals, fields[t] = fields[t].partition("=")
+        if name != key or not equals:
+            raise _malformed(text)
+    n, code, j, u, v = fields
     try:
-        n, j = int(fields["n"]), int(fields["j"])
+        n, j = int(n), int(j)
     except ValueError:
         raise _malformed(text) from None
-    return DecompositionRecord(
-        n=n,
-        cls=AlternationClass.from_code(fields["class"]),
-        j=j,
-        u=parse_perm(fields["U"]),
-        v=parse_perm(fields["V"]),
-    )
+    return DecompositionRecord(n, AlternationClass.from_code(code), j, parse_perm(u), parse_perm(v))
 
 
 def _lower_fall(w: Sequence[int]) -> tuple[int, int] | tuple[()] | None:
@@ -188,18 +188,22 @@ def _block_problems(name: str, block: Perm, length: int, cls: AlternationClass, 
 def _record_problems(record: DecompositionRecord) -> list[str]:
     """All constraint violations of a record (empty list when valid).
 
-    j must lie in 2..n-1 and each block must pass `_block_problems`.  The
-    checks run in three stages across the record: j's range and whether each
-    block is a permutation, then the block lengths, then each block's 321,
-    shape and boundary (U's problems before V's).  Only the first stage with
-    a problem is reported.
+    j must lie in 2..n-1 and each block must pass `_block_problems`; both
+    blocks are checked on every call, and a valid record returns at once.  For
+    an invalid one the checks fall in three stages across the record: j's
+    range and whether each block is a permutation, then the block lengths,
+    then each block's 321, shape and boundary (U's problems before V's).  Only
+    the first stage with a problem is reported.
     """
     n, j, cls = record.n, record.j, record.cls
     checks = [
         _block_problems("U", record.u, j, cls, j),
         _block_problems("V", record.v, n - j + 1, suffix_class(cls, j), j),
     ]
-    if not 2 <= j <= n - 1:
+    if 2 <= j <= n - 1:
+        if not (checks[0][1] or checks[1][1]):
+            return []
+    else:
         checks.insert(0, (0, [f"j={j} outside 2..{n - 1}"]))
     first = min((stage for stage, problems in checks if problems), default=None)
     return [problem for stage, problems in checks if stage == first for problem in problems]
@@ -215,11 +219,13 @@ def validate_record(record: DecompositionRecord) -> None:
 def _read(w: Perm) -> DecompositionRecord:
     """The record read off a host, unchecked; ValueError (NotAlternating,
     NotExactlyOne) when w is not an alternating host with a unique 321."""
-    classes = classify(w)
-    if not classes:
+    if is_alternating(w, AlternationClass.UP_DOWN):
+        cls = AlternationClass.UP_DOWN
+    elif is_alternating(w, AlternationClass.DOWN_UP):
+        cls = AlternationClass.DOWN_UP
+    else:
         raise NotAlternating(f"{format_perm(w)} fits neither alternation class")
     i, j, k = locate_unique_321(w)
-    cls = AlternationClass.UP_DOWN if AlternationClass.UP_DOWN in classes else AlternationClass.DOWN_UP
     u = standardize(w[: j - 1] + (w[k - 1],))
     v = standardize((w[i - 1],) + w[j:])
     return DecompositionRecord(n=len(w), cls=cls, j=j, u=u, v=v)

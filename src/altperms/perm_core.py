@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from operator import attrgetter, lt
+from operator import attrgetter, ge, lt
 
 Perm = tuple[int, ...]
 #: A pattern is itself a permutation; only PATTERN_321 and PATTERN_123 are accepted.
@@ -99,12 +99,13 @@ class AlternationClass(enum.Enum):
     @classmethod
     def from_code(cls, code: str) -> "AlternationClass":
         """The member whose value is `code`, "UD" or "DU"; ValueError for anything else, a member included."""
-        if isinstance(code, str):  # looked up by value: calling the class with a member returns it
-            try:
-                return cls(code)
-            except ValueError:
-                pass
-        raise ValueError(f"unknown alternation class code {code!r} (expected UD or DU)")
+        member = _CLASS_CODES.get(code) if isinstance(code, str) else None  # a member or an unhashable is no code
+        if member is None:
+            raise ValueError(f"unknown alternation class code {code!r} (expected UD or DU)")
+        return member
+
+
+_CLASS_CODES = {member.value: member for member in AlternationClass}
 
 
 def check_class(cls: object) -> AlternationClass:
@@ -168,26 +169,25 @@ def format_perm(w: Sequence[int]) -> str:
 def is_alternating(w: Sequence[int], cls: AlternationClass) -> bool:
     """Positionwise zigzag check: the entry at each 1-based position t >= 2 exceeds
     its predecessor exactly when `cls.rises_into(t)`, a tie counting as no rise.
-    Lengths <= 1 satisfy every class.  Tested as `cls in classify(w)`."""
-    return cls in classify(w)
+    Lengths <= 1 satisfy every class; anything but an AlternationClass satisfies none.
+
+    Two passes pair the entries: w[::2] with w[1::2] are the steps into the even
+    positions 2, 4, ..., and w[1::2] with w[2::2] those into the odd positions 3, 5, ....
+    """
+    if cls is AlternationClass.UP_DOWN:
+        return all(map(lt, w[::2], w[1::2])) and all(map(ge, w[1::2], w[2::2]))
+    return cls is AlternationClass.DOWN_UP and all(map(ge, w[::2], w[1::2])) and all(map(lt, w[1::2], w[2::2]))
 
 
 def classify(w: Sequence[int]) -> set[AlternationClass]:
-    """The set of alternation classes w satisfies (both for n <= 1, possibly none).
+    """The set of alternation classes `is_alternating` accepts for w (both for n <= 1, possibly none).
 
     >>> sorted(c.value for c in classify((1, 3, 2, 4)))
     ['UD']
     >>> classify((1, 2, 3, 4))
     set()
     """
-    rises = list(map(lt, w, w[1:]))  # rises[t] is w[t] < w[t+1] (0-based): a tie is no rise
-    into_even, into_odd = rises[::2], rises[1::2]  # into 1-based positions 2, 4, ... and 3, 5, ...
-    classes = set()
-    if False not in into_even and True not in into_odd:
-        classes.add(AlternationClass.UP_DOWN)
-    if True not in into_even and False not in into_odd:
-        classes.add(AlternationClass.DOWN_UP)
-    return classes
+    return {cls for cls in AlternationClass if is_alternating(w, cls)}
 
 
 def check_pattern(pattern: Sequence[int]) -> Pattern:

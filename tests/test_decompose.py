@@ -2,7 +2,7 @@ import random
 from functools import cache
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import altperms.decompose as decompose_module
 from altperms.decompose import (
@@ -298,6 +298,74 @@ def test_record_check_finds_321_in_each_block(u, v):
     problems = decompose_module._record_problems(record)
     assert ("U contains 321" in problems) == (naive.occurrence_count(u, PATTERN_321) > 0)
     assert ("V contains 321" in problems) == (naive.occurrence_count(v, PATTERN_321) > 0)
+
+
+def staged_record_problems(record):
+    """`_record_problems` as a staged selection on every record, valid ones included: the reference
+    for the direct path that returns at once when j is in range and both blocks pass."""
+    n, j, cls = record.n, record.j, record.cls
+    checks = [
+        decompose_module._block_problems("U", record.u, j, cls, j),
+        decompose_module._block_problems("V", record.v, n - j + 1, suffix_class(cls, j), j),
+    ]
+    if not 2 <= j <= n - 1:
+        checks.insert(0, (0, [f"j={j} outside 2..{n - 1}"]))
+    first = min((stage for stage, problems in checks if problems), default=None)
+    return [problem for stage, problems in checks if stage == first for problem in problems]
+
+
+@cache
+def record_blocks(name, cls, length):
+    """The blocks a valid record holds as `name` ("U" or "V") of that class and length."""
+    flag = {"ends_in_largest": False} if name == "U" else {"begins_with_smallest": False}
+    return list(generate(GenerationFilter(cls, length, avoid=PATTERN_321, **flag)))
+
+
+#: A word of each kind of problem `_record_problems` reports, one kind for each check.
+PROBLEM_KINDS = ("valid", "outside", "not a permutation", "has length", "contains 321", "alternating", "ends in",
+                 "begins with")
+#: How a drawn record's block is made; valid blocks come most often, so that many records reach the last stage.
+BLOCK_KINDS = ("valid",) * 3 + ("any permutation",) * 2 + ("wrong length", "not a permutation")
+
+
+@st.composite
+def staged_records(draw):
+    """A record, j mostly in range, each block drawn as a valid block of its class and length, any
+    permutation of that length (321s, wrong shapes, failed boundaries), a permutation of another
+    length or a list that is no permutation."""
+    n = draw(st.integers(0, 10))
+    cls = draw(st.sampled_from([UD, DU]))
+    in_range = n > 2 and draw(st.integers(0, 7))
+    j = draw(st.integers(2, n - 1) if in_range else st.integers(-1, n + 1))
+    blocks = []
+    for name, length, block_cls in (("U", j, cls), ("V", n - j + 1, suffix_class(cls, j))):
+        kind = draw(st.sampled_from(BLOCK_KINDS))
+        if kind == "valid" and length >= 1 and record_blocks(name, block_cls, length):
+            blocks.append(draw(st.sampled_from(record_blocks(name, block_cls, length))))
+        elif kind == "not a permutation":
+            block = draw(st.lists(st.integers(0, 8), max_size=8))
+            blocks.append(block if sorted(block) != list(range(1, len(block) + 1)) else [*block, 0])
+        else:
+            size = max(length, 0) if kind != "wrong length" else draw(
+                st.sampled_from([k for k in range(10) if k != length]))
+            blocks.append(draw(st.permutations(range(1, size + 1))))
+    return DecompositionRecord(n, cls, j, *blocks)
+
+
+@settings(max_examples=400)
+@given(staged_records())
+@example(DecompositionRecord(6, UD, 3, (1, 3, 2), (2, 3, 1, 4)))
+def test_record_problems_match_the_staged_definition(record):
+    got = decompose_module._record_problems(record)
+    for problem in got or ["valid"]:
+        event(next(kind for kind in PROBLEM_KINDS if kind in problem))
+    assert got == staged_record_problems(record)
+
+
+def test_record_problems_match_the_staged_definition_on_listed_records():
+    listed = [record for record, _ in MULTI_PROBLEM_RECORDS] + [split(w) for w in ALL_SMALL_HOSTS]
+    for record in listed:
+        assert decompose_module._record_problems(record) == staged_record_problems(record)
 
 
 def test_roundtrip_split_then_reconstruct():

@@ -9,8 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import event, given, settings, strategies as st
 
 import altperms.cli as cli
-from altperms.decompose import format_record, parse_record, split
-from altperms.perm_core import PATTERN_321, format_perm, parse_perm
+from altperms.decompose import DecompositionRecord, format_record, parse_record, split
+from altperms.perm_core import PATTERN_321, AlternationClass, format_perm, parse_perm
 
 import naive
 from test_cli import limit_request
@@ -35,6 +35,72 @@ def test_parse_record_roundtrips_or_rejects(text):
     except ValueError:
         return
     assert parse_record(format_record(record)) == record
+
+
+def dict_parse_record(text):
+    """The reference `parse_record` must agree with: a parser that splits each field at "=", checks
+    the key list, reads the fields from a dict and looks the class up by calling the `Enum`."""
+    malformed = ValueError(f"malformed record text {text!r}: expected fields n;class;j;U;V in that order")
+    parts = [part.split("=", 1) for part in text.strip().split(";")]
+    if any(len(part) != 2 for part in parts) or [key for key, _ in parts] != ["n", "class", "j", "U", "V"]:
+        raise malformed
+    fields = dict(parts)
+    try:
+        n, j = int(fields["n"]), int(fields["j"])
+    except ValueError:
+        raise malformed from None
+    try:
+        cls = AlternationClass(fields["class"])
+    except ValueError:
+        raise ValueError(f"unknown alternation class code {fields['class']!r} (expected UD or DU)") from None
+    return DecompositionRecord(n=n, cls=cls, j=j, u=parse_perm(fields["U"]), v=parse_perm(fields["V"]))
+
+
+FIELD_KEYS = ["n", "class", "j", "U", "V"]
+_ints = st.integers(-2, 12).map(str)
+_perms = st.integers(0, 5).flatmap(lambda k: st.permutations(range(1, k + 1))).map(format_perm)
+#: The values each field of a record takes, and values that misfit some field.
+FITTING = {"n": _ints, "class": st.sampled_from(["UD", "DU"]), "j": _ints, "U": _perms, "V": _perms}
+MISFITS = st.one_of(st.sampled_from(["ud", "UD ", "", "+3", " 6", "1_0", "x", "1,,2", "=", "UD;"]),
+                    st.lists(st.integers(0, 5), max_size=5).map(format_perm),
+                    st.text(alphabet="nclasjUVD=;,0123456789- ", max_size=8))
+RECORD_DEFECTS = ("none", "other key", "no =", "misfit value", "dropped field", "extra field", "padding")
+
+
+@st.composite
+def record_texts(draw):
+    """A record's text, each field its key, "=" and a value that key takes, then at most one defect:
+    a field's key replaced, its "=" dropped (maybe with its value), its value a misfit, a field dropped
+    or added, or padding around the text."""
+    fields = [[key, "=", draw(FITTING[key])] for key in FIELD_KEYS]
+    defect = draw(st.sampled_from(RECORD_DEFECTS[:1] * 3 + RECORD_DEFECTS[1:]))
+    at = draw(st.integers(0, len(fields) - 1))
+    if defect == "other key":
+        fields[at][0] = draw(st.sampled_from(FIELD_KEYS + ["N", "u", " j", "class ", ""]))
+    elif defect == "no =":  # with its value or without: a bare key
+        fields[at][1:] = ["", draw(st.sampled_from(["", fields[at][2]]))]
+    elif defect == "misfit value":
+        fields[at][2] = draw(MISFITS)
+    elif defect == "dropped field":
+        del fields[at]
+    elif defect == "extra field":
+        fields.insert(at, [draw(st.sampled_from(FIELD_KEYS)), "=", draw(MISFITS)])
+    pad = draw(st.sampled_from([" ", "\n", "\t "])) if defect == "padding" else ""
+    event(f"record defect: {defect}")
+    return pad + ";".join(map("".join, fields)) + pad
+
+
+@settings(max_examples=400)
+@given(st.one_of(texts, record_texts()))
+def test_parse_record_matches_the_dict_parser(text):
+    results = []
+    for parser in (parse_record, dict_parse_record):
+        try:
+            results.append(("record", parser(text)))
+        except ValueError as exc:
+            results.append(("error", str(exc)))
+    event(f"parse_record: {results[0][0]}")
+    assert results[0] == results[1]
 
 
 @given(texts)

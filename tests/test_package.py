@@ -71,9 +71,11 @@ def test_invariant_violation_is_one_class():
     assert altperms.InvariantViolation is altperms.decompose.InvariantViolation is altperms.perm_core.InvariantViolation
 
 
-def test_concurrent_first_reads_get_the_home_objects():
-    # eight threads miss at once; each binds the whole namespace, with the same objects
-    probe = f"""
+def first_reads(prelude=""):
+    """Run `prelude`, then eight threads that each read their share of the public names as the
+    package's first reads, all at once; the probe's exit code, stdout and stderr. The probe prints how
+    many names were read and those that are not their home module's object: "48 []" when all hold."""
+    probe = prelude + f"""
 import sys, threading
 import altperms
 
@@ -99,4 +101,31 @@ print(sum(map(len, got.values())), wrong)
 """
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=60)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "48 []\n", "")
+    return out.returncode, out.stdout, out.stderr
+
+
+def test_concurrent_first_reads_get_the_home_objects():
+    # eight threads miss at once; each binds the whole namespace, with the same objects
+    assert first_reads() == (0, "48 []\n", "")
+
+
+#: Sleeps 50 ms after `altperms.formulas` has loaded, before the import system sets it as an attribute
+#: of the package, so that the other first readers arrive in that gap.
+SLOW_FORMULAS = """
+import importlib._bootstrap as bootstrap, time
+
+load = bootstrap._load_unlocked
+
+def slow_load(spec):
+    module = load(spec)
+    if spec.name == "altperms.formulas":
+        time.sleep(0.05)
+    return module
+
+bootstrap._load_unlocked = slow_load
+"""
+
+
+def test_concurrent_first_reads_during_a_slow_submodule_import():
+    # a reader that finds a submodule imported but not yet an attribute of the package still binds its names
+    assert first_reads(SLOW_FORMULAS) == (0, "48 []\n", "")

@@ -136,6 +136,7 @@ def test_alternation_matches_the_positionwise_rule(w):
         assert classify(seq) == expected
         for cls in AlternationClass:
             assert is_alternating(seq, cls) == (cls in expected)
+        assert not is_alternating(seq, "UD")  # a class code is no class
 
 
 def test_classify_matches_naive_for_small_n():
@@ -149,10 +150,12 @@ def test_classify_matches_naive_for_small_n():
 def test_alternation_codes():
     assert AlternationClass.from_code("UD") is UD
     assert AlternationClass.from_code("DU") is DU
-    # only a code: the class itself would also take a member
-    for code in ("XX", "ud", UD, None):
-        with pytest.raises(ValueError, match=rf"^unknown alternation class code {code!r} \(expected UD or DU\)$"):
+    # only a code: the class itself would also take a member; an unhashable or a bytes code is
+    # refused with the same message, never a TypeError from the lookup
+    for code in ("XX", "ud", UD, None, [], b"UD", "UD "):
+        with pytest.raises(ValueError) as info:
             AlternationClass.from_code(code)
+        assert str(info.value) == f"unknown alternation class code {code!r} (expected UD or DU)"
     assert UD.flipped is DU and DU.flipped is UD
 
 

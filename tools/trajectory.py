@@ -10,12 +10,13 @@ oracle (`enumeration`: one pass over a fixed grid of counts, warm and cold, the
 time and peak memory of a longer loop of counts, of a sweep over every target
 of one length and of one mid-target count at n = 14, single cold counts,
 scored and flagged, where a user pays for building the tables, and warm scored
-counts past the grid; each of them times `count` over a list of rows), the
-closed forms (`formulas`, cold and warm, at large n), the bijection
-(`decompose`: split and reconstruct) and the CLI as a process. A cold case
-runs each repetition in a fresh interpreter, which times its one call inside;
-a CLI case times the whole process, start-up included, on a copy of the
-package that holds no bytecode, so every run compiles the package afresh.
+counts past the grid, each of them timing `count` over a list of rows; and one
+warm `generate` stream), the closed forms (`formulas`, cold and warm, at large
+n), the bijection (`decompose`: split, reconstruct, the text round trip and
+one enumeration) and the CLI as a process. A cold case runs each repetition
+in a fresh interpreter, which times its one call inside; a CLI case times the
+whole process, start-up included, on a copy of the package that holds no
+bytecode, so every run compiles the package afresh.
 
 The script reads the package from the `src` directory next to its own
 directory, writes BENCH_<PR>.json to the root of that checkout (with the
@@ -145,7 +146,8 @@ def warm(case):
 
 def bijection(which):
     def timed():
-        from altperms import PATTERN_321, AlternationClass, GenerationFilter, generate, reconstruct, split
+        from altperms import (PATTERN_321, AlternationClass, GenerationFilter, format_record, generate,
+                              parse_record, reconstruct, split)
 
         hosts = [w for cls in AlternationClass
                  for w in generate(GenerationFilter(cls, 11, exact_occurrences=(PATTERN_321, 1)))]
@@ -154,11 +156,34 @@ def bijection(which):
         if which == "split":
             for w in hosts:
                 split(w)
-        else:
+        elif which == "reconstruct":
             for record in records:
                 reconstruct(record)
+        else:
+            for w in hosts:
+                reconstruct(parse_record(format_record(split(w))))
         return time.perf_counter() - start
     return timed
+
+
+def enumerate_n11():
+    from altperms import AlternationClass, enumerate_by_decomposition
+
+    start = time.perf_counter()
+    for cls in AlternationClass:
+        for _ in enumerate_by_decomposition(11, cls):
+            pass
+    return time.perf_counter() - start
+
+
+def generate_unscored_n11():
+    from altperms import AlternationClass, GenerationFilter, generate
+
+    filt = GenerationFilter(AlternationClass.UP_DOWN, 11)
+    start = time.perf_counter()
+    for _ in generate(filt):
+        pass
+    return time.perf_counter() - start
 
 
 #: name: (layer, input, in-process measure or None for a CLI case, cold); each measure returns
@@ -191,6 +216,8 @@ CASES = {
                                      counts(MID_N14), True),
     "enumeration.mid_target_n14_peak_rss": ("enumeration", "peak RSS after the same count; fresh process",
                                             peak(counts(MID_N14)), True),
+    "enumeration.generate_unscored_n11_warm": ("enumeration", "the generate stream of UD n 11, unscored, "
+                                               "after one pass", warm(generate_unscored_n11), False),
     "formulas.catalan_cold": ("formulas", "catalan(30000), fresh process", formula(lambda a: a.catalan(30_000)), True),
     "formulas.catalan_warm": ("formulas", "catalan(30000) again", warm(formula(lambda a: a.catalan(30_000))), False),
     "formulas.a_n_cold": ("formulas", "a_n(321, UD, 200001), fresh process",
@@ -200,6 +227,10 @@ CASES = {
                                         formula(lambda a: a.decomposition_sum(20_000, a.AlternationClass.UP_DOWN)), True),
     "decompose.split": ("decompose", "split every one-321 host of length 11, both classes", bijection("split"), False),
     "decompose.reconstruct": ("decompose", "reconstruct their records", bijection("reconstruct"), False),
+    "decompose.round_trip": ("decompose", "split, format_record, parse_record and reconstruct each of those hosts",
+                             bijection("round_trip"), False),
+    "decompose.enumerate_n11": ("decompose", "enumerate_by_decomposition(11, cls), both classes, after one pass",
+                                warm(enumerate_n11), False),
     **{name: ("cli", "altperms " + " ".join(argv) + ", package without bytecode", None, True)
        for name, argv in CLI.items()},
 }
