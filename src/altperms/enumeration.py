@@ -13,16 +13,17 @@ n >= 2 pushes to depth leaf = n - k - 1, k = max(1, min(_TAIL, n - 3)), only,
 and a scored walk with a target of 0..2 to k = max(1, min(_CAP3_TAIL, n - 1)).
 There each candidate and the k values left after it come from a table of the
 zigzag orders of k + 1 sorted values, k + 1 bytes each in one blob. Each k's
-table is grown once, lexicographically, from the orders of fewer values by
-comparing and relabelling entries, and ends_in_largest cuts its flag's orders
-from that growth; the orders a walk reads are listed from it in one pass, in
-that order as 2-byte positions in the blob, so those that start in a node's
-candidate window are one slice. A node hands the tails it accepts over as one
-batch (prefix, free, table, orders, lo, hi), its window orders[lo:hi] of those
-positions: `generate` joins get(free) to the prefix for the getter of each
-position there, one `operator.itemgetter` per order of the table, built on
-first use and shared by every ends flag; `count` sums hi - lo, and so builds no
-getter and no permutation.
+table is grown once, lexicographically, from the orders of fewer values, each
+order and its counts kept as bytes: a new first entry relabels a shorter order
+with one bytes.translate, so the growth makes no tuple per order, and
+ends_in_largest cuts its flag's orders from that growth; the orders a walk
+reads are listed from it in one pass, in that order as 2-byte positions in the
+blob, so those that start in a node's candidate window are one slice. A node
+hands the tails it accepts over as one batch (prefix, free, table, orders, lo,
+hi), its window orders[lo:hi] of those positions: `generate` joins get(free)
+to the prefix for the getter of each position there, one `operator.itemgetter`
+per order of the table, built on first use and shared by every ends flag;
+`count` sums hi - lo, and so builds no getter and no permutation.
 One loop walks every filter; a 321 or 123 target changes only what a push
 prunes and which table a node at depth leaf reads.
 For 321 (dually 123) depth d keeps F, the 321s inside the prefix plus, for
@@ -147,7 +148,10 @@ def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None
     the far side of i, its ranks from i up raised by one. That first entry starts Σ c_r
     occurrences over the ranks r below it (above it, for 123), and has c_i = i (j - i). An
     order is dropped once its inner reaches cap; a first entry only adds occurrences, so none
-    of its extensions is kept, and a low cap keeps the orders of many ranks few."""
+    of its extensions is kept, and a low cap keeps the orders of many ranks few. The orders,
+    their inners and their c columns grow in three parallel lists, each order and c column
+    bytes: one translate, by a table made once per (j, i), relabels a shorter order, and its
+    c column takes c_i between c[:i] and c[i:], so the growth makes no tuple per order."""
     if ends is not None:
         ends_on_k, firsts, _, *scores = _order_scores(k, rise, None, pattern, cap)
         keep = [on_k == ends for on_k in ends_on_k]
@@ -155,20 +159,23 @@ def _order_scores(k: int, rise: bool, ends: bool | None, pattern: Pattern | None
         return (bytes(compress(ends_on_k, keep)), bytes(compress(firsts, keep)), pack(f"{len(rows)}H", *rows),
                 *(bytes(compress(column, keep)) for column in scores))
     down = pattern == PATTERN_321
-    rows = [((0,), 0, (0,) if pattern else ())]  # (order, inner, c) of the orders of j + 1 ranks
+    # the orders of j + 1 ranks, their inners and their c columns, parallel, each order and c bytes
+    orders, inners, counts = [b"\0"], [0], [b"\0" if pattern else b""]
     for j in range(1, k + 1):
         up = rise != (k - j) % 2
-        grown = []
+        grown, scores, columns = [], [], []
         for i in range(j + 1):
-            for order, inner, c in rows:
+            # first entry i, then the shorter order with its ranks i..j - 1 raised by one
+            first, raised = bytes((i,)), bytes.maketrans(bytes(range(i, j)), bytes(range(i + 1, j + 1)))
+            mid = bytes((i if down else j - i,))
+            for order, inner, c in zip(orders, inners, counts):
                 if (order[0] >= i) == up:
                     inner += sum(c[:i] if down else c[i:])
                     if inner < cap:
-                        grown.append(((i, *(r + (r >= i) for r in order)), inner,
-                                      c and (*c[:i], i if down else j - i, *c[i:])))
-        rows = grown
-    orders, inners, counts = zip(*rows)
-    del rows, grown  # free the rows before the columns are made
+                        grown.append(first + order.translate(raised))
+                        scores.append(inner)
+                        columns.append(c and c[:i] + mid + c[i:])
+        orders, inners, counts = grown, scores, columns
     return (bytes(order[-1] == k for order in orders), bytes(order[0] for order in orders),
             bytes(chain(*orders)), bytes(inners), *map(bytes, zip(*counts)))
 

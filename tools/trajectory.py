@@ -4,14 +4,15 @@
     python tools/trajectory.py PR
 
 Each case below is measured REPEATS times, in rounds that measure every case
-once, and reported by its median, in its unit: seconds, or MiB for the three
+once, and reported by its median, in its unit: seconds, or MiB for the four
 memory cases. The five layers are the occurrence counter (`perm_core`), the
-oracle (`enumeration`: one pass over a fixed grid of counts, warm and cold, the
-time and peak memory of a longer loop of counts, of a sweep over every target
-of one length and of one mid-target count at n = 14, single cold counts,
-scored and flagged, where a user pays for building the tables, and warm scored
-counts past the grid, each of them timing `count` over a list of rows; and one
-warm `generate` stream), the closed forms (`formulas`, cold and warm, at large
+oracle (`enumeration`: one pass over a fixed grid of counts, warm and cold, and
+the grid's peak memory cold, the time and peak memory of a longer loop of
+counts, of a sweep over every target of one length and of one mid-target count
+at n = 14, single cold counts, scored and flagged, where a user pays for
+building the tables, and warm scored counts past the grid, each of them timing
+`count` over a list of rows; and two warm `generate` streams, one unscored and
+one scored), the closed forms (`formulas`, cold and warm, at large
 n), the bijection (`decompose`: split, reconstruct, the text round trip and
 one enumeration) and the CLI as a process. A cold case runs each repetition
 in a fresh interpreter, which times its one call inside; a CLI case times the
@@ -89,18 +90,38 @@ def occurrence_counts():
     return time.perf_counter() - start
 
 
+def filters(rows):
+    """The GenerationFilter of each count row."""
+    from altperms import PATTERN_123, PATTERN_321, AlternationClass, GenerationFilter
+
+    patterns = {"321": PATTERN_321, "123": PATTERN_123}
+    return [GenerationFilter(AlternationClass(cls), n, ends_in_largest=ends,
+                             exact_occurrences=None if pattern is None else (patterns[pattern], target))
+            for cls, n, pattern, target, ends in rows]
+
+
 def counts(rows):
     """A timer of the oracle counts of `rows`, the filters made before the clock starts."""
     def timed():
-        from altperms import PATTERN_123, PATTERN_321, AlternationClass, GenerationFilter, count
+        from altperms import count
 
-        patterns = {"321": PATTERN_321, "123": PATTERN_123}
-        filters = [GenerationFilter(AlternationClass(cls), n, ends_in_largest=ends,
-                                    exact_occurrences=None if pattern is None else (patterns[pattern], target))
-                   for cls, n, pattern, target, ends in rows]
+        made = filters(rows)
         start = time.perf_counter()
-        for filt in filters:
+        for filt in made:
             count(filt)
+        return time.perf_counter() - start
+    return timed
+
+
+def stream(row):
+    """A timer of the generate stream of one count row, the filter made before the clock starts."""
+    def timed():
+        from altperms import generate
+
+        (filt,) = filters([row])
+        start = time.perf_counter()
+        for _ in generate(filt):
+            pass
         return time.perf_counter() - start
     return timed
 
@@ -176,16 +197,6 @@ def enumerate_n11():
     return time.perf_counter() - start
 
 
-def generate_unscored_n11():
-    from altperms import AlternationClass, GenerationFilter, generate
-
-    filt = GenerationFilter(AlternationClass.UP_DOWN, 11)
-    start = time.perf_counter()
-    for _ in generate(filt):
-        pass
-    return time.perf_counter() - start
-
-
 #: name: (layer, input, in-process measure or None for a CLI case, cold); each measure returns
 #: seconds, or the unit UNITS gives
 CASES = {
@@ -194,6 +205,8 @@ CASES = {
     "enumeration.grid_cold": ("enumeration", f"{len(GRID)} counts: targets 0-2 at n 9-12, both patterns and "
                               "classes, unrestricted at n 9-11; fresh process", counts(GRID), True),
     "enumeration.grid_warm": ("enumeration", "the same grid after one pass", warm(counts(GRID)), False),
+    "enumeration.grid_peak_rss": ("enumeration", "peak RSS after the same grid once; fresh process",
+                                  peak(counts(GRID)), True),
     "enumeration.loop_peak_rss": ("enumeration", f"peak RSS after {len(LOOP)} counts: n 6-13, targets 0-7 "
                                   "and 10^6, both patterns and classes; fresh process", peak(counts(LOOP)), True),
     "enumeration.loop_s": ("enumeration", "the same counts' seconds; fresh process", counts(LOOP), True),
@@ -217,7 +230,9 @@ CASES = {
     "enumeration.mid_target_n14_peak_rss": ("enumeration", "peak RSS after the same count; fresh process",
                                             peak(counts(MID_N14)), True),
     "enumeration.generate_unscored_n11_warm": ("enumeration", "the generate stream of UD n 11, unscored, "
-                                               "after one pass", warm(generate_unscored_n11), False),
+                                               "after one pass", warm(stream(("UD", 11, None, None, None))), False),
+    "enumeration.generate_321_t2_n13_warm": ("enumeration", "the generate stream of UD 321 target 2 at n 13, "
+                                             "after one pass", warm(stream(("UD", 13, "321", 2, None))), False),
     "formulas.catalan_cold": ("formulas", "catalan(30000), fresh process", formula(lambda a: a.catalan(30_000)), True),
     "formulas.catalan_warm": ("formulas", "catalan(30000) again", warm(formula(lambda a: a.catalan(30_000))), False),
     "formulas.a_n_cold": ("formulas", "a_n(321, UD, 200001), fresh process",
