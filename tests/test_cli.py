@@ -14,6 +14,8 @@ from altperms.enumeration import GenerationFilter, count
 from altperms.formulas import OutOfValidityRange
 from altperms.perm_core import AlternationClass, PATTERN_321
 
+from tables import CACHED
+
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -489,7 +491,7 @@ def test_cli_commands_load_only_the_layers_they_run(argv, loaded):
 def test_cli_import_leaves_the_zigzag_table_unbuilt():
     # the oracle walk builds each of its tables on first use, so CLI start-up pays nothing for them
     probe = ("import altperms.cli, altperms.enumeration as e; "
-             "print([f.cache_info().currsize for f in (e._order_scores, e._tails, e._getters)])")
+             f"print([getattr(e, name).cache_info().currsize for name in {CACHED!r}])")
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
                          capture_output=True, text=True, timeout=60)
-    assert (out.returncode, out.stdout, out.stderr) == (0, "[0, 0, 0]\n", "")
+    assert (out.returncode, out.stdout, out.stderr) == (0, f"{[0] * len(CACHED)}\n", "")

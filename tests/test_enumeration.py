@@ -18,6 +18,7 @@ from altperms.perm_core import AlternationClass, PATTERN_123, PATTERN_321, class
 
 import naive
 from races import race
+from tables import BUILDS, CACHED, cache_misses, cache_sizes, cold_caches, decode
 
 UD = AlternationClass.UP_DOWN
 DU = AlternationClass.DOWN_UP
@@ -319,16 +320,6 @@ def orders_below(k, rise, pattern, cap):
     return found
 
 
-def blob_orders(blob, k):
-    """The orders of k + 1 ranks a head with ends None lists in its blob, k + 1 bytes each."""
-    return [tuple(blob[j:j + k + 1]) for j in range(0, len(blob), k + 1)]
-
-
-def positions(packed):
-    """The 2-byte positions a flagged head's cut or a _tails list holds, as ints."""
-    return memoryview(packed).cast("H").tolist()
-
-
 def scored_vectors(k):
     """The vectors test_scored_table_lists_its_definition checks for a table of k + 1 ranks: every
     monotone one with entries 0..3 up to k = 5; from k = 6 on, those with at most two distinct
@@ -346,17 +337,15 @@ def test_scored_table_lists_its_definition(pattern):
     # c columns, and the reference is every zigzag order, filtered from all (k + 1)!
     # permutations; with one, the reference orders are placed left to right by orders_below,
     # and where every zigzag order is kept (k <= _TAIL) they are also the filtered ones. The
-    # entries with ends True and False keep the rows of the orders their flag picks, cut from
-    # it, with the positions of those orders in its blob in place of the blob, and _getters
-    # reads each order of the blob off the ranks. For each vector a walk can meet with entries
+    # entries with ends True and False keep the rows of the orders their flag picks, and
+    # _getters reads each order off the ranks. For each vector a walk can meet with entries
     # 0..3 (the placed values above an unused value shrink as the value grows, and those below
     # it grow; an unscored walk meets only the one all 0, and reads total 0), _tails keeps,
     # under each total below cap, the orders whose tail adds that total, lexicographically and
     # sliced by first entry; where no order qualifies (k = 1 with no pattern: DU with ends
-    # True, UD with ends False) no total is listed. A list's orders are 2-byte positions in the
-    # blob of the entry with ends None, whatever the head's flag. At cap 3 an entry of 3 stands
-    # for any count from 3 up, so the orders kept must not change when it is raised to 7. Only
-    # cap 3 (targets 0..2) reads tails of k + 1 = 9 to 11 entries, so those k check cap 3 alone.
+    # True, UD with ends False) no total is listed. At cap 3 an entry of 3 stands for any
+    # count from 3 up, so the orders kept must not change when it is raised to 7. Only cap 3
+    # (targets 0..2) reads tails of k + 1 = 9 to 11 entries, so those k check cap 3 alone.
     for k in range(1, (enumeration._CAP3_TAIL if pattern else enumeration._TAIL) + 1):
         ranks = tuple(range(k + 1))
         caps = (1,) if pattern is None else (3, 100) if k <= enumeration._TAIL else (3,)
@@ -369,22 +358,14 @@ def test_scored_table_lists_its_definition(pattern):
             for cap in caps:
                 kept = [order for order, (inside, _) in known.items() if inside < cap]
                 counts = [known[order] for order in kept]
-                grown = enumeration._order_scores(k, rise, None, pattern, cap)
-                ends_on_k, firsts, blob, inners, *columns = grown
-                assert blob_orders(blob, k) == kept, (k, rise, cap)
+                rows = decode((k, rise, None, pattern, cap))
+                assert rows == [(order, order[-1] == k, order[0], inside, by_rank if pattern else ())
+                                for order, (inside, by_rank) in zip(kept, counts)], (k, rise, cap)
                 getters = enumeration._getters(k, rise, pattern, cap)
                 assert [get(ranks) for get in getters] == kept, (k, rise, cap)
-                assert list(ends_on_k) == [order[-1] == k for order in kept]
-                assert list(firsts) == [order[0] for order in kept]
-                assert list(inners) == [inside for inside, _ in counts]
-                assert list(zip(*columns)) == ([by_rank for _, by_rank in counts] if pattern else [])
-                rows = list(zip(range(len(kept)), ends_on_k, firsts, inners, *columns))
                 for ends in (True, False):
-                    cut = enumeration._order_scores(k, rise, ends, pattern, cap)
-                    assert [type(column) for column in cut] == list(map(type, grown)) == [bytes] * len(grown)
-                    on_k, cut_firsts, where, *scores = cut
-                    assert list(zip(positions(where), on_k, cut_firsts, *scores)) == [
-                        row for row in rows if row[1] == ends], (k, rise, cap, ends)
+                    assert decode((k, rise, ends, pattern, cap)) == [row for row in rows if row[1] == ends], (
+                        k, rise, cap, ends)
                 # ends only picks orders, so each order's score serves all three heads
                 for vec in vectors:
                     vec = vec[::-1] if pattern == PATTERN_321 else vec
@@ -400,14 +381,11 @@ def test_scored_table_lists_its_definition(pattern):
                         for score, order in zip(scores, kept):
                             if score < cap and ends in (None, order[-1] == k):
                                 expected.setdefault(score, [[] for _ in ranks])[order[0]].append(order)
-                        table = enumeration._tails.__wrapped__((k, rise, ends, pattern, cap), vec)  # uncached
+                        table = decode((k, rise, ends, pattern, cap), vec)
                         assert sorted(table) == sorted(expected), (k, rise, ends, vec, cap)
                         for total, (orders, start) in table.items():
-                            assert type(orders) is bytes and len(start) == k + 2
-                            orders = positions(orders)
-                            assert start[0] == 0 and start[k + 1] == len(orders)
                             for i in ranks:
-                                assert [kept[row] for row in orders[start[i]:start[i + 1]]] == expected[total][i], (
+                                assert orders[start[i]:start[i + 1]] == expected[total][i], (
                                     k, rise, ends, vec, cap, total, i)
 
 
@@ -425,35 +403,6 @@ def test_targets_past_the_tail_bound_match_histogram(monkeypatch, cls, pattern):
         filt = GenerationFilter(cls, n, exact_occurrences=(pattern, target))
         assert count(filt) == histogram[target], target
         assert all(count_occurrences(w, pattern) == target for w in generate(filt))
-
-
-#: The oracle's cached table builders: the scored orders a head (k, rise, ends, pattern, cap)
-#: keeps, the tails of a (head, vec), and the getters generate reads a table's orders with
-CACHED = ("_order_scores", "_tails", "_getters")
-
-
-def fresh_cache(builder, build=None):
-    """An empty cache with the parameters of the cached `builder`, around `build` or the
-    builder's own function."""
-    return lru_cache(**builder.cache_parameters())(build or builder.__wrapped__)
-
-
-def cold_caches(monkeypatch, **builds):
-    """Swap a fresh, empty cache in for each of enumeration's CACHED builders, around the
-    function `builds` gives under its name or the builder's own; monkeypatch puts the warm
-    caches back after the test."""
-    for name in CACHED:
-        monkeypatch.setattr(enumeration, name, fresh_cache(getattr(enumeration, name), builds.get(name)))
-
-
-def cache_sizes():
-    """The number of values each of CACHED holds."""
-    return [getattr(enumeration, name).cache_info().currsize for name in CACHED]
-
-
-def cache_misses():
-    """The misses of each of CACHED so far."""
-    return [getattr(enumeration, name).cache_info().misses for name in CACHED]
 
 
 def test_a_target_past_the_tail_bound_adds_no_scored_table(monkeypatch):
@@ -505,20 +454,14 @@ def test_leaf_depth_that_clips_the_placed_value_counts(monkeypatch, cls, pattern
     # scores cap or more, so the outputs cannot tell; the vectors the tables are built for can.
     # Targets 0..2 read tails of k + 1 = 11 entries from n = 11 on, so leaf = n - 11 exceeds 3
     # only from n = 15 on, where the four (class, pattern) pairs have the same counts.
-    build = enumeration._tails.__wrapped__
-    looked_up = []
-
-    def tails(head, vec):
-        looked_up.append((head[4], vec))
-        return build(head, vec)
-
-    cold_caches(monkeypatch, _tails=tails)
+    builds = cold_caches(monkeypatch)
     for target, expected in enumerate(counts):
         filt = GenerationFilter(cls, 15, exact_occurrences=(pattern, target))
         out = list(generate(filt))
         assert count(filt) == len(out) == expected
         assert out == sorted(set(out))
         assert all(count_occurrences(w, pattern) == target for w in out)
+    looked_up = [(head[4], vec) for (head, vec), _ in builds["_tails"]]
     assert {cap for cap, _ in looked_up} == {3}
     assert all(max(vec) <= cap for cap, vec in looked_up)
 
@@ -543,7 +486,6 @@ def exactly_two_321(cls, n):
     return value
 
 
-
 def exactly_three_321(cls, n):
     """The conjectured count of length-n `cls` permutations with exactly three 321s, n >= 3, m =
     n // 2, as ROADMAP item 3 writes the rows: P(m)·C(2m, m)·m!/((2m - 1)(m + k)!), a row per
@@ -563,6 +505,7 @@ def exactly_three_321(cls, n):
     value, rest = divmod(p * comb(2 * m, m) * factorial(m), (2 * m - 1) * factorial(m + k))
     assert not rest, (cls, n)
     return value
+
 
 @pytest.mark.parametrize("cls", [UD, DU])
 def test_exactly_two_counts_match_the_conjectured_rows(cls):
@@ -607,15 +550,15 @@ def test_push_free_walks_match_the_closed_forms(monkeypatch, cls, pattern):
 
 def race_cold_builds(monkeypatch, filters, check):
     """Generate every filter from 8 threads at once in each of 10 rounds, after swapping a fresh,
-    empty cache in for each of enumeration's CACHED builders; then check()."""
+    empty cache in for each of enumeration's CACHED builders; then check() the round's builds."""
     expected = [list(generate(filt)) for filt in filters]
     rounds, workers = 10, 8
     for _ in range(rounds):
-        cold_caches(monkeypatch)  # around the functions the caches now hold
+        builds = cold_caches(monkeypatch)
         results: list = []
         race(*[lambda: results.append([list(generate(filt)) for filt in filters])] * workers)
         assert results == [expected] * workers
-        check()
+        check(builds)
 
 
 def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
@@ -633,14 +576,12 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
     tables = list(product((1, 5), (False, True), (None,), (1,)))
 
     def fresh(head):
-        k = head[0]
-        return (repr(enumeration._order_scores.__wrapped__(*head)),
-                repr(enumeration._tails.__wrapped__(head, (0,) * (k + 1))))
+        return repr(BUILDS["_order_scores"](*head)), repr(BUILDS["_tails"](head, (0,) * (head[0] + 1)))
 
     built = {head: fresh(head) for head in heads}
-    getters = {table: repr(enumeration._getters.__wrapped__(*table)) for table in tables}
+    getters = {table: repr(BUILDS["_getters"](*table)) for table in tables}
 
-    def check():
+    def check(_):
         # every head, its one vector and its getters are cached (read with no miss) and equal
         # their fresh build: an itemgetter compares by identity, and its repr lists the indices
         # it reads
@@ -659,12 +600,12 @@ def test_zigzag_table_cold_build_is_thread_safe(monkeypatch):
 def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # The same race on a scored walk's tables, each round from its orders' scores up, which it
     # grows on its own: a head's orders, scored or cut, or a vector's orders by score stored
-    # before they are whole would drop or shift a tail in some thread, and every cached value
-    # must equal a fresh build. Each round records every head whose orders were built and
-    # every (head, vec) whose tails were built, which covers every value cached. The walks at
-    # n = 6, 9, 10 and 11 push no entry and read the whole permutation (k = 5, 8, 9 and 10) at
-    # the root, one vector per head, whose orders are pruned as they grow; the ends=False walks
-    # read the orders that flag cuts. The three at n = 12, targets 0..2, push one and fall into tails of
+    # before they are whole would drop or shift a tail in some thread, and every value built,
+    # cached or not, must equal a fresh build. Each round records every build, which covers
+    # every value cached. The walks at n = 6, 9, 10 and 11 push no entry and read the whole
+    # permutation (k = 5, 8, 9 and 10) at the root, one vector per head, whose orders are
+    # pruned as they grow; the ends=False walks read the orders that flag cuts. The three at
+    # n = 12, targets 0..2, push one and fall into tails of
     # 11 off one head (k = 10), capped at 3 for all three (they begin with 1, which keeps them
     # to one vector), and the n = 12 walk with no flag falls into the same head and meets one
     # vector per first entry, so several threads race on the vectors of one head. generate
@@ -676,28 +617,13 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     filters += [GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, target), begins_with_smallest=True)
                 for target in range(3)]
     filters.append(GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, 0)))
-    orders, tails = enumeration._order_scores.__wrapped__, enumeration._tails.__wrapped__
-    getters = enumeration._getters.__wrapped__
-    heads: set = set()  # every head whose orders were built
-    built: set = set()  # every (head, vec) whose tails were built
-    tables: set = set()  # every (k, rise, pattern, cap) whose getters were built
+    orders, tails, getters = BUILDS.values()
 
-    def record_head(*head):
-        heads.add(head)
-        return orders(*head)
-
-    def record_tails(head, vec):
-        built.add((head, vec))
-        return tails(head, vec)
-
-    def record_getters(*table):
-        tables.add(table)
-        return getters(*table)
-
-    cold_caches(monkeypatch, _order_scores=record_head, _tails=record_tails, _getters=record_getters)
-
-    def check():
+    def check(builds):
         misses = cache_misses()
+        # every head whose orders were built, every (head, vec) whose tails were, and every
+        # (k, rise, pattern, cap) whose getters were
+        heads, built, tables = ({key for key, _ in builds[name]} for name in CACHED)
         # every head read was built, and every flagged head cut from the head with ends None
         assert built and {head for head, _ in built} <= heads
         assert {(k, rise, None, pattern, cap) for k, rise, _, pattern, cap in heads} <= heads
@@ -713,17 +639,18 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
         assert tables == {(k, rise, pattern, cap) for k, rise, _, pattern, cap in heads}
         for table in tables:
             assert repr(enumeration._getters(*table)) == repr(getters(*table)), table
+        # every value built equals the one cached, also one whose store another thread's replaced
+        for name in CACHED:
+            cache = getattr(enumeration, name)
+            assert all(repr(value) == repr(cache(*key)) for key, value in builds[name]), name
         assert cache_misses() == misses  # all were cached
-        heads.clear()
-        built.clear()
-        tables.clear()
 
     race_cold_builds(monkeypatch, filters, check)
 
 
 def test_generate_getters_cold_build_is_thread_safe(monkeypatch):
     # The same race on the getters generate reads: each (k, rise, pattern, cap) below is read
-    # under all three ends flags, whose heads share one set of getters, built from the blob
+    # under all three ends flags, whose heads share one set of getters, built from the orders
     # of the head with ends None. UD n = 8 target 1 and DU n = 8 target 2 read all k + 1 = 8
     # entries at the root (cap 3), UD n = 11 target 0 all 11 (k = 10, 1,655 orders), and the
     # unscored DU n = 8 pushes two and falls into tails of 6; at n = 8 the streams are the naive
@@ -738,33 +665,25 @@ def test_generate_getters_cold_build_is_thread_safe(monkeypatch):
         if filt.length == 8:
             assert list(generate(filt)) == naive.matching_perms(
                 filt.cls.value, 8, exactly=filt.exact_occurrences, ends_in_largest=filt.ends_in_largest)
-    getters = enumeration._getters.__wrapped__
-    tables: set = set()  # every (k, rise, pattern, cap) whose getters were built
 
-    def record_getters(*table):
-        tables.add(table)
-        return getters(*table)
-
-    cold_caches(monkeypatch, _getters=record_getters)
-
-    def check():
+    def check(builds):
         misses = cache_misses()
+        tables = {table for table, _ in builds["_getters"]}  # every (k, rise, pattern, cap) built
         assert tables == {(7, True, PATTERN_321, 3), (7, False, PATTERN_123, 3), (10, True, PATTERN_321, 3),
                           (5, False, None, 1)}
         assert cache_sizes()[2] == len(tables)
-        for k, rise, pattern, cap in tables:  # whole: one getter per order of the blob, in order
+        for k, rise, pattern, cap in tables:  # whole: one getter per order, in order
             cached = enumeration._getters(k, rise, pattern, cap)
-            blob = enumeration._order_scores(k, rise, None, pattern, cap)[2]
-            assert type(cached) is tuple and [get(range(k + 1)) for get in cached] == blob_orders(blob, k)
-            assert repr(cached) == repr(getters(k, rise, pattern, cap))
+            orders = [order for order, *_ in decode((k, rise, None, pattern, cap))]
+            assert type(cached) is tuple and [get(range(k + 1)) for get in cached] == orders
+            assert repr(cached) == repr(BUILDS["_getters"](k, rise, pattern, cap))
         assert cache_misses() == misses  # all were cached
-        tables.clear()
 
     race_cold_builds(monkeypatch, filters, check)
 
 
 def test_zigzag_table_is_published_whole(monkeypatch):
-    # The first chain() call (joining the first head's orders into its blob in _order_scores),
+    # The first chain() call (joining the first head's orders in _order_scores),
     # the first accumulate() call (the offsets by first entry of the first total _tails lists)
     # and the first itemgetter() call (making the first getter in _getters) each run a walk in
     # a new thread and wait for it, so that walk starts midway through the build of a table
@@ -821,15 +740,9 @@ def test_a_cold_unscored_count_builds_only_the_heads_it_reads(monkeypatch, ends)
     # tails of its one vector, all 0
     filt = GenerationFilter(UD, 10, ends_in_largest=ends)
     expected = count(filt)
-    tails = enumeration._tails.__wrapped__
-    read: list = []
-
-    def record_tails(head, vec):
-        read.append(head)
-        return tails(head, vec)
-
-    cold_caches(monkeypatch, _tails=record_tails)
+    builds = cold_caches(monkeypatch)
     assert count(filt) == expected
+    read = [head for (head, _), _ in builds["_tails"]]
     assert read == [(7, True, flag, None, 1) for flag in dict.fromkeys((ends or None, ends))]
     assert cache_sizes() == [len({None, ends}), len(read), 0]
 
@@ -857,18 +770,10 @@ def test_counting_builds_no_getter(monkeypatch):
                                 exact_occurrences=None if pattern is None else (patterns[pattern], target))
                for cls, n, pattern, target, ends in grid]
     assert len(filters) == 54
-    stored: list = []
-
-    def storing(build):
-        def built(*key):
-            stored.append(value := build(*key))
-            return value
-        return built
-
-    cold_caches(monkeypatch, _order_scores=storing(enumeration._order_scores.__wrapped__),
-                _tails=storing(enumeration._tails.__wrapped__))
+    builds = cold_caches(monkeypatch)
     assert all(count(filt) for filt in filters)
     heads, vectors, getters = cache_sizes()
+    stored = [value for name in ("_order_scores", "_tails") for _, value in builds[name]]
     assert heads and vectors and not getters and len(stored) == heads + vectors
     assert not any(isinstance(obj, itemgetter) for obj in reachable(*stored))
     for ends in (None, True, False):
@@ -885,28 +790,19 @@ def test_ends_flags_share_one_set_of_orders(monkeypatch, pattern):
     # root, rising into them too (exactly one 321, cap 3). Together they read the heads of all
     # three flags, and each head keeps the orders its flag picks from one set grown once: the
     # orders of a (k, rise, pattern, cap) grow only in its head with ends None, and the heads
-    # with ends True and False are cut from that entry, so they hold positions in its blob
+    # with ends True and False are cut from that entry
     target = None if pattern is None else (pattern, 1)
     filters = [GenerationFilter(UD, 10, exact_occurrences=target, ends_in_largest=ends)
                for ends in (None, True, False)]
     expected = [count(filt) for filt in filters]
-    grow = enumeration._order_scores.__wrapped__
-    grown: list = []  # the heads whose orders were grown, not cut
-
-    def record_growth(*head):
-        if head[2] is None:
-            grown.append(head)
-        return grow(*head)
-
-    cold_caches(monkeypatch, _order_scores=record_growth)
+    builds = cold_caches(monkeypatch)
     assert [count(filt) for filt in filters] == expected
     assert expected[0] == expected[1] + expected[2]
     assert cache_sizes() == [3, 3, 0]  # each head meets one vector, and counting builds no getter
-    (head,) = grown
-    ends_on_k = enumeration._order_scores(*head)[0]
+    (head,) = [head for head, _ in builds["_order_scores"] if head[2] is None]  # grown, not cut
+    rows = decode(head)
     for ends in (True, False):
-        cut = enumeration._order_scores(*head[:2], ends, *head[3:])[2]
-        assert positions(cut) == [row for row, on_k in enumerate(ends_on_k) if on_k == ends], ends
+        assert decode((*head[:2], ends, *head[3:])) == [row for row in rows if row[1] == ends], ends
 
 
 def test_growing_the_largest_scored_head_stays_small():
@@ -918,7 +814,7 @@ def test_growing_the_largest_scored_head_stays_small():
     gc.collect()
     tracemalloc.start()
     try:
-        enumeration._order_scores.__wrapped__(10, True, None, PATTERN_321, 3)
+        BUILDS["_order_scores"](10, True, None, PATTERN_321, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

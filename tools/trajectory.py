@@ -5,7 +5,10 @@
 
 Each case below is measured REPEATS times, in rounds that measure every case
 once, and reported by its median, in its unit: seconds, or MiB for the four
-memory cases. The five layers are the occurrence counter (`perm_core`), the
+memory cases. `calibration.loop` times a fixed pure-Python loop in each round,
+a yardstick of the host's speed: a case's runs divided by the loop's runs of
+the same rounds spread less between runs of one tree than the raw runs do.
+The five layers are the occurrence counter (`perm_core`), the
 oracle (`enumeration`: one pass over a fixed grid of counts, warm and cold, and
 the grid's peak memory cold, the time and peak memory of a longer loop of
 counts, of a sweep over every target of one length and of one mid-target count
@@ -197,9 +200,19 @@ def enumerate_n11():
     return time.perf_counter() - start
 
 
+def calibration():
+    """A fixed pure-Python loop that calls nothing of the package: the host's own speed."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(2_000_000):
+        total += i & 7
+    return time.perf_counter() - start
+
+
 #: name: (layer, input, in-process measure or None for a CLI case, cold); each measure returns
 #: seconds, or the unit UNITS gives
 CASES = {
+    "calibration.loop": ("calibration", "2,000,000 additions in a pure-Python loop", calibration, False),
     "perm_core.count_occurrences": ("perm_core", "2000 random permutations of 60, 321 and 123 each",
                                     occurrence_counts, False),
     "enumeration.grid_cold": ("enumeration", f"{len(GRID)} counts: targets 0-2 at n 9-12, both patterns and "
