@@ -3,9 +3,15 @@
 Every command runs in-process through `altperms.cli.run`; `elapsed_*` fields
 are masked because they are the only output that varies between runs.  The
 list covers the README commands, every `--method` x pattern x class of the
-exactly-once count at n in {1, 2, 3, 6, 7}, the decompose/reconstruct domain
-errors, the verification commands at small bounds, and each verification
-suite run with one of the functions it checks replaced by a wrong one.
+exactly-once count at n in {1, 2, 3, 6, 7}, the default method of each
+count, the usage errors (bad, missing or conflicting flags, an unknown
+command), the decompose/reconstruct domain errors, the verification commands
+at small bounds, each verification suite run with one of the functions it
+checks replaced by a wrong one, and decompose and reconstruct with a wrong
+rebuild (exit 2). This transcript is the record of what the CLI prints:
+`tests/test_cli.py` keeps only what it does not hold: the requests at and
+past their limits with the work stubbed out, helper unit tests, probes in a
+fresh interpreter, `--help` and two large inputs.
 
 Regenerate the committed transcript (only when an output change is intended):
 
@@ -22,6 +28,7 @@ from pathlib import Path
 from unittest import mock
 
 import altperms.cli as cli
+from altperms.formulas import table1_formula
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.txt"
 
@@ -87,10 +94,22 @@ OTHERS = [
     ["count", "--pattern", "321", "--n", "5", "--exactly", "-1"],
     ["sequence", "--n-max", "z"],
     ["verify-table", "--n-max", "ten"],
+    ["count", "--n", "5", "--pattern", "321"],  # usage errors: --pattern without --exactly
+    ["count", "--n", "5", "--exactly", "1"],  # --exactly without --pattern
+    ["count", "--n", "5", "--method", "closed_form"],  # unrestricted, not the oracle
+    ["count", "--pattern", "213", "--n", "5", "--exactly", "1"],  # unsupported pattern
+    ["count", "--pattern", "321", "--n", "0", "--exactly", "1"],  # --n must be positive
+    ["count"],  # missing --n
+    ["bogus-command"],
+    ["count", "--pattern", "321", "--n", "6", "--exactly", "2"],  # the default method past exactly one
+    *(["count", "--pattern", "321", "--class", "UD", "--n", "8", "--exactly", "1", "--method", method]
+      for method in ("convolution", "decomposition_sum", "bijection")),  # the README's 66 by every method
+    ["sequence", "--pattern", "321", "--n-max", "8"],
+    ["sequence", "--pattern", "321", "--n-max", "8", "--method", "oracle"],
 ]
 
 #: (module.name under altperms where the CLI reads the function, wrong replacement, argv): every suite
-#: fails at least once.
+#: fails at least once, and so does the rebuild check of decompose and reconstruct.
 SABOTAGES = [
     ("cli.a_n", lambda spec, n: -1, ["selftest", "--n-max", "4"]),
     ("cli.table1_formula", lambda cls, n, statistic: -1, ["selftest", "--n-max", "4"]),
@@ -103,9 +122,16 @@ SABOTAGES = [
     ("decompose.enumerate_by_decomposition", lambda n, cls: iter(()), ["selftest", "--n-max", "4"]),
     ("cli.euler_zigzag", lambda n: 7, ["selftest", "--n-max", "4"]),
     ("cli.reverse", lambda w: tuple(w), ["selftest", "--n-max", "4"]),
+    # only the odd lengths, where reversal keeps the class
+    ("cli.reverse", lambda w: tuple(w) if len(w) % 2 else tuple(reversed(w)), ["selftest", "--n-max", "5"]),
+    # one cell wrong: verify-table stops at the first n = 6 cell
+    ("cli.table1_formula", lambda cls, n, statistic: table1_formula(cls, n, statistic) + (n == 6),
+     ["verify-table", "--n-max", "8"]),
+    *(("decompose._rebuild", lambda record: (2, 4, 3, 5, 1, 6), argv)  # a wrong host: exit 2, no line
+      for argv in (["decompose", "--perm", "1,4,3,5,2,6"], ["reconstruct", "--record", RECORD])),
 ]
 
-_ELAPSED = re.compile(r'"(elapsed_\w+)": [0-9.]+')
+_ELAPSED = re.compile(r'"(elapsed_\w+)": [0-9]+')  # ints only: a float elapsed_ms would show
 
 
 def run_masked(argv: list[str]) -> str:

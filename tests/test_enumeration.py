@@ -604,15 +604,17 @@ def test_scored_table_cold_build_is_thread_safe(monkeypatch):
     # cached or not, must equal a fresh build. Each round records every build, which covers
     # every value cached. The walks at n = 6, 9, 10 and 11 push no entry and read the whole
     # permutation (k = 5, 8, 9 and 10) at the root, one vector per head, whose orders are
-    # pruned as they grow; the ends=False walks read the orders that flag cuts. The three at
-    # n = 12, targets 0..2, push one and fall into tails of
-    # 11 off one head (k = 10), capped at 3 for all three (they begin with 1, which keeps them
-    # to one vector), and the n = 12 walk with no flag falls into the same head and meets one
-    # vector per first entry, so several threads race on the vectors of one head. generate
-    # builds the getters of each (k, rise, pattern, cap) it reads, from the head with ends None.
+    # pruned as they grow; the ends=False walks read the orders that flag cuts, and run after
+    # every ends=None walk, so the cuts of eight heads come back to back and threads a walk
+    # apart cut different heads at once. The three at n = 12, targets 0..2, push one and fall
+    # into tails of 11 off one head (k = 10), capped at 3 for all three (they begin with 1,
+    # which keeps them to one vector), and the n = 12 walk with no flag falls into the same
+    # head and meets one vector per first entry, so several threads race on the vectors of one
+    # head. generate builds the getters of each (k, rise, pattern, cap) it reads, from the head
+    # with ends None.
     filters = [GenerationFilter(cls, n, exact_occurrences=(pattern, 2), ends_in_largest=ends)
-               for cls in (UD, DU) for n in (6, 9) for pattern in (PATTERN_321, PATTERN_123)
-               for ends in (None, False)]
+               for ends in (None, False) for cls in (UD, DU) for n in (6, 9)
+               for pattern in (PATTERN_321, PATTERN_123)]
     filters += [GenerationFilter(UD, n, exact_occurrences=(PATTERN_321, 2)) for n in (10, 11)]
     filters += [GenerationFilter(UD, 12, exact_occurrences=(PATTERN_321, target), begins_with_smallest=True)
                 for target in range(3)]
