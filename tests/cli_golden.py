@@ -13,6 +13,9 @@ rebuild (exit 2). This transcript is the record of what the CLI prints:
 past their limits with the work stubbed out, helper unit tests, probes in a
 fresh interpreter, `--help` and two large inputs.
 
+`tests/test_cli_golden.py` runs each entry of `CASES` as its own test and
+compares it with the same entry of the committed file (`golden_entries`).
+
 Regenerate the committed transcript (only when an output change is intended):
 
     PYTHONPATH=src python tests/cli_golden.py > tests/golden/cli.txt
@@ -143,12 +146,25 @@ def run_masked(argv: list[str]) -> str:
     return f"$ altperms {shlex.join(argv)}\nexit {code}\n--- stdout\n{stdout}--- stderr\n{err.getvalue()}"
 
 
+#: (target, fake, argv) of every transcript entry, in transcript order; target is None for a plain run.
+CASES = [(None, None, argv) for argv in README + METHOD_GRID + OTHERS] + SABOTAGES
+
+
+def entry(target, fake, argv: list[str]) -> str:
+    """One case's transcript entry, run with altperms.<target> replaced by fake when target is set."""
+    if target is None:
+        return run_masked(argv)
+    with mock.patch(f"altperms.{target}", fake):
+        return f"# with altperms.{target} replaced\n" + run_masked(argv)
+
+
 def transcript() -> str:
-    entries = [run_masked(argv) for argv in README + METHOD_GRID + OTHERS]
-    for target, fake, argv in SABOTAGES:
-        with mock.patch(f"altperms.{target}", fake):
-            entries.append(f"# with altperms.{target} replaced\n" + run_masked(argv))
-    return "\n".join(entries)
+    return "\n".join(entry(*case) for case in CASES)
+
+
+def golden_entries() -> list[str]:
+    """The committed transcript cut at the blank line before each entry: transcript's join undone."""
+    return re.split(r"(?<=\n)\n(?=\$ altperms |# with altperms\.)", GOLDEN.read_text())
 
 
 if __name__ == "__main__":
